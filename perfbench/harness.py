@@ -5,16 +5,18 @@ That one place counts the attempt, times it, records a span when the pass is
 traced, and books a failure when the call raises anything other than a
 ``NoisyMarkovError``. A ``NoisyMarkovError`` is a documented refusal and is
 counted per span name instead (for example ``thermo.cf_near_zero``).
+Either way the call leaves no output to check, so it also makes the pass
+incorrect, unless the workload declared that exception expected there with
+``Session.expect``: a documented refusal, or a known defect.
 """
 
 from __future__ import annotations
 
-import math
 import resource
 import statistics
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -26,10 +28,10 @@ from perfbench.spans import Tracer, self_times, symbol_count
 LAYERS = ("simulate", "transfer", "denoise", "thermo", "oracle", "cli")
 
 #: Printed by untraced runs; each applies to every workload.
-END_TO_END = {"wall_norm_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
+END_TO_END = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
 
 #: The workload-level figures of the summary line; a workload reports those that apply.
-FIGURES = {**END_TO_END, "wall_s": "s", "query_p50_us": "us", "query_p99_us": "us", "ber_map": "share",
+FIGURES = {**END_TO_END, "query_p50_us": "us", "query_p99_us": "us", "ber_map": "share",
            "ber_gibbs": "share", "ber_bfp": "share", "ber_dude_best": "share",
            "ber_bfp_emp": "share"}
 
@@ -85,7 +87,7 @@ PER_LAYER = {
 }
 
 #: Per-layer metrics computed otherwise than from one span name.
-DERIVED = {"denoise.dude_s", "cli.self_s", "trace.overhead_s"}
+DERIVED = {"transfer.scan_symbols", "denoise.dude_s", "cli.self_s", "trace.overhead_s"}
 
 _SCALE = {"us": 1e6, "ms": 1e3}
 
@@ -101,6 +103,17 @@ class Session:
         self.failed: Counter[str] = Counter()
         self.failed_checks = 0
         self.problems: list[str] = []
+        self.expected: tuple[type[Exception], ...] = ()
+
+    @contextmanager
+    def expect(self, *exceptions: type[Exception]):
+        """Within the block, a call raising one of ``exceptions`` is still counted as
+        refused or failed, but its missing output does not make the pass incorrect."""
+        saved, self.expected = self.expected, exceptions
+        try:
+            yield
+        finally:
+            self.expected = saved
 
     def call(self, span: str, fn, *args, **kwargs):
         """``fn(*args, **kwargs)``, or None when it raised."""
@@ -112,10 +125,14 @@ class Session:
         t0 = time.perf_counter()
         try:
             out = fn(*args, **kwargs)
-        except NoisyMarkovError:
+        except NoisyMarkovError as exc:
             self.refused[span] += 1
+            if not isinstance(exc, self.expected):
+                self.check(span, False, f"unexpected refusal {type(exc).__name__}: {exc}")
         except Exception as exc:  # the benchmark keeps going and books it
             self.fail(span, f"{type(exc).__name__}: {exc}")
+            if not isinstance(exc, self.expected):
+                self.failed_checks += 1  # its output is missing, so no check of it can pass
         self.latencies.append(time.perf_counter() - t0)
         if tracer is not None:
             tracer.close(index, symbol_count(args, out))
@@ -137,35 +154,11 @@ class Session:
         return bool(ok)
 
     def check_finite(self, span: str, *values) -> bool:
-        """Check that every given value is finite; outputs of failed calls (None) are skipped."""
+        """Check that every given value is finite; outputs of failed calls (None) are skipped,
+        as ``call`` already booked them."""
         ok = all(np.all(np.isfinite(np.asarray(v, dtype=np.float64)))
                  for v in values if v is not None)
         return self.check(span, ok, "non-finite result")
-
-
-#: Typical time of ``calibrate`` on the 2-core Xeon the bounds were set on;
-#: it only fixes the scale of the normalised pass times.
-CALIBRATION_REF_S = 0.17
-
-
-def calibrate() -> float:
-    """Time a fixed mix of scalar-math loop, list and numpy work that the package never runs.
-
-    The host this benchmark was tuned on changes speed by tens of percent over
-    tens of seconds, and a pass slows with it. Timing this loop right before
-    and after each pass measures the machine's speed at that moment. It
-    allocates under 10 MiB, so it barely moves the memory high-water mark.
-    """
-    t0 = time.perf_counter()
-    x, tanh, atanh = 0.0, math.tanh, math.atanh
-    for _ in range(600_000):
-        x = 0.3 + atanh(0.8 * tanh(x))
-    for _ in range(3):
-        array = np.asarray([x * i for i in range(100_000)])
-    array = np.resize(array, 300_000)  # 2.4 MB, larger than a core's L2 cache
-    for _ in range(6):
-        np.cumsum(np.sort(array))
-    return time.perf_counter() - t0
 
 
 def measure(workload, seconds: float, trace: bool):
@@ -175,24 +168,18 @@ def measure(workload, seconds: float, trace: bool):
     section, before the next pass starts, and then dropped, so the memory
     high-water mark is taken after it. Every pass repeats the first one's
     inputs, so all passes must attempt and fail the same operations.
-    Each pass time is also reported normalised to the machine speed that
-    ``calibrate`` measured around it: wall * CALIBRATION_REF_S / calibration.
-    Returns (first session, check figures, peak RSS in MiB, untraced
-    (wall, normalised) pairs, traced pairs, traced sessions, calibration times).
+    Returns (first session, check figures, peak RSS in MiB, untraced pass
+    times, traced pass times, traced sessions).
     """
     deadline = time.perf_counter() + seconds
     plain, traced, traced_sessions = [], [], []
     first = None
-    calibrations = [calibrate()]
     while True:
         tracing = trace and len(plain) > len(traced)
         session = Session(Tracer() if tracing else None)
         t0 = time.perf_counter()
         out = workload.run(session)
-        wall = time.perf_counter() - t0
-        calibrations.append(calibrate())
-        speed = CALIBRATION_REF_S / statistics.fmean(calibrations[-2:])
-        (traced if tracing else plain).append((wall, wall * speed))
+        (traced if tracing else plain).append(time.perf_counter() - t0)
         if first is None:
             first = session
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -204,25 +191,27 @@ def measure(workload, seconds: float, trace: bool):
         if tracing:
             traced_sessions.append(session)
         if time.perf_counter() >= deadline and (not trace or traced):
-            return first, figures, peak_rss_mb, plain, traced, traced_sessions, calibrations
+            return first, figures, peak_rss_mb, plain, traced, traced_sessions
 
 
 def _median(values) -> float:
     return float(statistics.median(values)) if values else 0.0
 
 
-def layer_metrics(sessions: list[Session], plain: list[tuple[float, float]],
-                  traced: list[tuple[float, float]], counts: dict) -> dict[str, float]:
+def layer_metrics(sessions: list[Session], plain: list[float], traced: list[float],
+                  counts: dict) -> dict[str, float]:
     """Every per-layer metric, from the spans of the traced passes and the workload's counts."""
     durations: dict[str, list[float]] = {}
     per_mega: dict[str, list[float]] = {}
     dude_sweeps: list[float] = []
     cli_self: list[float] = []
+    scan_symbols: list[int] = []
     covered = 0.0
     for session in sessions:
         spans = session.tracer.spans
         sweeps: Counter[int] = Counter()
         cli_by_op: Counter[int] = Counter()
+        scanned = 0
         for span, self_time in zip(spans, self_times(spans)):
             durations.setdefault(span.name, []).append(span.duration)
             if span.symbols:
@@ -231,11 +220,14 @@ def layer_metrics(sessions: list[Session], plain: list[tuple[float, float]],
                 covered += span.duration
             if span.layer == "cli":
                 cli_by_op[span.op] += self_time
+            elif span.layer == "transfer":
+                scanned += span.symbols
             if span.name.startswith("denoise.dude_k") and span.symbols:
                 # one sweep over k is the set of DUDE calls under one parent span
                 sweeps[span.parent] += span.duration * 1e6 / span.symbols
         dude_sweeps += sweeps.values()
         cli_self += cli_by_op.values()
+        scan_symbols.append(scanned)
 
     out = dict.fromkeys(PER_LAYER, 0)
     for name in PER_LAYER:
@@ -246,10 +238,11 @@ def layer_metrics(sessions: list[Session], plain: list[tuple[float, float]],
             out[name] = _median(per_mega.get(base, ()))
         elif suffix in _SCALE:
             out[name] = _median(durations.get(base, ())) * _SCALE[suffix]
+    out["transfer.scan_symbols"] = int(_median(scan_symbols))
     out["denoise.dude_s"] = _median(dude_sweeps)
     out["cli.self_s"] = _median(cli_self)
-    out["trace.overhead_s"] = _median([n for _, n in traced]) - _median([n for _, n in plain])
-    out["trace.coverage_pct"] = 100.0 * covered / sum(w for w, _ in traced)
+    out["trace.overhead_s"] = _median(traced) - _median(plain)
+    out["trace.coverage_pct"] = 100.0 * covered / sum(traced)
     unknown = set(counts) - set(PER_LAYER)
     if unknown:
         raise KeyError(f"counts for undeclared metrics: {sorted(unknown)}")

@@ -3,8 +3,8 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout; the package is imported from src/.
-Set-up is sampled in SETUP_SAMPLES fresh worker processes, the last of which
-then measures for S seconds and checks its outputs. The last line of standard
+Set-up is sampled in SETUP_SAMPLES fresh worker processes, the middle one of
+which also measures for S seconds and checks its outputs. The last line of standard
 output is the result: {"correct", "attempted", "failed", "metrics"}, with the
 end-to-end metrics when --trace is 0 and the per-layer metrics when it is 1.
 The line before it carries the environment and every detail figure.
@@ -27,8 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKER = Path(__file__).resolve().parent / "worker.py"
 WORKLOADS = ("long_word_exact", "universal_dude", "gibbs_queries", "cli_bench")
 
-#: Fresh processes per run that time set-up; the last one also measures.
-SETUP_SAMPLES = 5
+#: Fresh processes per run that time set-up; the middle one also measures, so
+#: the samples before and after it span the run's changes in machine speed.
+SETUP_SAMPLES = 9
 
 #: A run must end within 180 s; this leaves room for start-up and printing.
 RUN_BUDGET_S = 170.0
@@ -52,10 +53,12 @@ def spawn(args: list[str], deadline: float) -> dict:
 def run_workload(name: str, seed: int, seconds: float, trace: int) -> None:
     deadline = time.monotonic() + RUN_BUDGET_S
     common = ["--workload", name, "--seed", str(seed), "--seconds", str(seconds)]
-    setups = [spawn(common + ["--setup-only"], deadline)["setup_s"]
-              for _ in range(SETUP_SAMPLES - 1)]
+    before = SETUP_SAMPLES // 2
+    setups = [spawn(common + ["--setup-only"], deadline)["setup_s"] for _ in range(before)]
     out = spawn(common + ["--trace", str(trace)], deadline)
     setups.append(out["setup_s"])
+    setups += [spawn(common + ["--setup-only"], deadline)["setup_s"]
+               for _ in range(SETUP_SAMPLES - 1 - before)]
 
     setup = {"value": statistics.median(setups), "unit": "s"}
     summary = {
@@ -63,7 +66,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> None:
         "trace": trace,
         "figures": dict(out["figures"], setup_s=setup),
         "setup_samples_s": setups,
-        **{k: out[k] for k in ("details", "pass_walls_s", "calibrations_s", "refused", "problems",
+        **{k: out[k] for k in ("details", "pass_walls_s", "refused", "problems",
                                "environment")},
     }
     metrics = out["metrics"]

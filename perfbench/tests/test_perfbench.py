@@ -83,14 +83,31 @@ def _raise(exc):
 
 def test_failures_are_counted_by_layer_and_refusals_apart():
     s = Session()
-    assert s.call("thermo.bowen_gibbs_certificate", _raise, OverflowError("math range error")) is None
-    assert s.call("thermo.g_continued_fraction", _raise, DivisionNearZeroError("tiny")) is None
+    assert s.call("denoise.forward_backward", _raise, ValueError("bad shape")) is None
+    with s.expect(DivisionNearZeroError):
+        assert s.call("thermo.g_continued_fraction", _raise, DivisionNearZeroError("tiny")) is None
     assert s.call("transfer.cylinder_prob", lambda: 0.25) == 0.25
     assert s.attempted == 3
-    assert s.failed == {"thermo": 1}
+    assert s.failed == {"denoise": 1}
     assert s.refused == {"thermo.g_continued_fraction": 1}
-    assert s.failed_checks == 0
+    # the crashed call left no output to check, so the pass is not correct
+    assert s.failed_checks == 1
     assert len(s.latencies) == 3
+
+
+def test_only_declared_exceptions_leave_a_pass_correct():
+    s = Session()
+    with s.expect(OverflowError):
+        assert s.call("thermo.bowen_gibbs_certificate", _raise, OverflowError("math range")) is None
+        assert s.call("thermo.bowen_gibbs_certificate", _raise, ZeroDivisionError("other")) is None
+    assert s.call("thermo.bowen_gibbs_certificate", _raise, OverflowError("math range")) is None
+    assert s.failed == {"thermo": 3}
+    assert s.failed_checks == 2
+    # a refusal where none is declared is a missing output too
+    assert s.call("denoise.forward_backward", _raise, DivisionNearZeroError("tiny")) is None
+    assert s.refused == {"denoise.forward_backward": 1}
+    assert s.failed == {"thermo": 3, "denoise": 1}
+    assert s.failed_checks == 3
 
 
 def test_failed_checks_and_non_finite_results_are_failures():
@@ -111,14 +128,16 @@ def test_traced_session_feeds_layer_metrics():
         for k in (1, 4):
             s.call(f"denoise.dude_k{k}", lambda y, k: y, y, k)
     s.call("thermo.g_function", lambda: 0.5)
-    metrics = layer_metrics([s], [(1.0, 1.0)], [(1.0, 1.0)], {"thermo.failed": 0})
+    s.call("transfer.backward_fields", lambda y: y, y[:300])
+    metrics = layer_metrics([s], [1.0], [1.0], {"thermo.failed": 0})
     assert set(metrics) == set(PER_LAYER)
     assert metrics["denoise.dude_k1_s"] > 0 and metrics["denoise.dude_k10_s"] == 0
     assert metrics["denoise.dude_s"] == pytest.approx(
         metrics["denoise.dude_k1_s"] + metrics["denoise.dude_k4_s"])
     assert metrics["thermo.g_function_us"] > 0
+    assert metrics["transfer.scan_symbols"] == 300
     with pytest.raises(KeyError):
-        layer_metrics([s], [(1.0, 1.0)], [(1.0, 1.0)], {"thermo.typo": 1})
+        layer_metrics([s], [1.0], [1.0], {"thermo.typo": 1})
 
 
 def test_metric_names_and_units_are_valid_and_match_the_spec():

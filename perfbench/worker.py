@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.setup_only:
                 print(json.dumps({"ready": ready}))
                 return 0
-            first, details, peak_rss_mb, plain, traced, sessions, calibrations = measure(
+            first, details, peak_rss_mb, plain, traced, sessions = measure(
                 workload, args.seconds, bool(args.trace))
     finally:
         try:
@@ -97,8 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:  # another run still uses it
             pass
 
-    figures = dict(details, wall_s=statistics.median(w for w, _ in plain),
-                   wall_norm_s=statistics.median(n for _, n in plain), peak_rss_mb=peak_rss_mb)
+    figures = dict(details, wall_s=statistics.median(plain), peak_rss_mb=peak_rss_mb)
     result = {
         "ready": ready,
         "correct": first.failed_checks == 0,
@@ -106,8 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         "failed": sum(first.failed.values()),
         "figures": {k: {"value": v, "unit": FIGURES[k]} for k, v in figures.items() if k in FIGURES},
         "details": {k: v for k, v in details.items() if k not in FIGURES and k not in PER_LAYER},
-        "pass_walls_s": {"untraced": [w for w, _ in plain], "traced": [w for w, _ in traced]},
-        "calibrations_s": calibrations,
+        "pass_walls_s": {"untraced": plain, "traced": traced},
         "refused": dict(first.refused),
         "problems": first.problems[:20],
         "environment": environment(args.seed, workload.sizes),

@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import statistics
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 import noisymarkov.cli as cli
 from noisymarkov import (
+    DivisionNearZeroError,
     bfp_denoise,
     bit_error_rate,
     bowen_gibbs_certificate,
@@ -149,7 +151,6 @@ class LongWordExact:
             "ber_map": statistics.fmean(c["bers"]["map"] for c in complete),
             "ber_gibbs": statistics.fmean(c["bers"]["gibbs"] for c in complete),
             "ber_bfp": statistics.fmean(c["bers"]["bfp"] for c in complete),
-            "transfer.scan_symbols": 3 * self.N * len(self.cells),
             "identity_max_defect": worst,
         }
 
@@ -272,6 +273,10 @@ class GibbsQueries:
     SHORT_MAX, LONG_LEN, CONTEXT = 12, 1000, 64
     VARIATION_N, VARIATION_SAMPLES = 20, 32
     COLD_CELLS = 40  # fresh decay_rate_bound cells per pass
+    #: Known defect: bowen_gibbs_certificate raises a bare OverflowError at this
+    #: cell, as exp(C sup|B'| / (1 - rho)) overflows at rho = 0.956. The calls
+    #: are counted as failed; the cell stays for its long memory.
+    CERTIFICATE_OVERFLOW_CELL = (0.02, 0.3)
 
     def __init__(self, seed: int, tmp: Path) -> None:
         rng = np.random.default_rng(derive_seed(seed, 0))
@@ -280,6 +285,7 @@ class GibbsQueries:
             model = channel_model(p, eps)
             width = required_context(TOL, model) + 1
             self.cells.append(dict(
+                cell=(p, eps),
                 params=validate_params(p, eps),
                 model=model,
                 windows=spin_words(rng, self.G_WINDOWS, width),
@@ -308,8 +314,9 @@ class GibbsQueries:
             model, params = cell["model"], cell["params"]
             r = dict(cell=cell)
             r["g"] = [call("thermo.g_function", g_function, w, TOL, model) for w in cell["windows"]]
-            r["cf"] = [call("thermo.g_continued_fraction", g_continued_fraction, w, len(w) - 1, model)
-                       for w in cell["windows"]]
+            with s.expect(DivisionNearZeroError):  # documented refusal, counted as cf_near_zero
+                r["cf"] = [call("thermo.g_continued_fraction", g_continued_fraction, w, len(w) - 1,
+                                model) for w in cell["windows"]]
             r["two"] = [call("transfer.two_sided_conditional", two_sided_conditional, c, a, b, model)
                         for c, a, b in cell["contexts"]]
             r["lim"] = [call("transfer.two_sided_limit_conditional", two_sided_limit_conditional,
@@ -321,8 +328,10 @@ class GibbsQueries:
                           for w in cell["long"]]
             r["log_q"] = [call("transfer.log_cylinder_prob", log_cylinder_prob, w, model)
                           for w in cell["long"]]
-            r["cert"] = [call("thermo.bowen_gibbs_certificate", bowen_gibbs_certificate, model)
-                         for _ in range(self.CERTIFICATES)]
+            with (s.expect(OverflowError) if cell["cell"] == self.CERTIFICATE_OVERFLOW_CELL
+                  else nullcontext()):
+                r["cert"] = [call("thermo.bowen_gibbs_certificate", bowen_gibbs_certificate, model)
+                             for _ in range(self.CERTIFICATES)]
             r["var"] = [call("thermo.variation_estimate", variation_estimate, self.VARIATION_N,
                              self.VARIATION_SAMPLES, model, v) for v in cell["variation_seeds"]]
             out.append(r)
@@ -384,10 +393,6 @@ class GibbsQueries:
             "query_p99_us": p99 * 1e6,
             "query_samples": len(lat),
             "thermo.cf_near_zero": s.refused["thermo.g_continued_fraction"],
-            "transfer.scan_symbols": sum(
-                2 * self.TWO_SIDED * 2 * self.CONTEXT
-                + sum(len(w) for w in cell["short"]) + self.LONG_WORDS * self.LONG_LEN
-                for cell in self.cells),
         }
 
 
