@@ -344,8 +344,10 @@ def cmd_bench(cfg: Settings) -> int:
             raise ConfigError(f"unknown algorithm {algo!r}")
     default_k = default_context_length(n)
     k_default_list = sorted(set(list(range(1, 9)) + [default_k]))
-    k_list = [k for k in cfg.get_int_list("k", ",".join(map(str, k_default_list)))]
-    max_k = max(k_list) if k_list else 1
+    k_list = cfg.get_int_list("k", ",".join(map(str, k_default_list)))
+    if min(k_list) < 1:
+        raise ConfigError(f"dude context lengths must be >= 1, got k={min(k_list)}")
+    max_k = max(k_list)
     if "dude" in algorithms and n <= 2 * max_k + 1:
         raise ConfigError(f"bench with dude contexts up to k={max_k} needs n >= {2 * max_k + 2}")
     out_dir = Path(cfg.get("out", "bench-out"))

@@ -3,7 +3,7 @@
 Four reconstruction rules are provided:
 
 * ``forward_backward`` + ``map_denoise``: exact per-position MAP with known
-  (p, eps), via scaled alpha/beta recursions.
+  (p, eps), from the two neighbour shifts of the transfer recursion.
 * ``dude``: the channel-inverting context-count denoiser; only eps is known.
 * ``bfp_denoise``: the backward-forward product surrogate for the two-sided
   conditional, in an exact (field-based) and an empirical (context-count) mode.
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .model import ChannelParams, derive_couplings, validate_params
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
-from .transfer import backward_fields, field_shift, forward_fields
+from .transfer import _logistic_pair, _symbol_prob, neighbour_shifts
 
 __all__ = [
     "PosteriorMarginals",
@@ -133,42 +133,17 @@ def emission_column(epsilon: float, y: int) -> np.ndarray:
 
 
 def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
-    """Exact posteriors P[X_i | Y = y] via scaled alpha/beta recursions."""
+    """Exact posteriors P[X_i | Y = y].
+
+    The posterior log-odds of X_i are 2 (K*y_i + A(wf_{i-1}) + A(wb_{i+1})),
+    with the neighbour shifts of the transfer recursion; the logistic of them
+    is taken in overflow-safe form.
+    """
     arr = as_spin_array(y)
-    n = len(arr)
-    p, eps = params.p, params.epsilon
-    q = 1.0 - p
-    ep = np.where(arr == 1, 1.0 - eps, eps).tolist()  # P(y_i | X=+1)
-    em = np.where(arr == -1, 1.0 - eps, eps).tolist()  # P(y_i | X=-1)
-
-    alpha_p: list[float] = [0.0] * n
-    alpha_m: list[float] = [0.0] * n
-    cp, cm = 0.5 * ep[0], 0.5 * em[0]
-    s = cp + cm
-    cp, cm = cp / s, cm / s
-    alpha_p[0], alpha_m[0] = cp, cm
-    for i in range(1, n):
-        npl = (cp * q + cm * p) * ep[i]
-        nmi = (cp * p + cm * q) * em[i]
-        s = npl + nmi
-        cp, cm = npl / s, nmi / s
-        alpha_p[i], alpha_m[i] = cp, cm
-
-    beta_p: list[float] = [0.0] * n
-    beta_m: list[float] = [0.0] * n
-    bp = bm = 1.0
-    beta_p[n - 1] = beta_m[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        npl = q * ep[i + 1] * bp + p * em[i + 1] * bm
-        nmi = p * ep[i + 1] * bp + q * em[i + 1] * bm
-        s = npl + nmi
-        bp, bm = npl / s, nmi / s
-        beta_p[i], beta_m[i] = bp, bm
-
-    post_p = np.array(alpha_p) * np.array(beta_p)
-    post_m = np.array(alpha_m) * np.array(beta_m)
-    tot = post_p + post_m
-    return PosteriorMarginals(q_minus=post_m / tot, q_plus=post_p / tot)
+    model = derive_couplings(params)
+    left, right = neighbour_shifts(arr, model)
+    q_minus, q_plus = _logistic_pair(2.0 * (model.K * arr + left + right))
+    return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
 def _posterior_batch(q2: np.ndarray, y_obs: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
@@ -330,8 +305,8 @@ def bfp_denoise(
 
         Qtilde(s | rest) propto cosh(K s + A(w_left)) * cosh(K s + A(w_right)).
 
-    ``exact`` mode evaluates the one-sided conditionals from the transfer
-    fields of the full observed word (valid in both directions because the
+    ``exact`` mode evaluates the one-sided conditionals from the neighbour
+    shifts of the full observed word (valid in both directions because the
     symmetric chain is reversible); ``empirical`` mode estimates them with
     order-k context counts and passes the first/last k positions through. The
     surrogate is then pushed through the channel inversion and a per-position
@@ -343,15 +318,10 @@ def bfp_denoise(
     n = len(arr)
     if mode == "exact":
         model = derive_couplings(params)
-        shift_r = np.zeros(n)
-        shift_l = np.zeros(n)
-        if n > 1:
-            wb = backward_fields(arr, model).values
-            wf = forward_fields(arr, model).values
-            shift_r[: n - 1] = field_shift(wb[1:], model)
-            shift_l[1:] = field_shift(wf[: n - 1], model)
-        num_plus = np.cosh(model.K + shift_l) * np.cosh(model.K + shift_r)
-        num_minus = np.cosh(-model.K + shift_l) * np.cosh(-model.K + shift_r)
+        left, right = neighbour_shifts(arr, model)
+        # product of the one-sided conditionals of Y_i given each side
+        num_plus = _symbol_prob(1, left, model) * _symbol_prob(1, right, model)
+        num_minus = _symbol_prob(-1, left, model) * _symbol_prob(-1, right, model)
         tot = num_plus + num_minus
         q2 = np.stack([num_minus / tot, num_plus / tot], axis=1)
         post, _ = _posterior_batch(q2, arr, params.epsilon)

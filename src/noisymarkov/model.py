@@ -46,7 +46,8 @@ class Couplings:
     K = (1/2) log((1-eps)/eps)        field coupling, tanh(K) = 1 - 2 eps
     cJ = cosh(J)                      cylinder prefactor
     lam = 4 cosh(J) cosh(K)           per-symbol normalizer
-    alpha = (1-p)^2 + p^2             appears in the derivative of the field map
+    r = p/(1-p) = exp(-2J)            ratio form of J, used by the transfer scan
+    c = eps/(1-eps) = exp(-2K)        ratio form of K, used by the transfer scan
     """
 
     p: float
@@ -55,7 +56,8 @@ class Couplings:
     K: float
     cJ: float
     lam: float
-    alpha: float
+    r: float
+    c: float
 
 
 def derive_couplings(params: ChannelParams) -> Couplings:
@@ -70,7 +72,8 @@ def derive_couplings(params: ChannelParams) -> Couplings:
         K=K,
         cJ=math.cosh(J),
         lam=4.0 * math.cosh(J) * math.cosh(K),
-        alpha=(1.0 - p) ** 2 + p**2,
+        r=p / (1.0 - p),
+        c=eps / (1.0 - eps),
     )
 
 

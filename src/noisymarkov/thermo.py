@@ -41,11 +41,9 @@ from .errors import DivisionNearZeroError, InsufficientContextError
 from .model import Couplings, channel_model
 from .sequences import as_spin_array
 from .transfer import (
-    _scan_fields,
     extended_fields,
     field_shift,
     field_shift_deriv,
-    fixed_point_field,
     log_cylinder_prob,
     log_partition_term,
     log_partition_term_deriv,
@@ -316,7 +314,7 @@ def bowen_gibbs_certificate(model: Couplings) -> GibbsCertificate:
     All suprema/infima are taken over the invariant interval I = [-C1, C1].
     cosh and B are even and increasing in |w|, so their extrema sit at 0 and
     C1; sup|dB/dw| is located by the numerical search. The factor 2 matches
-    the normalized cylinder formula (see transfer.log_cylinder_prob).
+    the closed-form cylinder formula in the transfer module docstring.
     """
     bound = decay_rate_bound(model)
     c1 = bound.C1
@@ -362,16 +360,15 @@ def variation_estimate(n: int, samples: int, model: Couplings, seed: int) -> flo
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    fp_plus = fixed_point_field(1, model)
-    fp_minus = fixed_point_field(-1, model)
     half_tt = 0.5 * (1.0 - 2.0 * model.p) * (1.0 - 2.0 * model.epsilon)
     worst = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
         prefix = (1 - 2 * rng.integers(0, 2, size=n, dtype=np.int64)).astype(np.int8)
         g_pair = []
-        for fp in (fp_plus, fp_minus):
-            w1 = fp if n == 1 else float(_scan_fields(prefix[1:], model, fp)[0])
+        for tail in (1, -1):
+            # field at position 1 of the prefix continued by tail, tail, ...
+            w1 = float(extended_fields(np.append(prefix[1:], tail), model)[0])
             g_pair.append(0.5 + half_tt * float(prefix[0]) * math.tanh(w1))
         worst = max(worst, abs(g_pair[0] - g_pair[1]))
     return worst

@@ -8,17 +8,28 @@ configuration sum to a linear right-to-left scan of auxiliary fields
 where A is the field carried over from a summed-out neighbor and B is the
 log-weight that neighbor releases:
 
-    A(w) = (1/2) log( cosh(w+J) / cosh(w-J) ) = atanh( tanh(J) tanh(w) )
+    A(w) = (1/2) log( cosh(w+J) / cosh(w-J) ),   |A(w)| <= |J|
     B(w) = (1/2) log( 4 cosh(w+J) cosh(w-J) )
     exp(s*A(w) + B(w)) = 2 cosh(w + s*J)       for s = +-1.
 
-Cylinder probabilities then read
+The scan runs on the ratio rho = exp(-2A). With r = p/(1-p) = exp(-2J),
+c = eps/(1-eps) = exp(-2K) and u = exp(-2 w_i) = c^{y_i} rho_{i+1}, one step is
 
-    Q(y_m^n) = (cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i=m+1}^n B(w_i) ),
+    rho_i = m(u) = (r + u) / (1 + r*u),
 
-with L = n - m + 1. The constant is fixed by Q(single symbol) = 1/2, which the
-brute-force oracle confirms. All probabilities are assembled in log space and
-exponentiated at the boundary; sums of B use exact (fsum) accumulation.
+which sums positive terms and calls no transcendental function. As A is odd,
+m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
+once K + |J| exceeds about 354. A = -(1/2) log rho is read off afterwards.
+
+Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
+
+    Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
+
+with sigma the logistic function; the two-sided conditional adds the shifts of
+both sides. Cylinder probabilities are the product of these conditionals,
+summed in log space by exact (fsum) accumulation of logarithms in (0, 1], and
+equal the closed form (cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i>m} B(w_i) ) for
+a word of length L on [m, n].
 """
 
 from __future__ import annotations
@@ -38,9 +49,9 @@ __all__ = [
     "log_partition_term_deriv",
     "backward_fields",
     "forward_fields",
+    "neighbour_shifts",
     "fixed_point_field",
     "extended_fields",
-    "extended_field",
     "log_cylinder_prob",
     "cylinder_prob",
     "conditional_prob",
@@ -55,13 +66,33 @@ def log2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
+def _logistic_pair(x):
+    """(sigma(-x), sigma(x)) for the logistic sigma, overflow-safe for any real x."""
+    e = np.exp(-np.abs(x))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    positive = x >= 0
+    return np.where(positive, small, big), np.where(positive, big, small)
+
+
+def _transfer_ratio(u, r: float):
+    """The transfer map m(u) = (r + u) / (1 + r*u): exp(-2 A(w)) from u = exp(-2w), for u <= 1."""
+    return (r + u) / (1.0 + r * u)
+
+
+def _shift_from_ratio(rho, model: Couplings):
+    """A = -(1/2) log rho, clamped to the interval |A| <= |J| that it obeys exactly."""
+    bound = abs(model.J)
+    return np.minimum(np.maximum(-0.5 * np.log(rho), -bound), bound)
+
+
 def field_shift(w, model: Couplings):
     """Field A(w) passed to the left neighbor when a spin feeling field w is summed out.
 
-    Uses the identity tanh(A(w)) = tanh(J) tanh(w); |A(w)| <= |J| for all real w.
-    Accepts scalars or arrays.
+    Evaluates the transfer map at u = exp(-2|w|) <= 1 and uses that A is odd;
+    |A(w)| <= |J| for all real w. Accepts scalars or arrays.
     """
-    return np.arctanh(math.tanh(model.J) * np.tanh(w))
+    rho = _transfer_ratio(np.exp(-2.0 * np.abs(w)), model.r)
+    return np.sign(w) * _shift_from_ratio(rho, model)
 
 
 def field_shift_deriv(w, model: Couplings):
@@ -86,17 +117,35 @@ def log_partition_term_deriv(w, model: Couplings):
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
-def _scan_fields(symbols: np.ndarray, model: Couplings, w_init: float) -> np.ndarray:
-    """Right-to-left field scan starting from the field to the right of the last symbol."""
-    K = model.K
-    tj = math.tanh(model.J)
-    tanh, atanh = math.tanh, math.atanh
-    out = np.empty(len(symbols), dtype=np.float64)
-    w = w_init
-    for i in range(len(symbols) - 1, -1, -1):
-        w = K * float(symbols[i]) + atanh(tj * tanh(w))
-        out[i] = w
-    return out
+def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0) -> np.ndarray:
+    """Right-to-left transfer scan of a word of n symbols.
+
+    Entry i < n is A(w_i), the shift that position i passes to its left
+    neighbor; entry n is ``shift_init``, the shift of the field beyond the word.
+    """
+    r, ratio = model.r, _transfer_ratio
+    factors = np.where(symbols == 1, model.c, 1.0 / model.c).tolist()
+    rho = math.exp(-2.0 * shift_init)
+    out = [rho]
+    for factor in reversed(factors):
+        u = factor * rho
+        rho = ratio(u, r) if u <= 1.0 else 1.0 / ratio(1.0 / u, r)
+        out.append(rho)
+    return _shift_from_ratio(np.array(out[::-1]), model)
+
+
+def _fixed_point_shift(symbol: int, model: Couplings) -> float:
+    """A(w) at the limit field w = K*symbol + A(w) of the constant sequence of ``symbol``.
+
+    Its ratio rho is the attracting fixed point of rho -> m(f rho), f = c^symbol:
+    the positive root of r f rho^2 + (1 - f) rho - r = 0, taken for f <= 1 in a
+    form free of cancellation; f > 1 follows from A being odd.
+    """
+    f = model.c if symbol == 1 else 1.0 / model.c
+    g = min(f, 1.0 / f)
+    rho = 2.0 * model.r / ((1.0 - g) + math.hypot(1.0 - g, 2.0 * model.r * math.sqrt(g)))
+    shift = float(_shift_from_ratio(rho, model))
+    return shift if f <= 1.0 else -shift
 
 
 def backward_fields(y, model: Couplings) -> FieldTrajectory:
@@ -106,7 +155,7 @@ def backward_fields(y, model: Couplings) -> FieldTrajectory:
     """
     start = y.start if isinstance(y, SpinSequence) else 0
     arr = as_spin_array(y)
-    values = _scan_fields(arr, model, 0.0)
+    values = model.K * arr + _scan_shifts(arr, model)[1:]
     return FieldTrajectory(values=values, start=start, horizon=start + len(arr) - 1)
 
 
@@ -118,27 +167,33 @@ def forward_fields(y, model: Couplings) -> FieldTrajectory:
     """
     start = y.start if isinstance(y, SpinSequence) else 0
     arr = as_spin_array(y)
-    values = _scan_fields(arr[::-1], model, 0.0)[::-1].copy()
+    values = backward_fields(arr[::-1], model).values[::-1].copy()
     return FieldTrajectory(values=values, start=start, horizon=start)
 
 
-def fixed_point_field(symbol: int, model: Couplings, tol: float = 1e-15) -> float:
-    """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w).
+def neighbour_shifts(y, model: Couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts A(wf_{i-1}) and A(wb_{i+1}) that the two sides of every position put on it.
 
-    The map is a global contraction (|A'| <= |1-2p| < 1), so the fixed point is
-    unique and attracting.
+    wf are the forward and wb the backward fields of the whole word; an absent
+    side (left of the first, right of the last position) contributes zero.
+    Given y, the hidden spin X_i has log-odds 2 (K*y_i + A(wf_{i-1}) + A(wb_{i+1})).
     """
+    arr = as_spin_array(y)
+    left = _scan_shifts(arr[::-1], model)[::-1]
+    right = _scan_shifts(arr, model)
+    return left[:-1], right[1:]
+
+
+def fixed_point_field(symbol: int, model: Couplings) -> float:
+    """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w)."""
     if symbol not in (-1, 1):
         raise ValueError(f"symbol must be -1 or +1, got {symbol}")
-    K, tj = model.K, math.tanh(model.J)
-    tanh, atanh = math.tanh, math.atanh
-    w = K * symbol
-    for _ in range(100_000):
-        w_next = K * symbol + atanh(tj * tanh(w))
-        if abs(w_next - w) <= tol:
-            return w_next
-        w = w_next
-    return w
+    return model.K * symbol + _fixed_point_shift(symbol, model)
+
+
+def _extended_shifts(arr: np.ndarray, model: Couplings) -> np.ndarray:
+    """_scan_shifts of arr extended to the right by repeating its last symbol."""
+    return _scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))
 
 
 def extended_fields(y, model: Couplings) -> np.ndarray:
@@ -150,25 +205,20 @@ def extended_fields(y, model: Couplings) -> np.ndarray:
     the declared extension.
     """
     arr = as_spin_array(y)
-    out = np.empty(len(arr), dtype=np.float64)
-    out[-1] = fixed_point_field(int(arr[-1]), model)
-    if len(arr) > 1:
-        out[:-1] = _scan_fields(arr[:-1], model, out[-1])
-    return out
+    return model.K * arr + _extended_shifts(arr, model)[1:]
 
 
-def extended_field(y, model: Couplings) -> float:
-    """Limit field at the first position of y under the repeat-last-symbol extension."""
-    return float(extended_fields(y, model)[0])
+def _symbol_prob(y, shift, model: Couplings):
+    """Q(y | rest) when the rest of the word puts the field ``shift`` on the hidden spin of y."""
+    low, high = _logistic_pair(2.0 * y * shift)
+    return (1.0 - model.epsilon) * high + model.epsilon * low
 
 
 def log_cylinder_prob(y, model: Couplings) -> float:
     """log Q(y_m^n), assembled in log space so long words do not underflow."""
     arr = as_spin_array(y)
-    L = len(arr)
-    w = _scan_fields(arr, model, 0.0)
-    log_z = log2cosh(w[0]) + math.fsum(log_partition_term(w[1:], model))
-    return math.log(model.cJ) - L * math.log(model.lam) + float(log_z)
+    conditionals = _symbol_prob(arr, _scan_shifts(arr, model)[1:], model)
+    return math.fsum(np.log(conditionals))
 
 
 def cylinder_prob(y, model: Couplings) -> float:
@@ -177,27 +227,8 @@ def cylinder_prob(y, model: Couplings) -> float:
 
 
 def conditional_prob(y0: int, future, model: Couplings) -> float:
-    """One-sided conditional Q(y0 | y_1^n) = cosh(w_0) e^{B(w_1)} / (lam cosh(w_1))."""
-    if y0 not in (-1, 1):
-        raise ValueError(f"y0 must be -1 or +1, got {y0}")
-    arr = as_spin_array(future)
-    w1 = float(_scan_fields(arr, model, 0.0)[0])
-    w0 = model.K * y0 + float(field_shift(w1, model))
-    log_q = (
-        -math.log(model.lam)
-        + float(log2cosh(w0))
-        - float(log2cosh(w1))
-        + float(log_partition_term(w1, model))
-    )
-    return math.exp(log_q)
-
-
-def _two_sided_from_shifts(y0: int, shift_left: float, shift_right: float, model: Couplings) -> float:
-    """cosh-ratio form of the two-sided conditional given the two A-field terms."""
-    a = model.K * y0 + shift_left + shift_right
-    b = -model.K * y0 + shift_left + shift_right
-    # cosh(a) / (cosh(a) + cosh(b)), stable for the bounded arguments that occur here
-    return 1.0 / (1.0 + math.cosh(b) / math.cosh(a))
+    """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context."""
+    return two_sided_conditional(y0, [], as_spin_array(future), model)
 
 
 def two_sided_conditional(y0: int, left, right, model: Couplings) -> float:
@@ -211,15 +242,9 @@ def two_sided_conditional(y0: int, left, right, model: Couplings) -> float:
         raise ValueError(f"y0 must be -1 or +1, got {y0}")
     left_arr = as_spin_array(left, allow_empty=True)
     right_arr = as_spin_array(right, allow_empty=True)
-    shift_left = 0.0
-    if len(left_arr):
-        w_left = float(_scan_fields(left_arr[::-1], model, 0.0)[0])
-        shift_left = float(field_shift(w_left, model))
-    shift_right = 0.0
-    if len(right_arr):
-        w_right = float(_scan_fields(right_arr, model, 0.0)[0])
-        shift_right = float(field_shift(w_right, model))
-    return _two_sided_from_shifts(y0, shift_left, shift_right, model)
+    # the left recursion equals the right recursion run on the reversed context
+    shift = _scan_shifts(left_arr[::-1], model)[0] + _scan_shifts(right_arr, model)[0]
+    return float(_symbol_prob(y0, shift, model))
 
 
 def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Couplings) -> float:
@@ -236,13 +261,8 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Couplin
         raise ValueError(f"y0 must be -1 or +1, got {y0}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    left_arr = as_spin_array(left, allow_empty=True)
-    right_arr = as_spin_array(right, allow_empty=True)
-    shift_left = 0.0
-    if len(left_arr):
-        # the left recursion equals the right recursion run on the reversed context
-        shift_left = float(field_shift(extended_field(left_arr[::-1], model), model))
-    shift_right = 0.0
-    if len(right_arr):
-        shift_right = float(field_shift(extended_field(right_arr, model), model))
-    return _two_sided_from_shifts(y0, shift_left, shift_right, model)
+    shift = 0.0
+    for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
+        if len(context):
+            shift += _extended_shifts(context, model)[0]
+    return float(_symbol_prob(y0, shift, model))

@@ -12,3 +12,46 @@ def random_word(rng: np.random.Generator, length: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors (q_minus, q_plus) of the hidden spins given y, by scaled alpha/beta recursions.
+
+    The textbook two-state smoother, kept here as the reference for
+    ``forward_backward``: it imports nothing from the package, so it shares no
+    code with the transfer recursion that the package builds its posteriors on.
+    """
+    arr = np.asarray(y)
+    n = len(arr)
+    q = 1.0 - p
+    ep = np.where(arr == 1, 1.0 - eps, eps).tolist()  # P(y_i | X=+1)
+    em = np.where(arr == -1, 1.0 - eps, eps).tolist()  # P(y_i | X=-1)
+
+    alpha_p = [0.0] * n
+    alpha_m = [0.0] * n
+    cp, cm = 0.5 * ep[0], 0.5 * em[0]
+    s = cp + cm
+    cp, cm = cp / s, cm / s
+    alpha_p[0], alpha_m[0] = cp, cm
+    for i in range(1, n):
+        npl = (cp * q + cm * p) * ep[i]
+        nmi = (cp * p + cm * q) * em[i]
+        s = npl + nmi
+        cp, cm = npl / s, nmi / s
+        alpha_p[i], alpha_m[i] = cp, cm
+
+    beta_p = [0.0] * n
+    beta_m = [0.0] * n
+    bp = bm = 1.0
+    beta_p[n - 1] = beta_m[n - 1] = 1.0
+    for i in range(n - 2, -1, -1):
+        npl = q * ep[i + 1] * bp + p * em[i + 1] * bm
+        nmi = p * ep[i + 1] * bp + q * em[i + 1] * bm
+        s = npl + nmi
+        bp, bm = npl / s, nmi / s
+        beta_p[i], beta_m[i] = bp, bm
+
+    post_p = np.array(alpha_p) * np.array(beta_p)
+    post_m = np.array(alpha_m) * np.array(beta_m)
+    tot = post_p + post_m
+    return post_m / tot, post_p / tot

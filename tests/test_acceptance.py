@@ -47,7 +47,7 @@ from noisymarkov.transfer import (
     two_sided_conditional,
 )
 
-from conftest import PARAM_GRID, random_word
+from conftest import PARAM_GRID, alpha_beta_posteriors, random_word
 
 MAX_WORD_LENGTH = 10
 
@@ -145,6 +145,7 @@ def _two_sided_all_positions(y: np.ndarray, model) -> np.ndarray:
 def test_criterion_3_two_sided_identity():
     t0 = time.perf_counter()
     worst = 0.0
+    worst_oracle = 0.0
     for p, eps in [(0.2, 0.1), (0.3, 0.25)]:
         params = validate_params(p, eps)
         model = channel_model(p, eps)
@@ -159,15 +160,25 @@ def test_criterion_3_two_sided_identity():
                     float(np.max(np.abs(mapped[:, 0] - post.q_minus))),
                     float(np.max(np.abs(mapped[:, 1] - post.q_plus))),
                 )
+                # both sides of the identity come from the transfer recursion;
+                # the alpha/beta oracle shares no code with it
+                oracle_minus, oracle_plus = alpha_beta_posteriors(y, p, eps)
+                worst_oracle = max(
+                    worst_oracle,
+                    float(np.max(np.abs(post.q_minus - oracle_minus))),
+                    float(np.max(np.abs(post.q_plus - oracle_plus))),
+                )
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-10 and elapsed < 120.0
+    ok = worst < 1e-10 and worst_oracle < 1e-10 and elapsed < 120.0
     report(
         3,
         ok,
         f"channel-inversion identity, exhaustive n <= 12 at (0.2,0.1) and (0.3,0.25): "
-        f"max abs defect {worst:.3e} (tol 1e-10), runtime {elapsed:.1f}s (< 120s)",
+        f"max abs defect {worst:.3e} (tol 1e-10), forward-backward vs alpha/beta oracle "
+        f"{worst_oracle:.3e} (tol 1e-10), runtime {elapsed:.1f}s (< 120s)",
     )
     assert worst < 1e-10
+    assert worst_oracle < 1e-10
     assert elapsed < 120.0
 
 

@@ -159,6 +159,10 @@ class TestBench:
         rec = json.loads((out / "ber.jsonl").read_text().splitlines()[0])
         assert rec["ber"] < 0.2  # better than leaving the 20% channel noise in place
 
+    def test_nonpositive_k_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["bench", "--n", "100", "--k", "0", "--out", str(tmp_path / "b")]) == 2
+        assert "k=0" in capsys.readouterr().err
+
     def test_bad_algorithm_is_config_error(self, tmp_path):
         grid = tmp_path / "cfg.txt"
         grid.write_text("algorithms=quantum\n")

@@ -30,7 +30,7 @@ from noisymarkov.oracle import code_to_spins
 from noisymarkov.simulate import generate_dataset
 from noisymarkov.transfer import two_sided_conditional
 
-from conftest import random_word
+from conftest import alpha_beta_posteriors, random_word
 
 P_REF = validate_params(0.2, 0.1)
 M_REF = channel_model(0.2, 0.1)
@@ -110,12 +110,21 @@ class TestPosteriorFromTwoSided:
 
     def test_exhaustive_identity_with_forward_backward(self):
         # exact two-sided conditionals mapped through the channel inversion
-        # must reproduce the alpha/beta posteriors at every position
+        # must reproduce the forward-backward posteriors at every position,
+        # and those must equal the alpha/beta oracle, which shares no code
+        # with the transfer recursion that both sides of the identity use
         worst = 0.0
+        worst_oracle = 0.0
         for n in range(1, 10):
             for code in range(1 << n):
                 y = code_to_spins(code, n)
                 post = forward_backward(y, P_REF)
+                oracle_minus, oracle_plus = alpha_beta_posteriors(y, P_REF.p, P_REF.epsilon)
+                worst_oracle = max(
+                    worst_oracle,
+                    float(np.max(np.abs(post.q_minus - oracle_minus))),
+                    float(np.max(np.abs(post.q_plus - oracle_plus))),
+                )
                 for i in range(n):
                     q2 = np.array(
                         [
@@ -130,6 +139,7 @@ class TestPosteriorFromTwoSided:
                         abs(mapped[0, 1] - post.q_plus[i]),
                     )
         assert worst < 1e-10
+        assert worst_oracle < 1e-10
 
 
 class TestDude:

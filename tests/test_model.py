@@ -63,7 +63,6 @@ class TestDeriveCouplings:
     def test_equal_rates(self):
         m = channel_model(0.2, 0.2)
         assert m.J == m.K
-        assert m.alpha == pytest.approx(0.68, rel=1e-14)
 
     def test_normalizer_forms_agree(self, rng):
         # lam = 2(cosh(J+K) + cosh(J-K)) = 4 cosh(J) cosh(K)
@@ -79,11 +78,6 @@ class TestDeriveCouplings:
             m = channel_model(p, eps)
             assert math.tanh(m.J) == pytest.approx(1.0 - 2.0 * p, rel=1e-14, abs=1e-15)
             assert math.tanh(m.K) == pytest.approx(1.0 - 2.0 * eps, rel=1e-14, abs=1e-15)
-
-    def test_alpha_range(self):
-        for p, eps in PARAM_GRID:
-            m = channel_model(p, eps)
-            assert 0.0 < m.alpha <= 1.0
 
     def test_deterministic_and_pure(self):
         params = validate_params(0.37, 0.21)

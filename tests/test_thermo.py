@@ -100,7 +100,8 @@ class TestDecayRateBound:
         w = rng.uniform(-2.5, 2.5, size=500)
         lhs = second_iterate_product(w, m)
         shift = field_shift(w, m)
-        a, one_m_a = m.alpha, 1.0 - m.alpha
+        a = (1.0 - m.p) ** 2 + m.p**2
+        one_m_a = 1.0 - a
         rhs = (1.0 - 2.0 * m.p) ** 2 / (
             (a + one_m_a * np.cosh(2 * m.K + 2 * shift)) * (a + one_m_a * np.cosh(2 * w))
         )
