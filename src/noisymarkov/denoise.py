@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     InsufficientContextError,
     LengthMismatchError,
+    OutOfRangeError,
     SingularChannelError,
 )
 from .model import ChannelParams, derive_couplings, validate_params
@@ -195,17 +196,49 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
 def default_context_length(n: int) -> int:
     """Default DUDE context length: ceil(log2(n)/2), at least 1, capped at 12."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
     return min(12, max(1, math.ceil(0.5 * math.log2(n))))
 
 
-def _counts_lookup(keys: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Occurrence counts of ``keys`` within the multiset ``observed`` (0 if absent)."""
-    uniq, cnt = np.unique(observed, return_counts=True)
-    idx = np.searchsorted(uniq, keys)
-    idx_clipped = np.minimum(idx, len(uniq) - 1)
-    found = (idx < len(uniq)) & (uniq[idx_clipped] == keys)
-    return np.where(found, cnt[idx_clipped], 0)
+def _check_context(n: int, k: int | None) -> int:
+    """The context length to use for a word of n symbols (default if k is None)."""
+    if k is None:
+        k = default_context_length(n)
+    if k < 1:
+        raise OutOfRangeError(f"k must be >= 1, got {k}")
+    if n <= 2 * k + 1:
+        raise InsufficientContextError(
+            f"need n >= {2 * k + 2} symbols for context length k={k}, got {n}"
+        )
+    return k
+
+
+def _context_codes(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the k-symbol contexts left of positions k..n-1 and right of 0..n-1-k.
+
+    ``bits`` is 1 for +1 and 0 for -1. Bit j-1 of a code holds the symbol at
+    distance j from the position; a two-sided code of 2k <= 24 bits fits int64.
+    """
+    n = len(bits)
+    left = np.zeros(n - k, dtype=np.int64)
+    right = np.zeros(n - k, dtype=np.int64)
+    for j in range(1, k + 1):
+        left |= bits[k - j : n - j] << (j - 1)
+        right |= bits[j : n - k + j] << (j - 1)
+    return left, right
+
+
+def _centre_conditionals(codes: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Empirical P(centre | context) at every position, columns (-1, +1).
+
+    One sort groups equal context codes; one bincount over (context, centre)
+    then gives m(c, -1) and m(c, +1), where ``centres`` is 1 for +1. Each
+    position counts itself, so every row total is >= 1.
+    """
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    counts = np.bincount(2 * inverse + centres, minlength=2 * len(uniq)).astype(np.float64)
+    counts = counts.reshape(-1, 2)
+    return (counts / counts.sum(axis=1, keepdims=True))[inverse]
 
 
 @dataclass(frozen=True)
@@ -221,38 +254,21 @@ class DudeResult:
 def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     """Two-pass context-count denoiser with diagnostics.
 
-    Pass one counts the occurrences m(a, c, b) of every (left context, center,
-    right context) word; pass two estimates the two-sided conditional of each
-    interior position from those counts and inverts the channel. Interior
-    contexts always contain the position itself, so every count total is >= 1
-    and no smoothing is needed. The first and last k positions are passed
-    through unchanged.
+    Pass one encodes the (left context, right context) word of every interior
+    position once and counts its centres m(c, -1), m(c, +1) in one sort; pass
+    two estimates the two-sided conditional of each interior position from
+    those counts and inverts the channel. Interior contexts always contain the
+    position itself, so every count total is >= 1 and no smoothing is needed.
+    The first and last k positions are passed through unchanged.
     """
     _require_invertible(epsilon)
     arr = as_spin_array(y)
     n = len(arr)
-    if k is None:
-        k = default_context_length(n)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n <= 2 * k + 1:
-        raise InsufficientContextError(
-            f"need n >= {2 * k + 2} symbols for context length k={k}, got {n}"
-        )
-    bits = (arr == -1).astype(np.uint64)
+    k = _check_context(n, k)
     m = n - 2 * k
-    left = np.zeros(m, dtype=np.uint64)
-    right = np.zeros(m, dtype=np.uint64)
-    for j in range(1, k + 1):
-        left |= bits[k - j : k - j + m] << np.uint64(j - 1)
-        right |= bits[k + j : k + j + m] << np.uint64(j - 1)
-    ctx = left | (right << np.uint64(k))
-    center = bits[k : k + m]
-    observed = (ctx << np.uint64(1)) | center
-    m_plus = _counts_lookup(ctx << np.uint64(1), observed).astype(np.float64)
-    m_minus = _counts_lookup((ctx << np.uint64(1)) | np.uint64(1), observed).astype(np.float64)
-    tot = m_plus + m_minus
-    q2 = np.stack([m_minus / tot, m_plus / tot], axis=1)
+    plus = (arr == 1).astype(np.int64)
+    left, right = _context_codes(plus, k)
+    q2 = _centre_conditionals(left[:m] | right[k : k + m] << k, plus[k : k + m])
     post, n_clamped = _posterior_batch(q2, arr[k : k + m], epsilon)
     xhat = arr.copy()
     xhat[k : k + m] = np.where(post[:, 1] >= post[:, 0], 1, -1).astype(SPIN_DTYPE)
@@ -262,37 +278,6 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
 def dude(y, epsilon: float, k: int | None = None) -> SpinSequence:
     """Context-count denoiser; see dude_detail for the two-pass description."""
     return dude_detail(y, epsilon, k).xhat
-
-
-def _one_sided_count_tables(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical order-k conditionals of a symbol given its left / right k words.
-
-    Returns (q_left, q_right) of shape (m, 2) for the interior positions
-    k..n-1-k, columns ordered (-1, +1).
-    """
-    n = len(bits)
-    m = n - 2 * k
-
-    def table(orient_left: bool) -> np.ndarray:
-        count = n - k  # positions with a full one-sided context
-        code = np.zeros(count, dtype=np.uint64)
-        for j in range(1, k + 1):
-            if orient_left:
-                # contexts of positions k..n-1: bits[i-j]
-                code |= bits[k - j : n - j] << np.uint64(j - 1)
-            else:
-                # contexts of positions 0..n-1-k: bits[i+j]
-                code |= bits[j : n - k + j] << np.uint64(j - 1)
-        centers = bits[k:] if orient_left else bits[: n - k]
-        observed = (code << np.uint64(1)) | centers
-        interior = code[: m] if orient_left else code[k : k + m]
-        keys = interior << np.uint64(1)
-        c_plus = _counts_lookup(keys, observed).astype(np.float64)
-        c_minus = _counts_lookup(keys | np.uint64(1), observed).astype(np.float64)
-        tot = c_plus + c_minus
-        return np.stack([c_minus / tot, c_plus / tot], axis=1)
-
-    return table(True), table(False)
 
 
 def bfp_denoise(
@@ -308,10 +293,11 @@ def bfp_denoise(
     ``exact`` mode evaluates the one-sided conditionals from the neighbour
     shifts of the full observed word (valid in both directions because the
     symmetric chain is reversible); ``empirical`` mode estimates them with
-    order-k context counts and passes the first/last k positions through. The
-    surrogate is then pushed through the channel inversion and a per-position
-    argmax. It deliberately does not equal the exact two-sided conditional in
-    general.
+    order-k context counts and passes the first/last k positions through. Its
+    left and right contexts come from the same encoder as ``dude_detail``, and
+    each side is counted in one sort. The surrogate is then pushed through the
+    channel inversion and a per-position argmax. It deliberately does not
+    equal the exact two-sided conditional in general.
     """
     _require_invertible(params.epsilon)
     arr = as_spin_array(y)
@@ -330,16 +316,13 @@ def bfp_denoise(
         return SpinSequence(xhat), marg
     if mode != "empirical":
         raise ValueError(f"mode must be 'exact' or 'empirical', got {mode!r}")
-    if k is None:
-        k = default_context_length(n)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n <= 2 * k + 1:
-        raise InsufficientContextError(
-            f"need n >= {2 * k + 2} symbols for context length k={k}, got {n}"
-        )
-    bits = (arr == -1).astype(np.uint64)
-    q_left, q_right = _one_sided_count_tables(bits, k)
+    k = _check_context(n, k)
+    m = n - 2 * k
+    plus = (arr == 1).astype(np.int64)
+    left, right = _context_codes(plus, k)
+    # one-sided conditionals counted over every position with a full context
+    q_left = _centre_conditionals(left, plus[k:])[:m]
+    q_right = _centre_conditionals(right, plus[: n - k])[k : k + m]
     prod = q_left * q_right
     q2 = prod / prod.sum(axis=1, keepdims=True)
     post_interior, _ = _posterior_batch(q2, arr[k : n - k], params.epsilon)

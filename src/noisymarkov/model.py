@@ -8,6 +8,7 @@ validated exactly once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
@@ -23,7 +24,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("p", "epsilon"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
             value = float(value)
             if not math.isfinite(value):

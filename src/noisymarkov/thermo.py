@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionNearZeroError, InsufficientContextError
+from .errors import DivisionNearZeroError, InsufficientContextError, OutOfRangeError
 from .model import Couplings, channel_model
 from .sequences import as_spin_array
 from .transfer import (
@@ -173,6 +173,11 @@ def _decay_rate_bound_cached(p: float, eps: float) -> DecayBound:
             folded = channel_model(pq, eq)
             sup2 = _grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1)
             rho, regime = math.sqrt(sup2), "second_iterate"
+    if rho >= 1.0:
+        raise OutOfRangeError(
+            f"no decay certificate at (p, epsilon) = ({p!r}, {eps!r}): "
+            "1 - rho is not representable in double precision"
+        )
     return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from noisymarkov.denoise import (
     PosteriorMarginals,
@@ -23,6 +24,8 @@ from noisymarkov.denoise import (
 from noisymarkov.errors import (
     InsufficientContextError,
     LengthMismatchError,
+    NoisyMarkovError,
+    OutOfRangeError,
     SingularChannelError,
 )
 from noisymarkov.model import channel_model, validate_params
@@ -163,6 +166,23 @@ class TestDude:
         with pytest.raises(InsufficientContextError):
             dude(np.ones(5, dtype=np.int8), 0.1, k=2)  # n = 2k + 1 has no usable statistics
 
+    def test_nonpositive_context_is_package_error(self):
+        with pytest.raises(NoisyMarkovError):
+            dude(np.ones(10, dtype=np.int8), 0.1, k=0)
+        with pytest.raises(OutOfRangeError):
+            default_context_length(0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, None])
+    def test_q2_equals_window_recount(self, k):
+        y = _count_word(k)
+        n = len(y)
+        k_used = _default_k(n) if k is None else k
+        m_minus, m_plus = _context_counts(y, 2 * k_used + 1, k_used)
+        result = dude_detail(y, 0.2, k)
+        assert result.k == k_used
+        tot = m_minus + m_plus
+        assert np.array_equal(result.q2, np.stack([m_minus / tot, m_plus / tot], axis=1))
+
     def test_boundaries_passed_through(self, rng):
         y = random_word(rng, 500)
         k = 3
@@ -229,6 +249,56 @@ class TestBfp:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="typo")
+
+    def test_nonpositive_context_is_package_error(self):
+        with pytest.raises(NoisyMarkovError):
+            bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="empirical", k=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, None])
+    def test_empirical_posteriors_equal_window_recount(self, k):
+        y = _count_word(k)
+        n = len(y)
+        k_used = _default_k(n) if k is None else k
+        m = n - 2 * k_used
+        # left contexts end at their centre, right contexts start at it
+        l_minus, l_plus = _context_counts(y, k_used + 1, k_used)
+        r_minus, r_plus = _context_counts(y, k_used + 1, 0)
+        l_tot, r_tot = l_minus + l_plus, r_minus + r_plus
+        q_left = np.stack([l_minus / l_tot, l_plus / l_tot], axis=1)[:m]
+        q_right = np.stack([r_minus / r_tot, r_plus / r_tot], axis=1)[k_used : k_used + m]
+        prod = q_left * q_right
+        expected, _ = _posterior_batch(
+            prod / prod.sum(axis=1, keepdims=True), y[k_used : n - k_used], P_REF.epsilon
+        )
+        xhat, marg = bfp_denoise(y, P_REF, mode="empirical", k=k)
+        assert np.array_equal(marg.q_minus[k_used : n - k_used], expected[:, 0])
+        assert np.array_equal(marg.q_plus[k_used : n - k_used], expected[:, 1])
+        interior = xhat.symbols[k_used : n - k_used]
+        assert np.array_equal(interior, np.where(expected[:, 1] >= expected[:, 0], 1, -1))
+
+
+def _count_word(k) -> np.ndarray:
+    """A correlated noisy word of about 3000 symbols, so that contexts repeat unevenly."""
+    seed = 0 if k is None else k
+    return generate_dataset(validate_params(0.1, 0.2), 3001, seed).y.symbols
+
+
+def _default_k(n: int) -> int:
+    return min(12, max(1, math.ceil(0.5 * math.log2(n))))
+
+
+def _context_counts(y, width: int, centre: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recount of m(c, -1) and m(c, +1) for the context c of every window of ``width``.
+
+    Each window of the word is coded as an integer, bit t for its t-th symbol
+    being +1, and all codes are counted with one bincount. The context of a
+    window is its code with the ``centre`` bit set or cleared.
+    """
+    plus = (np.asarray(y) == 1).astype(np.int64)
+    codes = sliding_window_view(plus, width) @ (1 << np.arange(width))
+    counts = np.bincount(codes, minlength=1 << width)
+    bit = 1 << centre
+    return counts[codes & ~bit].astype(np.float64), counts[codes | bit].astype(np.float64)
 
 
 def _bfp_center_surrogate(window, model) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from noisymarkov.errors import OutOfRangeError
@@ -34,6 +35,18 @@ class TestValidateParams:
             validate_params("0.2", 0.1)
         with pytest.raises(OutOfRangeError):
             validate_params(0.2, True)
+
+    def test_numpy_scalars_accepted_as_float(self):
+        params = validate_params(np.float32(0.2), np.float64(0.1))
+        assert type(params.p) is float and type(params.epsilon) is float
+        assert params.p == float(np.float32(0.2))
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True)])
+    def test_booleans_rejected(self, bad):
+        with pytest.raises(OutOfRangeError):
+            validate_params(bad, 0.1)
+        with pytest.raises(OutOfRangeError):
+            validate_params(0.2, bad)
 
     def test_half_is_legal(self):
         # J or K = 0 is rejected only by operations that invert the channel

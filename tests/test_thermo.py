@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from noisymarkov.errors import (
     DivisionNearZeroError,
     InsufficientContextError,
+    OutOfRangeError,
 )
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.thermo import (
@@ -113,6 +115,25 @@ class TestDecayRateBound:
             c1 = abs(m.K) + abs(m.J)
             sup2 = thermo._grid_golden_max(lambda w: second_iterate_product(w, m), -c1, c1)
             assert sup2 < (1.0 - 2.0 * p) ** 2 - 1e-9
+
+    @pytest.mark.parametrize("p,eps", [(1e-17, 0.2), (1e-300, 1e-300)])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            decay_rate_bound,
+            lambda m: required_context(1e-9, m),
+            lambda m: g_function([1, -1, 1], 1e-9, m),
+            bowen_gibbs_certificate,
+        ],
+        ids=["decay_rate_bound", "required_context", "g_function", "bowen_gibbs_certificate"],
+    )
+    def test_no_certificate_where_rho_rounds_to_one(self, p, eps, query):
+        # the transfer layer stays exact here, so validate_params accepts the cell
+        model = channel_model(p, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="1 - rho"):
+                query(model)
 
 
 class TestLimitField:
