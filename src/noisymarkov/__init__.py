@@ -21,6 +21,7 @@ from .denoise import (
     estimate_p_moment,
     forward_backward,
     gibbs_denoise,
+    gibbs_params,
     map_denoise,
     posterior_from_two_sided,
 )

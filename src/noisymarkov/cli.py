@@ -27,9 +27,9 @@ from .denoise import (
     bit_error_rate,
     default_context_length,
     dude_detail,
-    estimate_p_moment,
     forward_backward,
     gibbs_denoise,
+    gibbs_params,
     map_denoise,
 )
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
@@ -43,7 +43,7 @@ from .thermo import (
     required_context,
     variation_estimate,
 )
-from .transfer import cylinder_prob
+from .transfer import cylinder_prob, scan_burn_in
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
 
@@ -310,11 +310,14 @@ def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algo
                       ber=bit_error_rate(xhat, path.x), runtime_s=elapsed, extra=extra)
         )
 
+    # the lane-scan burn-in the exact field scans used; None where they ran sequentially
+    burn_in = scan_burn_in(n, params)
     if "bf" in algorithms:
-        run("bf", lambda: map_denoise(forward_backward(path.y, params)))
+        run("bf", lambda: map_denoise(forward_backward(path.y, params)), scan_burn_in=burn_in)
     if "gibbs" in algorithms:
-        p_hat = estimate_p_moment(path.y, eps)
-        run("gibbs", lambda: gibbs_denoise(path.y, eps), p_hat=p_hat)
+        fitted = gibbs_params(path.y, eps)
+        run("gibbs", lambda: gibbs_denoise(path.y, eps), p_hat=fitted.p,
+            scan_burn_in=scan_burn_in(n, fitted))
     if "dude" in algorithms:
         for k in k_list:
             result = {}
@@ -327,7 +330,8 @@ def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algo
             run(f"dude_k{k}", run_dude, k=k)
             reports[-1].extra["n_clamped"] = result["n_clamped"]
     if "bfp" in algorithms:
-        run("bfp", lambda: bfp_denoise(path.y, params, mode="exact")[0], mode="exact")
+        run("bfp", lambda: bfp_denoise(path.y, params, mode="exact")[0], mode="exact",
+            scan_burn_in=burn_in)
     return reports
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "DudeResult",
     "bfp_denoise",
     "estimate_p_moment",
+    "gibbs_params",
     "gibbs_denoise",
     "map_denoise",
     "bit_error_rate",
@@ -129,7 +130,7 @@ def emission_inverse(epsilon: float) -> np.ndarray:
 def emission_column(epsilon: float, y: int) -> np.ndarray:
     """Likelihood vector pi_y over hidden states for a single observed symbol."""
     if y not in (-1, 1):
-        raise ValueError(f"y must be -1 or +1, got {y}")
+        raise OutOfRangeError(f"y must be -1 or +1, got {y}")
     return emission_matrix(epsilon)[:, (y + 1) // 2]
 
 
@@ -178,12 +179,12 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
     """
     _require_invertible(params.epsilon)
     if y_n not in (-1, 1):
-        raise ValueError(f"y_n must be -1 or +1, got {y_n}")
+        raise OutOfRangeError(f"y_n must be -1 or +1, got {y_n}")
     vec = np.asarray(q2, dtype=np.float64)
     if vec.shape != (2,):
-        raise ValueError(f"q2 must have shape (2,), got {vec.shape}")
+        raise OutOfRangeError(f"q2 must have shape (2,), got {vec.shape}")
     if np.any(vec < NEGATIVE_FLAG_THRESHOLD) or abs(float(vec.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"q2 must be a probability distribution, got {vec}")
+        raise OutOfRangeError(f"q2 must be a probability distribution, got {vec}")
     post, n_flagged = _posterior_batch(vec[None, :], np.array([y_n]), params.epsilon)
     if n_flagged:
         warnings.warn(
@@ -315,7 +316,7 @@ def bfp_denoise(
         xhat = np.where(post[:, 1] >= post[:, 0], 1, -1).astype(SPIN_DTYPE)
         return SpinSequence(xhat), marg
     if mode != "empirical":
-        raise ValueError(f"mode must be 'exact' or 'empirical', got {mode!r}")
+        raise OutOfRangeError(f"mode must be 'exact' or 'empirical', got {mode!r}")
     k = _check_context(n, k)
     m = n - 2 * k
     plus = (arr == 1).astype(np.int64)
@@ -355,10 +356,14 @@ def estimate_p_moment(y, epsilon: float) -> float:
     return float(min(0.5, max(1e-6, p_hat)))
 
 
+def gibbs_params(y, epsilon: float) -> ChannelParams:
+    """The cell gibbs_denoise decodes y at: the moment-matched p_hat and epsilon."""
+    return validate_params(estimate_p_moment(y, epsilon), epsilon)
+
+
 def gibbs_denoise(y, epsilon: float) -> SpinSequence:
     """Gibbs-modeling surrogate: moment-matched p, then the exact MAP pass."""
-    p_hat = estimate_p_moment(y, epsilon)
-    return map_denoise(forward_backward(y, validate_params(p_hat, epsilon)))
+    return map_denoise(forward_backward(y, gibbs_params(y, epsilon)))
 
 
 def map_denoise(post: PosteriorMarginals) -> SpinSequence:

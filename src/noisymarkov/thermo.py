@@ -189,7 +189,7 @@ def decay_rate_bound(params) -> DecayBound:
 def required_context(tol: float, model) -> int:
     """Smallest context length L with C * rho^L < tol."""
     if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise OutOfRangeError(f"tol must be positive, got {tol}")
     bound = decay_rate_bound(model)
     if bound.rho == 0.0 or bound.C < tol:
         return 1
@@ -216,7 +216,7 @@ def limit_field(y, tol: float, model: Couplings) -> float:
     C * rho^len(y), which must be below tol (InsufficientContextError otherwise).
     """
     if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise OutOfRangeError(f"tol must be positive, got {tol}")
     arr = _certified_context(y, tol, model)
     return float(extended_fields(arr, model)[0])
 
@@ -263,7 +263,7 @@ def g_continued_fraction_detail(y, depth: int, model: Couplings) -> ContinuedFra
     DivisionNearZeroError; the result is reported, never patched.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
     arr = as_spin_array(y)
     if len(arr) < depth + 1:
         raise InsufficientContextError(
@@ -362,9 +362,9 @@ def variation_estimate(n: int, samples: int, model: Couplings, seed: int) -> flo
     prefix of every sample extends its length-(n-1) prefix).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise OutOfRangeError(f"samples must be >= 1, got {samples}")
     half_tt = 0.5 * (1.0 - 2.0 * model.p) * (1.0 - 2.0 * model.epsilon)
     worst = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):

@@ -21,6 +21,22 @@ which sums positive terms and calls no transcendental function. As A is odd,
 m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
 once K + |J| exceeds about 354. A = -(1/2) log rho is read off afterwards.
 
+Long words are scanned in lanes. The decay certificate of the thermo module
+(C, rho) bounds how far a field scanned from any start lies from the limit
+field after L symbols: C rho^L. Two scans of the same symbols, started from
+any two shifts in [-|J|, |J|], therefore differ by at most 2 C rho^L after L
+steps, through the limit field. With L the smallest length where that is at
+most BURN_IN_TOL = 1e-17, a scan started at zero field L symbols to the right
+of a position agrees there with the sequential scan to far below the rounding
+of a shift. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
+each lane starts L symbols to its right, and all lanes step together in one
+vectorized loop of b + L steps. The last L + ((n - L) mod b) symbols run
+sequentially from the true start, so the tail is exact. A step of the lane
+loop costs a fixed dozen numpy calls, about as much as 45 sequential symbols
+whatever the number of lanes, so lanes only pay on long words: words shorter
+than LANE_CUTOVER (b + L), and cells whose rho rounds to 1 (no certificate),
+are scanned sequentially.
+
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
     Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
@@ -37,7 +53,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import OutOfRangeError
 from .model import Couplings
 from .sequences import FieldTrajectory, SpinSequence, as_spin_array
 
@@ -57,7 +75,17 @@ __all__ = [
     "conditional_prob",
     "two_sided_conditional",
     "two_sided_limit_conditional",
+    "scan_burn_in",
 ]
+
+#: Width b of a lane of the lane scan; lanes widen to L where the burn-in L exceeds it.
+LANE_WIDTH = 1024
+
+#: Lanes run on words of at least LANE_CUTOVER (b + L) symbols; the two scans break even near 56 (b + L).
+LANE_CUTOVER = 64
+
+#: Bound on 2 C rho^L, the gap left between a lane and the sequential scan after its burn-in.
+BURN_IN_TOL = 1e-17
 
 
 def log2cosh(x):
@@ -117,12 +145,8 @@ def log_partition_term_deriv(w, model: Couplings):
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
-def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0) -> np.ndarray:
-    """Right-to-left transfer scan of a word of n symbols.
-
-    Entry i < n is A(w_i), the shift that position i passes to its left
-    neighbor; entry n is ``shift_init``, the shift of the field beyond the word.
-    """
+def _sequential_shifts(symbols: np.ndarray, model: Couplings, shift_init: float) -> np.ndarray:
+    """The transfer step run one symbol at a time, right to left, from ``shift_init``."""
     r, ratio = model.r, _transfer_ratio
     factors = np.where(symbols == 1, model.c, 1.0 / model.c).tolist()
     rho = math.exp(-2.0 * shift_init)
@@ -132,6 +156,74 @@ def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0)
         rho = ratio(u, r) if u <= 1.0 else 1.0 / ratio(1.0 / u, r)
         out.append(rho)
     return _shift_from_ratio(np.array(out[::-1]), model)
+
+
+def scan_burn_in(n: int, model) -> int | None:
+    """Burn-in L of the lane scan of a word of n symbols, or None where the scan runs sequentially.
+
+    ``model`` is the cell's Couplings or ChannelParams. L is the smallest
+    length with 2 C rho^L <= BURN_IN_TOL for the decay certificate (C, rho) of
+    the cell. The sequential loop runs where the word is shorter than
+    LANE_CUTOVER (b + L), with b = max(LANE_WIDTH, L), or where the cell has no
+    certificate because rho rounds to 1.
+    """
+    if n < LANE_CUTOVER * (LANE_WIDTH + 1):  # too short for any L: skip the certificate
+        return None
+    from .thermo import required_context  # thermo imports this module at load time
+
+    try:
+        burn_in = required_context(0.5 * BURN_IN_TOL, model)
+    except OutOfRangeError:
+        return None
+    return burn_in if n >= LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in) else None
+
+
+def _lane_shifts(symbols: np.ndarray, model: Couplings, width: int, burn_in: int) -> np.ndarray:
+    """Shifts of the first len(symbols) - burn_in positions, scanned in lanes of ``width``.
+
+    Lane j covers positions [j*width, (j+1)*width) and starts at zero field
+    (rho = 1) ``burn_in`` symbols to its right; all lanes take their steps
+    together, one vectorized step per symbol of a lane.
+    """
+    n_lanes = (len(symbols) - burn_in) // width
+    factors = np.where(symbols == 1, model.c, 1.0 / model.c)
+    # row s holds the factor of the s-th step of every lane, right to left
+    steps = sliding_window_view(factors, width + burn_in)[::width][:n_lanes, ::-1].T.copy()
+    r, ratio = model.r, _transfer_ratio
+    rho = np.ones(n_lanes)
+    out = np.empty((width, n_lanes))
+    with np.errstate(all="ignore"):
+        for s, factor in enumerate(steps):
+            u = factor * rho
+            # both branches of the sequential step, rounded as there; the unused one may overflow
+            rho = np.where(u <= 1.0, ratio(u, r), 1.0 / ratio(1.0 / u, r))
+            if s >= burn_in:
+                out[s - burn_in] = rho
+    return _shift_from_ratio(out[::-1].T.ravel(), model)
+
+
+def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0) -> np.ndarray:
+    """Right-to-left transfer scan of a word of n symbols.
+
+    Entry i < n is A(w_i), the shift that position i passes to its left
+    neighbor; entry n is ``shift_init``, the shift of the field beyond the word.
+
+    Long words are scanned in lanes (see the module docstring), with burn-in
+    L = ``scan_burn_in(n, model)`` and lane width b = max(LANE_WIDTH, L). The
+    last T = L + ((n - L) mod b) symbols run sequentially from ``shift_init``,
+    so the tail is exact. Every other lane of b symbols starts at zero field L
+    symbols to its right. This is sound because two scans of the same symbols
+    from any two shifts in [-|J|, |J|] lie within C rho^L of the limit field
+    after L steps, so within 2 C rho^L <= BURN_IN_TOL of each other.
+    """
+    n = len(symbols)
+    burn_in = scan_burn_in(n, model)
+    if burn_in is None:
+        return _sequential_shifts(symbols, model, shift_init)
+    width = max(LANE_WIDTH, burn_in)
+    tail = burn_in + (n - burn_in) % width
+    lanes = _lane_shifts(symbols[: n - tail + burn_in], model, width, burn_in)
+    return np.concatenate([lanes, _sequential_shifts(symbols[n - tail :], model, shift_init)])
 
 
 def _fixed_point_shift(symbol: int, model: Couplings) -> float:
@@ -187,7 +279,7 @@ def neighbour_shifts(y, model: Couplings) -> tuple[np.ndarray, np.ndarray]:
 def fixed_point_field(symbol: int, model: Couplings) -> float:
     """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w)."""
     if symbol not in (-1, 1):
-        raise ValueError(f"symbol must be -1 or +1, got {symbol}")
+        raise OutOfRangeError(f"symbol must be -1 or +1, got {symbol}")
     return model.K * symbol + _fixed_point_shift(symbol, model)
 
 
@@ -239,7 +331,7 @@ def two_sided_conditional(y0: int, left, right, model: Couplings) -> float:
     when both sides are empty).
     """
     if y0 not in (-1, 1):
-        raise ValueError(f"y0 must be -1 or +1, got {y0}")
+        raise OutOfRangeError(f"y0 must be -1 or +1, got {y0}")
     left_arr = as_spin_array(left, allow_empty=True)
     right_arr = as_spin_array(right, allow_empty=True)
     # the left recursion equals the right recursion run on the reversed context
@@ -258,9 +350,9 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Couplin
     influence of the unseen tail by C * rho^len for each side.
     """
     if y0 not in (-1, 1):
-        raise ValueError(f"y0 must be -1 or +1, got {y0}")
+        raise OutOfRangeError(f"y0 must be -1 or +1, got {y0}")
     if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise OutOfRangeError(f"tol must be positive, got {tol}")
     shift = 0.0
     for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
         if len(context):

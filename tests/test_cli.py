@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from noisymarkov import cli
-from noisymarkov.simulate import load_path_csv, load_spins
+from noisymarkov.denoise import gibbs_params
+from noisymarkov.model import channel_model, validate_params
+from noisymarkov.simulate import generate_dataset, load_path_csv, load_spins
+from noisymarkov.transfer import scan_burn_in
 
 
 def read_csv(path):
@@ -112,6 +115,11 @@ class TestGfun:
         assert float(rows[0][2]) == pytest.approx(0.7255764119219943, rel=1e-10)
         assert all(r[-1] == "ok" for r in rows)
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--depth", "0")])
+    def test_nonpositive_tol_or_depth_is_config_error(self, tmp_path, flag, value):
+        assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", flag, value,
+                         "--out", str(tmp_path / "gfun.csv")]) == 2
+
     def test_flat_channel_columns(self, tmp_path):
         out = tmp_path / "gfun.csv"
         code = cli.main(
@@ -158,6 +166,26 @@ class TestBench:
                          "--out", str(out)]) == 0
         rec = json.loads((out / "ber.jsonl").read_text().splitlines()[0])
         assert rec["ber"] < 0.2  # better than leaving the 20% channel noise in place
+
+    def test_records_carry_the_scan_burn_in(self, tmp_path):
+        grid = tmp_path / "cfg.txt"
+        grid.write_text("grid=0.1:0.2\nalgorithms=bf,gibbs,dude,bfp\n")
+        for n in (4000, 80000):
+            out = tmp_path / f"b{n}"
+            assert cli.main(["bench", "--n", str(n), "--seed", "5", "--k", "1",
+                             "--grid-file", str(grid), "--out", str(out)]) == 0
+            records = {r["algorithm"]: r for r in
+                       (json.loads(l) for l in (out / "ber.jsonl").read_text().splitlines())}
+            fitted = gibbs_params(generate_dataset(validate_params(0.1, 0.2), n, 5).y, 0.2)
+            assert records["gibbs"]["extra"]["p_hat"] == fitted.p
+            expected = {"bf": scan_burn_in(n, channel_model(0.1, 0.2)),
+                        "bfp": scan_burn_in(n, channel_model(0.1, 0.2)),
+                        "gibbs": scan_burn_in(n, fitted)}
+            for algorithm, burn_in in expected.items():
+                assert records[algorithm]["extra"]["scan_burn_in"] == burn_in
+            assert "scan_burn_in" not in records["dude_k1"]["extra"]
+            # 4000 symbols are scanned sequentially, 80000 in lanes
+            assert (expected["bf"] is None) == (n == 4000)
 
     def test_nonpositive_k_is_config_error(self, tmp_path, capsys):
         assert cli.main(["bench", "--n", "100", "--k", "0", "--out", str(tmp_path / "b")]) == 2

@@ -62,6 +62,10 @@ class TestEmissionMatrix:
         np.testing.assert_allclose(emission_column(0.1, 1), [0.1, 0.9])
         np.testing.assert_allclose(emission_column(0.1, -1), [0.9, 0.1])
 
+    def test_bad_symbol_is_package_error(self):
+        with pytest.raises(NoisyMarkovError):
+            emission_column(0.1, 0)
+
 
 class TestForwardBackward:
     def test_single_symbol_bayes(self):
@@ -110,6 +114,10 @@ class TestPosteriorFromTwoSided:
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):
             posterior_from_two_sided(np.array([0.5, 0.5]), 1, validate_params(0.2, 0.5))
+
+    def test_bad_symbol_is_package_error(self):
+        with pytest.raises(NoisyMarkovError):
+            posterior_from_two_sided(np.array([0.5, 0.5]), 0, P_REF)
 
     def test_exhaustive_identity_with_forward_backward(self):
         # exact two-sided conditionals mapped through the channel inversion
@@ -247,7 +255,7 @@ class TestBfp:
         np.testing.assert_allclose(marg.q_plus + marg.q_minus, 1.0, atol=1e-12)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoisyMarkovError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="typo")
 
     def test_nonpositive_context_is_package_error(self):

@@ -2,7 +2,9 @@
 
 (p, eps) are drawn log-uniformly toward 0, down to 1e-300, and toward 1. There
 cylinder probabilities must still meet the brute-force oracle, the posteriors
-must still meet the alpha/beta oracle, and no call may warn or raise.
+must still meet the alpha/beta oracle, and no call may warn or raise. On long
+words the lane scan must equal the sequential scan where a decay certificate
+exists, and give way to it silently where none does.
 """
 
 import math
@@ -17,10 +19,14 @@ from noisymarkov.denoise import bfp_denoise, forward_backward
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import brute_force_cylinder
 from noisymarkov.transfer import (
+    _fixed_point_shift,
+    _scan_shifts,
+    _sequential_shifts,
     backward_fields,
     cylinder_prob,
     forward_fields,
     log_cylinder_prob,
+    scan_burn_in,
     two_sided_conditional,
 )
 
@@ -28,6 +34,9 @@ from conftest import alpha_beta_posteriors
 
 #: Below this the oracle's own terms go subnormal and lose their relative accuracy.
 ORACLE_FLOOR = 1e-290
+
+#: Long enough to be scanned in lanes at every cell below that has a decay certificate.
+LANE_WORD = 70_000
 
 toward_zero = st.floats(0.3, 300.0).map(lambda t: 10.0**-t)
 toward_one = st.floats(0.3, 15.0).map(lambda t: 1.0 - 10.0**-t)
@@ -88,3 +97,29 @@ def test_tiny_couplings_stay_finite(rng):
         ]
     assert all(math.isfinite(v) for v in values)
     assert cylinder_prob(np.ones(10, dtype=np.int8), model) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, eps", [(0.1, 1e-308), (0.45, 1e-300)])
+def test_lane_scan_where_factors_overflow(p, eps, rng):
+    # a certificate exists, but the channel factors eps/(1-eps) and its inverse
+    # underflow and overflow in a product with the ratio
+    model = channel_model(p, eps)
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD)
+    assert scan_burn_in(len(y), model) is not None
+    for init in (0.0, _fixed_point_shift(int(y[-1]), model)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = _scan_shifts(y, model, init)
+        assert np.all(np.isfinite(lanes))
+        np.testing.assert_array_equal(lanes, _sequential_shifts(y, model, init))
+
+
+@pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300), (1.0 - 1e-12, 0.2)])
+def test_lane_scan_falls_back_without_certificate(p, eps, rng):
+    model = channel_model(p, eps)
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scan_burn_in(len(y), model) is None
+        shifts = _scan_shifts(y, model)
+    np.testing.assert_array_equal(shifts, _sequential_shifts(y, model, 0.0))

@@ -7,6 +7,7 @@ import pytest
 from noisymarkov.errors import (
     DivisionNearZeroError,
     InsufficientContextError,
+    NoisyMarkovError,
     OutOfRangeError,
 )
 from noisymarkov.model import channel_model, validate_params
@@ -166,6 +167,10 @@ class TestLimitField:
             bound = decay_rate_bound(M_REF)
             assert bound.C * bound.rho**n < tol
             assert bound.C * bound.rho ** (n - 1) >= tol or n == 1
+
+    def test_nonpositive_tol_is_package_error(self):
+        with pytest.raises(NoisyMarkovError):
+            required_context(0.0, M_REF)
 
     def test_tolerance_respected_against_extension(self, rng):
         # any continuation changes the value by less than the certificate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noisymarkov.denoise import forward_backward
 from noisymarkov.errors import TooLongError
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import (
@@ -12,7 +13,14 @@ from noisymarkov.oracle import (
     spin_word_code,
 )
 from noisymarkov.sequences import FieldTrajectory, SpinSequence, as_spin_array
+from noisymarkov.thermo import decay_rate_bound
 from noisymarkov.transfer import (
+    BURN_IN_TOL,
+    LANE_CUTOVER,
+    LANE_WIDTH,
+    _fixed_point_shift,
+    _scan_shifts,
+    _sequential_shifts,
     backward_fields,
     conditional_prob,
     cylinder_prob,
@@ -25,11 +33,12 @@ from noisymarkov.transfer import (
     log_cylinder_prob,
     log_partition_term,
     log_partition_term_deriv,
+    scan_burn_in,
     two_sided_conditional,
     two_sided_limit_conditional,
 )
 
-from conftest import PARAM_GRID, random_word
+from conftest import PARAM_GRID, alpha_beta_posteriors, random_word
 
 M_REF = channel_model(0.2, 0.1)
 P_REF = validate_params(0.2, 0.1)
@@ -202,6 +211,49 @@ class TestFieldScans:
             for sym in (1, -1):
                 w = fixed_point_field(sym, model)
                 assert w == pytest.approx(model.K * sym + float(field_shift(w, model)), abs=1e-14)
+
+
+#: The four default bench cells and a long-memory cell whose burn-in nears LANE_WIDTH.
+LANE_CELLS = [(0.05, 0.2), (0.1, 0.2), (0.15, 0.2), (0.2, 0.2), (0.02, 0.3)]
+
+
+class TestLaneScan:
+    @staticmethod
+    def lane_cut(model):
+        """Burn-in L of long words at the cell, and the shortest word length scanned in lanes."""
+        burn_in = scan_burn_in(10**6, model)
+        return burn_in, LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in)
+
+    @pytest.mark.parametrize("p, eps", LANE_CELLS)
+    def test_burn_in_is_the_smallest_certified_length(self, p, eps):
+        model = channel_model(p, eps)
+        bound = decay_rate_bound(model)
+        burn_in, cut = self.lane_cut(model)
+        assert 2 * bound.C * bound.rho**burn_in <= BURN_IN_TOL < 2 * bound.C * bound.rho ** (burn_in - 1)
+        assert scan_burn_in(cut - 1, model) is None
+        assert scan_burn_in(cut, model) == burn_in
+
+    @pytest.mark.parametrize("p, eps", LANE_CELLS)
+    @pytest.mark.parametrize("start", ["zero", "fixed_point"])
+    def test_lanes_match_the_sequential_scan(self, p, eps, start, rng):
+        model = channel_model(p, eps)
+        _, cut = self.lane_cut(model)
+        # below the cut-over, at it, and past it by a length that is no multiple of b
+        for n in (cut - 1, cut, cut + 3 * LANE_WIDTH + 777):
+            y = random_word(rng, n)
+            init = 0.0 if start == "zero" else _fixed_point_shift(int(y[-1]), model)
+            lanes = _scan_shifts(y, model, init)
+            assert lanes.shape == (n + 1,)
+            np.testing.assert_array_equal(lanes, _sequential_shifts(y, model, init))
+
+    def test_forward_backward_on_lanes_matches_alpha_beta(self, rng):
+        p, eps = 0.1, 0.2
+        y = random_word(rng, 80_000)
+        assert scan_burn_in(len(y), channel_model(p, eps)) is not None
+        post = forward_backward(y, validate_params(p, eps))
+        oracle_minus, oracle_plus = alpha_beta_posteriors(y, p, eps)
+        np.testing.assert_allclose(post.q_minus, oracle_minus, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(post.q_plus, oracle_plus, rtol=0, atol=1e-10)
 
 
 class TestBruteForceOracle:
