@@ -21,6 +21,7 @@ from .denoise import (
     estimate_p_moment,
     forward_backward,
     gibbs_denoise,
+    gibbs_detail,
     gibbs_params,
     map_denoise,
     posterior_from_two_sided,
@@ -29,6 +30,7 @@ from .errors import (
     DivisionNearZeroError,
     InsufficientContextError,
     LengthMismatchError,
+    MalformedDataError,
     NoisyMarkovError,
     OutOfRangeError,
     SingularChannelError,

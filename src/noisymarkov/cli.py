@@ -28,8 +28,7 @@ from .denoise import (
     default_context_length,
     dude_detail,
     forward_backward,
-    gibbs_denoise,
-    gibbs_params,
+    gibbs_detail,
     map_denoise,
 )
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
@@ -315,9 +314,14 @@ def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algo
     if "bf" in algorithms:
         run("bf", lambda: map_denoise(forward_backward(path.y, params)), scan_burn_in=burn_in)
     if "gibbs" in algorithms:
-        fitted = gibbs_params(path.y, eps)
-        run("gibbs", lambda: gibbs_denoise(path.y, eps), p_hat=fitted.p,
-            scan_burn_in=scan_burn_in(n, fitted))
+        fit = {}
+
+        def run_gibbs():
+            xhat, fit["cell"] = gibbs_detail(path.y, eps)
+            return xhat
+
+        run("gibbs", run_gibbs)
+        reports[-1].extra.update(p_hat=fit["cell"].p, scan_burn_in=scan_burn_in(n, fit["cell"]))
     if "dude" in algorithms:
         for k in k_list:
             result = {}

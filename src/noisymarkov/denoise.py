@@ -37,7 +37,7 @@ from .errors import (
 )
 from .model import ChannelParams, derive_couplings, validate_params
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
-from .transfer import _logistic_pair, _symbol_prob, neighbour_shifts
+from .transfer import _logistic_pair, neighbour_shifts
 
 __all__ = [
     "PosteriorMarginals",
@@ -54,6 +54,7 @@ __all__ = [
     "bfp_denoise",
     "estimate_p_moment",
     "gibbs_params",
+    "gibbs_detail",
     "gibbs_denoise",
     "map_denoise",
     "bit_error_rate",
@@ -61,6 +62,15 @@ __all__ = [
 
 #: Entries of Pi^{-1} q2 below this are flagged before being clamped to zero.
 NEGATIVE_FLAG_THRESHOLD = -1e-12
+
+#: DUDE's scalar test defers to the matrix route where its score is within
+#: this fraction of the context's count total of a tie (see _dude_decisions).
+NEAR_TIE_MARGIN = 1e-9
+
+#: Context counts use a direct-address table of 2^(bits+1) entries while it
+#: has at most COUNT_TABLE_MAX entries (32 MiB of int64); past it a sort
+#: replaces the table.
+COUNT_TABLE_MAX = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -214,32 +224,101 @@ def _check_context(n: int, k: int | None) -> int:
     return k
 
 
-def _context_codes(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the k-symbol contexts left of positions k..n-1 and right of 0..n-1-k.
+def _context_codes(bits: np.ndarray, k: int) -> np.ndarray:
+    """Codes of every k-symbol window: entry j codes symbols j..j+k-1, bit t for symbol j+t.
 
-    ``bits`` is 1 for +1 and 0 for -1. Bit j-1 of a code holds the symbol at
-    distance j from the position; a two-sided code of 2k <= 24 bits fits int64.
+    ``bits`` is 1 for +1 and 0 for -1. The context left of position i >= k is
+    entry i-k and the context right of position i <= n-1-k is entry i+1; a
+    two-sided code of 2k <= 24 bits fits int64.
     """
-    n = len(bits)
-    left = np.zeros(n - k, dtype=np.int64)
-    right = np.zeros(n - k, dtype=np.int64)
-    for j in range(1, k + 1):
-        left |= bits[k - j : n - j] << (j - 1)
-        right |= bits[j : n - k + j] << (j - 1)
-    return left, right
+    windows = np.zeros(len(bits) - k + 1, dtype=np.int64)
+    for t in range(k):
+        windows |= bits[t : t + len(windows)] << t
+    return windows
 
 
-def _centre_conditionals(codes: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Empirical P(centre | context) at every position, columns (-1, +1).
+def _two_sided_codes(bits: np.ndarray, k: int) -> np.ndarray:
+    """Codes of the context pairs of positions k..n-1-k: left context low, right context high.
 
-    One sort groups equal context codes; one bincount over (context, centre)
-    then gives m(c, -1) and m(c, +1), where ``centres`` is 1 for +1. Each
-    position counts itself, so every row total is >= 1.
+    Built in its own frame so that the window codes are freed before counting.
     """
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    counts = np.bincount(2 * inverse + centres, minlength=2 * len(uniq)).astype(np.float64)
-    counts = counts.reshape(-1, 2)
-    return (counts / counts.sum(axis=1, keepdims=True))[inverse]
+    windows = _context_codes(bits, k)
+    m = len(bits) - 2 * k
+    codes = windows[k + 1 : k + 1 + m] << k
+    codes |= windows[:m]
+    return codes
+
+
+def _centre_counts(codes: np.ndarray, centres: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """m(c_i, -1) and m(c_i, +1): how often each position's context occurs with either centre.
+
+    ``codes`` holds context codes below 2^bits and ``centres`` is 1 for +1.
+    Each (context, centre) pair is coded as ``code << 1 | centre`` and all
+    pairs are counted with one bincount into a table addressed by that code,
+    which is read back at ``code | 1`` and ``code & ~1``. The table has
+    2^(bits+1) entries; past COUNT_TABLE_MAX entries one sort first renumbers
+    the contexts that occur as 0, 1, 2, ... Each position counts itself.
+    """
+    size = 2 << bits
+    if size > COUNT_TABLE_MAX:
+        uniq, codes = np.unique(codes, return_inverse=True)
+        size = 2 * len(uniq)
+    pairs = codes << 1
+    pairs |= centres
+    table = np.bincount(pairs, minlength=size)
+    pairs |= 1
+    m_plus = table[pairs]
+    pairs ^= 1
+    return table[pairs], m_plus
+
+
+def _centre_conditionals(m_minus: np.ndarray, m_plus: np.ndarray) -> np.ndarray:
+    """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)): the empirical P(centre | context)."""
+    total = m_minus + m_plus
+    rows = np.empty((len(total), 2))
+    np.divide(m_minus, total, out=rows[:, 0])
+    np.divide(m_plus, total, out=rows[:, 1])
+    return rows
+
+
+def _dude_decisions(
+    m_minus: np.ndarray, m_plus: np.ndarray, y: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, int]:
+    """DUDE's estimate of each X_i from its context counts, and the clamp count.
+
+    For the binary symmetric channel, channel inversion plus argmax is one
+    scalar test. With D = m(c, +1) - m(c, -1), T = m(c, -1) + m(c, +1) and
+    s = 1 - 2 eps, the inverted two-sided conditional Pi^{-1} q2 has entries
+    (1 -+ D / (s T)) / 2, and the argmax picks +1 iff s (D + s^2 y T) >= 0,
+    ties toward +1. For eps < 1/2 this keeps y_i where a m(c, y_i) >
+    b m(c, -y_i), with a = (1-eps)^2 + eps^2 and b = 2 eps (1-eps); for
+    eps > 1/2 the sign of s reverses the test. Rows where
+    |D + s^2 y T| <= NEAR_TIE_MARGIN T are decided by the matrix route of
+    ``_posterior_batch`` instead, because rounding can tip a near-tie either
+    way: at eps = 0.2, a/b = 17/8, and the counts 8j : 17j against an
+    observed -1 miss a tie by about 3e-16 j, where a float test of a m(c, y)
+    against b m(c, -y) rounds to a tie and the matrix route decides +1. So
+    every decision is the matrix route's.
+
+    A position is counted as clamped, as ``_posterior_batch`` counts it, when
+    an entry of Pi^{-1} q2 is below NEGATIVE_FLAG_THRESHOLD, that is when
+    |D| > |s| (1 - 2 NEGATIVE_FLAG_THRESHOLD) T.
+    """
+    s = 1.0 - 2.0 * epsilon
+    total = m_minus + m_plus
+    excess = m_plus - m_minus
+    score = (s * s) * total
+    score *= y
+    score += excess
+    near = np.flatnonzero(np.abs(score) <= NEAR_TIE_MARGIN * total)
+    plus = score > 0 if s > 0 else score < 0
+    xhat = np.where(plus, SPIN_DTYPE(1), SPIN_DTYPE(-1))
+    if near.size:
+        post, _ = _posterior_batch(_centre_conditionals(m_minus[near], m_plus[near]), y[near], epsilon)
+        xhat[near] = np.where(post[:, 1] >= post[:, 0], 1, -1)
+    bound = abs(s) * (1.0 - 2.0 * NEGATIVE_FLAG_THRESHOLD)
+    n_clamped = int(np.count_nonzero(np.abs(excess) > bound * total))
+    return xhat, n_clamped
 
 
 @dataclass(frozen=True)
@@ -256,23 +335,27 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     """Two-pass context-count denoiser with diagnostics.
 
     Pass one encodes the (left context, right context) word of every interior
-    position once and counts its centres m(c, -1), m(c, +1) in one sort; pass
-    two estimates the two-sided conditional of each interior position from
-    those counts and inverts the channel. Interior contexts always contain the
-    position itself, so every count total is >= 1 and no smoothing is needed.
-    The first and last k positions are passed through unchanged.
+    position once and counts its centres m(c, -1), m(c, +1) with one bincount
+    (see _centre_counts for the direct-address table and its sort cut-over);
+    pass two estimates the two-sided conditional q2 = m / (m(c, -1) + m(c, +1))
+    of each interior position and decides it by the scalar channel test of
+    _dude_decisions, which equals channel inversion plus argmax. Interior
+    contexts always contain the position itself, so every count total is >= 1
+    and no smoothing is needed. The first and last k positions are passed
+    through unchanged.
     """
     _require_invertible(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRangeError(f"epsilon must lie in [0, 1], got {epsilon}")
     arr = as_spin_array(y)
     n = len(arr)
     k = _check_context(n, k)
     m = n - 2 * k
     plus = (arr == 1).astype(np.int64)
-    left, right = _context_codes(plus, k)
-    q2 = _centre_conditionals(left[:m] | right[k : k + m] << k, plus[k : k + m])
-    post, n_clamped = _posterior_batch(q2, arr[k : k + m], epsilon)
+    m_minus, m_plus = _centre_counts(_two_sided_codes(plus, k), plus[k : k + m], 2 * k)
     xhat = arr.copy()
-    xhat[k : k + m] = np.where(post[:, 1] >= post[:, 0], 1, -1).astype(SPIN_DTYPE)
+    xhat[k : k + m], n_clamped = _dude_decisions(m_minus, m_plus, arr[k : k + m], epsilon)
+    q2 = _centre_conditionals(m_minus, m_plus)
     return DudeResult(xhat=SpinSequence(xhat), k=k, q2=q2, n_clamped=n_clamped)
 
 
@@ -295,35 +378,40 @@ def bfp_denoise(
     shifts of the full observed word (valid in both directions because the
     symmetric chain is reversible); ``empirical`` mode estimates them with
     order-k context counts and passes the first/last k positions through. Its
-    left and right contexts come from the same encoder as ``dude_detail``, and
-    each side is counted in one sort. The surrogate is then pushed through the
-    channel inversion and a per-position argmax. It deliberately does not
-    equal the exact two-sided conditional in general.
+    left and right contexts come from the same encoder and counter as
+    ``dude_detail``, one count per side. The surrogate is then pushed through
+    the channel inversion and a per-position argmax; exact mode does both in
+    closed form on the two shifts. It deliberately does not equal the exact
+    two-sided conditional in general.
     """
     _require_invertible(params.epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     if mode == "exact":
-        model = derive_couplings(params)
-        left, right = neighbour_shifts(arr, model)
-        # product of the one-sided conditionals of Y_i given each side
-        num_plus = _symbol_prob(1, left, model) * _symbol_prob(1, right, model)
-        num_minus = _symbol_prob(-1, left, model) * _symbol_prob(-1, right, model)
-        tot = num_plus + num_minus
-        q2 = np.stack([num_minus / tot, num_plus / tot], axis=1)
-        post, _ = _posterior_batch(q2, arr, params.epsilon)
-        marg = PosteriorMarginals(q_minus=post[:, 0], q_plus=post[:, 1])
-        xhat = np.where(post[:, 1] >= post[:, 0], 1, -1).astype(SPIN_DTYPE)
-        return SpinSequence(xhat), marg
+        left, right = neighbour_shifts(arr, derive_couplings(params))
+        eps = params.epsilon
+        # Each side's conditional of Y_i is (1 + s y tanh A)/2 with s = 1 - 2 eps.
+        # Inverting their normalized product through the channel gives entries
+        # of Pi^{-1} q2 proportional to sigma(+-2 A_l) sigma(+-2 A_r) - eps (1-eps)
+        # tanh(A_l) tanh(A_r), sigma the logistic; they are clamped at zero.
+        l_low, l_high = _logistic_pair(2.0 * left)
+        r_low, r_high = _logistic_pair(2.0 * right)
+        cross = (eps * (1.0 - eps)) * (l_high - l_low) * (r_high - r_low)
+        observed_plus = arr == 1
+        v_plus = np.maximum(l_high * r_high - cross, 0.0) * np.where(observed_plus, 1.0 - eps, eps)
+        v_minus = np.maximum(l_low * r_low - cross, 0.0) * np.where(observed_plus, eps, 1.0 - eps)
+        total = v_plus + v_minus
+        marg = PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
+        return map_denoise(marg), marg
     if mode != "empirical":
         raise OutOfRangeError(f"mode must be 'exact' or 'empirical', got {mode!r}")
     k = _check_context(n, k)
     m = n - 2 * k
     plus = (arr == 1).astype(np.int64)
-    left, right = _context_codes(plus, k)
+    windows = _context_codes(plus, k)
     # one-sided conditionals counted over every position with a full context
-    q_left = _centre_conditionals(left, plus[k:])[:m]
-    q_right = _centre_conditionals(right, plus[: n - k])[k : k + m]
+    q_left = _centre_conditionals(*_centre_counts(windows[: n - k], plus[k:], k))[:m]
+    q_right = _centre_conditionals(*_centre_counts(windows[1:], plus[: n - k], k))[k : k + m]
     prod = q_left * q_right
     q2 = prod / prod.sum(axis=1, keepdims=True)
     post_interior, _ = _posterior_batch(q2, arr[k : n - k], params.epsilon)
@@ -361,9 +449,15 @@ def gibbs_params(y, epsilon: float) -> ChannelParams:
     return validate_params(estimate_p_moment(y, epsilon), epsilon)
 
 
+def gibbs_detail(y, epsilon: float) -> tuple[SpinSequence, ChannelParams]:
+    """Gibbs-modeling surrogate and the cell it decoded at: moment-matched p, then the exact MAP pass."""
+    params = gibbs_params(y, epsilon)
+    return map_denoise(forward_backward(y, params)), params
+
+
 def gibbs_denoise(y, epsilon: float) -> SpinSequence:
     """Gibbs-modeling surrogate: moment-matched p, then the exact MAP pass."""
-    return map_denoise(forward_backward(y, gibbs_params(y, epsilon)))
+    return gibbs_detail(y, epsilon)[0]
 
 
 def map_denoise(post: PosteriorMarginals) -> SpinSequence:

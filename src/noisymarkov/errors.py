@@ -27,3 +27,7 @@ class SingularChannelError(NoisyMarkovError, ValueError):
 
 class LengthMismatchError(NoisyMarkovError, ValueError):
     """Sequences that must align position by position have different lengths."""
+
+
+class MalformedDataError(NoisyMarkovError, ValueError):
+    """Input data, a spin word or a saved file, does not have the required form."""

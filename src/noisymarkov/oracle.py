@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooLongError
+from .errors import OutOfRangeError, TooLongError
 from .model import ChannelParams
 from .sequences import as_spin_array
 
@@ -36,7 +36,7 @@ def spin_word_code(y) -> int:
 def code_to_spins(code: int, length: int) -> np.ndarray:
     """Inverse of spin_word_code."""
     if not 0 <= code < (1 << length):
-        raise ValueError(f"code {code} out of range for length {length}")
+        raise OutOfRangeError(f"code {code} out of range for length {length}")
     bits = (code >> np.arange(length, dtype=np.uint64)) & 1
     return np.where(bits == 1, -1, 1).astype(np.int8)
 

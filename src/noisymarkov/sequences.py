@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MalformedDataError
+
 SPIN_DTYPE = np.int8
 
 
@@ -18,18 +20,19 @@ def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
         return y.symbols
     arr = np.asarray(y)
     if arr.ndim != 1:
-        raise ValueError(f"spin sequence must be one-dimensional, got shape {arr.shape}")
+        raise MalformedDataError(f"spin sequence must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         if allow_empty:
             out = np.empty(0, dtype=SPIN_DTYPE)
             out.setflags(write=False)
             return out
-        raise ValueError("spin sequence must contain at least one symbol")
+        raise MalformedDataError("spin sequence must contain at least one symbol")
     if not np.issubdtype(arr.dtype, np.number):
-        raise ValueError(f"spin symbols must be numeric, got dtype {arr.dtype}")
+        raise MalformedDataError(f"spin symbols must be numeric, got dtype {arr.dtype}")
+    # checked before the cast, which warns on values int8 cannot hold
+    if not np.all((arr == 1) | (arr == -1)):
+        raise MalformedDataError("spin symbols must all be -1 or +1")
     out = arr.astype(SPIN_DTYPE)
-    if not np.all((out == 1) | (out == -1)) or not np.array_equal(out, arr):
-        raise ValueError("spin symbols must all be -1 or +1")
     out.setflags(write=False)
     return out
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatchError, OutOfRangeError
+from .errors import LengthMismatchError, MalformedDataError, OutOfRangeError
 from .model import ChannelParams
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
 
@@ -51,7 +51,7 @@ class SimulatedPath:
                 f"x, z, y must have equal lengths, got {len(self.x)}, {len(self.z)}, {len(self.y)}"
             )
         if not np.array_equal(self.y.symbols, self.x.symbols * self.z.symbols):
-            raise ValueError("observation must satisfy y = x * z at every position")
+            raise MalformedDataError("observation must satisfy y = x * z at every position")
 
 
 def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -125,16 +125,16 @@ def load_spins(path: str | Path) -> SpinSequence:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
-            raise ValueError(f"truncated header in {path}")
+            raise MalformedDataError(f"truncated header in {path}")
         magic, version, n = _HEADER.unpack(header)
         if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
+            raise MalformedDataError(f"bad magic {magic!r} in {path}")
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version} in {path}")
+            raise MalformedDataError(f"unsupported format version {version} in {path}")
         payload = fh.read()
     expected = (n + 7) // 8
     if len(payload) < expected:
-        raise ValueError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
+        raise MalformedDataError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
     return SpinSequence(np.where(bits == 1, -1, 1).astype(SPIN_DTYPE))
 

@@ -55,3 +55,24 @@ def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarr
     post_m = np.array(alpha_m) * np.array(beta_m)
     tot = post_p + post_m
     return post_m / tot, post_p / tot
+
+
+def matrix_route_posteriors(q2, y, eps: float) -> tuple[np.ndarray, int]:
+    """Posterior rows (-1, +1) of the hidden spins from two-sided conditionals q2 of the observations.
+
+    The channel inversion as a matrix product, kept here as the reference for
+    the denoisers' scalar forms: u = q2 Pi^{-1} with Pi^{-1} =
+    [[1-eps, -eps], [-eps, 1-eps]] / (1 - 2 eps), clamped at zero, weighted by
+    P(y_i | x) and normalized. Also returns the number of rows with an entry
+    of u below -1e-12. The argmax with ties toward +1 is
+    ``post[:, 1] >= post[:, 0]``. Imports nothing from the package.
+    """
+    pinv = np.array([[1.0 - eps, -eps], [-eps, 1.0 - eps]]) / (1.0 - 2.0 * eps)
+    u = np.asarray(q2, dtype=np.float64) @ pinv
+    flagged = int(np.count_nonzero((u < -1e-12).any(axis=1)))
+    u = np.clip(u, 0.0, None)
+    likelihood = np.where(
+        (np.asarray(y) == 1)[:, None], np.array([eps, 1.0 - eps]), np.array([1.0 - eps, eps])
+    )
+    v = likelihood * u
+    return v / v.sum(axis=1, keepdims=True), flagged

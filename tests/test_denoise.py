@@ -17,8 +17,12 @@ from noisymarkov.denoise import (
     estimate_p_moment,
     forward_backward,
     gibbs_denoise,
+    gibbs_detail,
+    gibbs_params,
     map_denoise,
     posterior_from_two_sided,
+    _centre_counts,
+    _dude_decisions,
     _posterior_batch,
 )
 from noisymarkov.errors import (
@@ -31,9 +35,10 @@ from noisymarkov.errors import (
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import code_to_spins
 from noisymarkov.simulate import generate_dataset
-from noisymarkov.transfer import two_sided_conditional
+from noisymarkov.transfer import neighbour_shifts, two_sided_conditional
 
-from conftest import alpha_beta_posteriors, random_word
+import noisymarkov.denoise as denoise_module
+from conftest import alpha_beta_posteriors, matrix_route_posteriors, random_word
 
 P_REF = validate_params(0.2, 0.1)
 M_REF = channel_model(0.2, 0.1)
@@ -180,8 +185,9 @@ class TestDude:
         with pytest.raises(OutOfRangeError):
             default_context_length(0)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, None])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 11, None])
     def test_q2_equals_window_recount(self, k):
+        # k <= 4 counts with the direct-address table, k = 11 through the sort
         y = _count_word(k)
         n = len(y)
         k_used = _default_k(n) if k is None else k
@@ -189,7 +195,63 @@ class TestDude:
         result = dude_detail(y, 0.2, k)
         assert result.k == k_used
         tot = m_minus + m_plus
-        assert np.array_equal(result.q2, np.stack([m_minus / tot, m_plus / tot], axis=1))
+        q2 = np.stack([m_minus / tot, m_plus / tot], axis=1)
+        assert np.array_equal(result.q2, q2)
+        post, flagged = matrix_route_posteriors(q2, y[k_used : n - k_used], 0.2)
+        interior = np.where(post[:, 1] >= post[:, 0], 1, -1)
+        assert np.array_equal(result.xhat.symbols, np.concatenate(
+            [y[:k_used], interior, y[n - k_used :]]))
+        assert result.n_clamped == flagged
+
+    @pytest.mark.parametrize(
+        "eps",
+        [1e-300, 1e-9, 0.1, 0.2, 0.3, 0.45, 0.49999, 0.5 - 1e-9,
+         0.5 + 1e-9, 0.50001, 0.55, 0.7, 0.8, 0.95, 1.0 - 1e-9],
+    )
+    def test_scalar_rule_equals_matrix_route(self, eps):
+        # every count pair with 0 < m(c, -1) + m(c, +1) <= 200, seen with either
+        # centre; at eps = 0.2 the pairs 8j : 17j against y = -1 are near-ties
+        # where a float test of a m(c, y) against b m(c, -y) keeps -1 and the
+        # matrix route decides +1
+        m_minus, m_plus = (a.ravel() for a in np.meshgrid(np.arange(201), np.arange(201)))
+        keep = (m_minus + m_plus > 0) & (m_minus + m_plus <= 200)
+        m_minus, m_plus = m_minus[keep], m_plus[keep]
+        tot = m_minus + m_plus
+        q2 = np.stack([m_minus / tot, m_plus / tot], axis=1)
+        for symbol in (-1, 1):
+            y = np.full(len(tot), symbol, dtype=np.int8)
+            post, flagged = matrix_route_posteriors(q2, y, eps)
+            xhat, n_clamped = _dude_decisions(m_minus, m_plus, y, eps)
+            assert np.array_equal(xhat, np.where(post[:, 1] >= post[:, 0], 1, -1))
+            assert n_clamped == flagged
+
+    def test_count_paths_agree(self, rng, monkeypatch):
+        y = random_word(rng, 5000)
+        plus = (y == 1).astype(np.int64)
+        codes = sliding_window_view(plus, 9) @ (1 << np.arange(9))
+        direct = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
+        monkeypatch.setattr(denoise_module, "COUNT_TABLE_MAX", 0)
+        sorted_ = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
+        for a, b in zip(direct, sorted_):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n, k, sorts",
+        [(200_000, 9, False), (1_000_000, 10, False), (1_000_000, 11, True)],
+    )
+    def test_count_cut_over(self, n, k, sorts, monkeypatch):
+        # the bench's context lengths (k <= 9 at N = 2e5, k <= 10 at 10^6) count by
+        # direct address; a table past 2^22 entries is replaced by a sort
+        original, calls = np.unique, []
+
+        def counting_unique(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        word = generate_dataset(validate_params(0.1, 0.2), n, seed=k).y
+        dude_detail(word, 0.2, k)
+        assert bool(calls) == sorts
 
     def test_boundaries_passed_through(self, rng):
         y = random_word(rng, 500)
@@ -207,6 +269,11 @@ class TestDude:
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):
             dude(np.ones(10, dtype=np.int8), 0.5, k=1)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, math.nan])
+    def test_crossover_outside_unit_interval_is_package_error(self, eps):
+        with pytest.raises(OutOfRangeError):
+            dude(np.ones(10, dtype=np.int8), eps, k=1)
 
     def test_recovers_under_light_noise(self):
         path = generate_dataset(validate_params(0.05, 0.1), 50_000, seed=4)
@@ -226,6 +293,27 @@ class TestBfp:
         assert len(xhat) == 64
         assert len(marg) == 64
         np.testing.assert_allclose(marg.q_plus + marg.q_minus, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (0.3, 0.05), (0.2, 0.45), (0.1, 0.7)])
+    def test_exact_posteriors_equal_matrix_route(self, p, eps, rng):
+        # reference: the product of the one-sided conditionals
+        # (1-eps) sigma(+-2A) + eps sigma(-+2A), inverted through the channel as a matrix
+        y = random_word(rng, 4000)
+        left, right = neighbour_shifts(y, channel_model(p, eps))
+
+        def one_sided(shift):
+            up = 1.0 / (1.0 + np.exp(-2.0 * shift))
+            down = 1.0 / (1.0 + np.exp(2.0 * shift))
+            return (1 - eps) * down + eps * up, (1 - eps) * up + eps * down
+
+        (l_minus, l_plus), (r_minus, r_plus) = one_sided(left), one_sided(right)
+        prod = np.stack([l_minus * r_minus, l_plus * r_plus], axis=1)
+        post, _ = matrix_route_posteriors(prod / prod.sum(axis=1, keepdims=True), y, eps)
+        xhat, marg = bfp_denoise(y, validate_params(p, eps), mode="exact")
+        np.testing.assert_allclose(marg.q_minus, post[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(marg.q_plus, post[:, 1], rtol=0, atol=1e-12)
+        decided = np.abs(post[:, 1] - post[:, 0]) > 1e-12
+        assert np.array_equal(xhat.symbols[decided], np.where(post[:, 1] >= post[:, 0], 1, -1)[decided])
 
     def test_surrogate_differs_from_exact_two_sided(self):
         # the product form must NOT coincide with the true two-sided conditional
@@ -299,14 +387,19 @@ def _context_counts(y, width: int, centre: int) -> tuple[np.ndarray, np.ndarray]
     """Recount of m(c, -1) and m(c, +1) for the context c of every window of ``width``.
 
     Each window of the word is coded as an integer, bit t for its t-th symbol
-    being +1, and all codes are counted with one bincount. The context of a
-    window is its code with the ``centre`` bit set or cleared.
+    being +1, and the distinct codes are counted with one sort. The context of
+    a window is its code with the ``centre`` bit set or cleared.
     """
     plus = (np.asarray(y) == 1).astype(np.int64)
     codes = sliding_window_view(plus, width) @ (1 << np.arange(width))
-    counts = np.bincount(codes, minlength=1 << width)
+    uniq, counts = np.unique(codes, return_counts=True)
+
+    def count(c):
+        at = np.minimum(np.searchsorted(uniq, c), len(uniq) - 1)
+        return np.where(uniq[at] == c, counts[at], 0).astype(np.float64)
+
     bit = 1 << centre
-    return counts[codes & ~bit].astype(np.float64), counts[codes | bit].astype(np.float64)
+    return count(codes & ~bit), count(codes | bit)
 
 
 def _bfp_center_surrogate(window, model) -> float:
@@ -357,6 +450,12 @@ class TestGibbsDenoise:
         expected = map_denoise(forward_backward(path.y, validate_params(p_hat, 0.2)))
         got = gibbs_denoise(path.y, 0.2)
         assert np.array_equal(got.symbols, expected.symbols)
+
+    def test_detail_returns_the_fitted_cell(self):
+        path = generate_dataset(validate_params(0.1, 0.2), 5000, seed=9)
+        xhat, fitted = gibbs_detail(path.y, 0.2)
+        assert fitted == gibbs_params(path.y, 0.2)
+        assert xhat == gibbs_denoise(path.y, 0.2)
 
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):

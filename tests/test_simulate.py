@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from noisymarkov.errors import LengthMismatchError, OutOfRangeError
+from noisymarkov.errors import LengthMismatchError, MalformedDataError, OutOfRangeError
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.sequences import SpinSequence
 from noisymarkov.simulate import (
@@ -130,7 +130,7 @@ class TestGenerateDataset:
 
     def test_path_invariant_enforced(self):
         sim = generate_dataset(P_REF, 50, seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedDataError):
             SimulatedPath(x=sim.x, z=sim.z, y=sim.x, seed=2)
         with pytest.raises(LengthMismatchError):
             SimulatedPath(x=sim.x, z=sim.z, y=SpinSequence(sim.y.symbols[:-1]), seed=2)
@@ -163,6 +163,17 @@ class TestPathFiles:
             load_spins(target)
         target.write_bytes(b"SPN\x01" + (100).to_bytes(4, "little") + bytes(2))
         with pytest.raises(ValueError):
+            load_spins(target)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"SPN\x01", b"XXX" + bytes(5), b"SPN\x02" + bytes(4), b"SPN\x01" + (100).to_bytes(4, "little") + bytes(2)],
+        ids=["truncated-header", "bad-magic", "bad-version", "truncated-payload"],
+    )
+    def test_malformed_packed_file_is_package_error(self, tmp_path, raw):
+        target = tmp_path / "bad.bin"
+        target.write_bytes(raw)
+        with pytest.raises(MalformedDataError):
             load_spins(target)
 
     def test_csv_roundtrip(self, tmp_path):

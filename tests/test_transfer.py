@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisymarkov.denoise import forward_backward
-from noisymarkov.errors import TooLongError
+from noisymarkov.errors import MalformedDataError, OutOfRangeError, TooLongError
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import (
     brute_force_cylinder,
@@ -65,6 +65,18 @@ class TestSpinSequence:
             as_spin_array(np.array([[1, -1]]))
         with pytest.raises(ValueError):
             as_spin_array([1.5, -1.0])
+
+    @pytest.mark.parametrize(
+        "word",
+        [np.array([[1, -1]]), np.array([], dtype=np.int8), np.array(["+", "-"]), [1, 0, 1],
+         [1.0, np.nan], [np.inf], [1e300, -1.0]],
+        ids=["two-dimensional", "empty", "non-numeric", "not-a-spin", "nan", "inf", "huge"],
+    )
+    def test_malformed_word_is_package_error(self, word):
+        with pytest.raises(MalformedDataError):
+            as_spin_array(word)
+        with pytest.raises(MalformedDataError):
+            forward_backward(word, P_REF)
 
     def test_coercion_and_readonly(self):
         arr = as_spin_array([1, -1, 1])
@@ -282,6 +294,11 @@ class TestBruteForceOracle:
             for _ in range(20):
                 y = random_word(rng, length)
                 assert np.array_equal(code_to_spins(spin_word_code(y), length), y)
+
+    @pytest.mark.parametrize("code, length", [(8, 3), (-1, 3)])
+    def test_code_out_of_range_is_package_error(self, code, length):
+        with pytest.raises(OutOfRangeError):
+            code_to_spins(code, length)
 
     def test_table_matches_per_word(self):
         table = enumerate_cylinder_table(6, P_REF)
