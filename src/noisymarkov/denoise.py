@@ -18,7 +18,10 @@ and 1 for +1; its inverse exists iff eps != 1/2 and equals
     P[X_n = . | all observations] propto pi_{y_n} (.) Pi^{-1} q2
 
 maps any (estimated or exact) two-sided output conditional q2 to a posterior
-over the hidden symbol.
+over the hidden symbol. DUDE, empirical BFP and ``posterior_from_two_sided``
+all apply it through ``_channel_weights``, elementwise and without BLAS, so
+their decisions do not depend on the host; exact BFP applies it in closed
+form on the two neighbour shifts.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ __all__ = [
 
 #: Entries of Pi^{-1} q2 below this are flagged before being clamped to zero.
 NEGATIVE_FLAG_THRESHOLD = -1e-12
-
-#: DUDE's scalar test defers to the matrix route where its score is within
-#: this fraction of the context's count total of a tie (see _dude_decisions).
-NEAR_TIE_MARGIN = 1e-9
 
 #: Context counts use a direct-address table of 2^(bits+1) entries while it
 #: has at most COUNT_TABLE_MAX entries (32 MiB of int64); past it a sort
@@ -158,26 +157,36 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
-def _posterior_batch(q2: np.ndarray, y_obs: np.ndarray, epsilon: float) -> tuple[np.ndarray, int]:
-    """Channel inversion for a batch of two-sided conditionals.
+def _channel_weights(
+    q_minus: np.ndarray, q_plus: np.ndarray, y: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Channel inversion of two-sided conditionals, up to each position's normalization.
 
-    q2 rows are distributions of Y_i over (-1, +1); y_obs holds the observed
-    symbols. Returns posterior rows over the hidden symbol and the number of
-    rows whose intermediate Pi^{-1} q2 had an entry below the flag threshold
-    (clamped to zero and renormalized, as the estimates are only approximate).
+    ``q_minus`` and ``q_plus`` hold P(Y_i = -1 | rest) and P(Y_i = +1 | rest);
+    ``y`` holds the observed symbols. Returns v = pi_{y_i} (.) max(Pi^{-1} q2, 0)
+    as (v_minus, v_plus), whose normalization is the posterior of X_i and whose
+    argmax, v_plus >= v_minus with ties toward +1, is every denoiser's
+    decision; and the number of positions with an entry of Pi^{-1} q2 below
+    NEGATIVE_FLAG_THRESHOLD before the clamp, as empirical estimates need not
+    lie in the image of the channel. Pi^{-1} q2 is written out with the two
+    coefficients of ``emission_inverse`` rather than as a matrix product, so
+    that no BLAS kernel, and no fused multiply-add it may pick, enters the
+    rounding: the weights, and every decision, are the same on every host.
     """
-    pinv = emission_inverse(epsilon)
-    u = q2 @ pinv  # Pi^{-1} is symmetric
-    n_flagged = int(np.count_nonzero((u < NEGATIVE_FLAG_THRESHOLD).any(axis=1)))
-    u = np.clip(u, 0.0, None)
-    pi_rows = np.where(
-        (y_obs == 1)[:, None],
-        np.array([epsilon, 1.0 - epsilon]),
-        np.array([1.0 - epsilon, epsilon]),
-    )
-    v = pi_rows * u
-    tot = v.sum(axis=1, keepdims=True)
-    return v / tot, n_flagged
+    (diag, off), _ = emission_inverse(epsilon)
+    u_minus = q_minus * diag
+    u_minus += q_plus * off
+    u_plus = q_minus * off
+    u_plus += q_plus * diag
+    flagged = u_minus < NEGATIVE_FLAG_THRESHOLD
+    flagged |= u_plus < NEGATIVE_FLAG_THRESHOLD
+    np.maximum(u_minus, 0.0, out=u_minus)
+    np.maximum(u_plus, 0.0, out=u_plus)
+    # pi_{y_i} looked up by the observed symbol, which is faster than a where
+    observed_plus = (y == 1).astype(np.intp)
+    u_minus *= np.array([1.0 - epsilon, epsilon]).take(observed_plus)
+    u_plus *= np.array([epsilon, 1.0 - epsilon]).take(observed_plus)
+    return u_minus, u_plus, int(np.count_nonzero(flagged))
 
 
 def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
@@ -195,13 +204,14 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
         raise OutOfRangeError(f"q2 must have shape (2,), got {vec.shape}")
     if np.any(vec < NEGATIVE_FLAG_THRESHOLD) or abs(float(vec.sum()) - 1.0) > 1e-6:
         raise OutOfRangeError(f"q2 must be a probability distribution, got {vec}")
-    post, n_flagged = _posterior_batch(vec[None, :], np.array([y_n]), params.epsilon)
+    v_minus, v_plus, n_flagged = _channel_weights(vec[:1], vec[1:], np.array([y_n]), params.epsilon)
     if n_flagged:
         warnings.warn(
             "channel inversion produced a negative intermediate; clamped to zero",
             stacklevel=2,
         )
-    return post[0]
+    v = np.concatenate([v_minus, v_plus])
+    return v / v.sum()
 
 
 def default_context_length(n: int) -> int:
@@ -281,46 +291,6 @@ def _centre_conditionals(m_minus: np.ndarray, m_plus: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _dude_decisions(
-    m_minus: np.ndarray, m_plus: np.ndarray, y: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, int]:
-    """DUDE's estimate of each X_i from its context counts, and the clamp count.
-
-    For the binary symmetric channel, channel inversion plus argmax is one
-    scalar test. With D = m(c, +1) - m(c, -1), T = m(c, -1) + m(c, +1) and
-    s = 1 - 2 eps, the inverted two-sided conditional Pi^{-1} q2 has entries
-    (1 -+ D / (s T)) / 2, and the argmax picks +1 iff s (D + s^2 y T) >= 0,
-    ties toward +1. For eps < 1/2 this keeps y_i where a m(c, y_i) >
-    b m(c, -y_i), with a = (1-eps)^2 + eps^2 and b = 2 eps (1-eps); for
-    eps > 1/2 the sign of s reverses the test. Rows where
-    |D + s^2 y T| <= NEAR_TIE_MARGIN T are decided by the matrix route of
-    ``_posterior_batch`` instead, because rounding can tip a near-tie either
-    way: at eps = 0.2, a/b = 17/8, and the counts 8j : 17j against an
-    observed -1 miss a tie by about 3e-16 j, where a float test of a m(c, y)
-    against b m(c, -y) rounds to a tie and the matrix route decides +1. So
-    every decision is the matrix route's.
-
-    A position is counted as clamped, as ``_posterior_batch`` counts it, when
-    an entry of Pi^{-1} q2 is below NEGATIVE_FLAG_THRESHOLD, that is when
-    |D| > |s| (1 - 2 NEGATIVE_FLAG_THRESHOLD) T.
-    """
-    s = 1.0 - 2.0 * epsilon
-    total = m_minus + m_plus
-    excess = m_plus - m_minus
-    score = (s * s) * total
-    score *= y
-    score += excess
-    near = np.flatnonzero(np.abs(score) <= NEAR_TIE_MARGIN * total)
-    plus = score > 0 if s > 0 else score < 0
-    xhat = np.where(plus, SPIN_DTYPE(1), SPIN_DTYPE(-1))
-    if near.size:
-        post, _ = _posterior_batch(_centre_conditionals(m_minus[near], m_plus[near]), y[near], epsilon)
-        xhat[near] = np.where(post[:, 1] >= post[:, 0], 1, -1)
-    bound = abs(s) * (1.0 - 2.0 * NEGATIVE_FLAG_THRESHOLD)
-    n_clamped = int(np.count_nonzero(np.abs(excess) > bound * total))
-    return xhat, n_clamped
-
-
 @dataclass(frozen=True)
 class DudeResult:
     """Denoised sequence plus diagnostics of the counting/inversion pipeline."""
@@ -338,11 +308,10 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     position once and counts its centres m(c, -1), m(c, +1) with one bincount
     (see _centre_counts for the direct-address table and its sort cut-over);
     pass two estimates the two-sided conditional q2 = m / (m(c, -1) + m(c, +1))
-    of each interior position and decides it by the scalar channel test of
-    _dude_decisions, which equals channel inversion plus argmax. Interior
-    contexts always contain the position itself, so every count total is >= 1
-    and no smoothing is needed. The first and last k positions are passed
-    through unchanged.
+    of each interior position and decides it by the channel inversion of
+    _channel_weights. Interior contexts always contain the position itself, so
+    every count total is >= 1 and no smoothing is needed. The first and last k
+    positions are passed through unchanged.
     """
     _require_invertible(epsilon)
     if not 0.0 <= epsilon <= 1.0:
@@ -352,10 +321,11 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     k = _check_context(n, k)
     m = n - 2 * k
     plus = (arr == 1).astype(np.int64)
-    m_minus, m_plus = _centre_counts(_two_sided_codes(plus, k), plus[k : k + m], 2 * k)
+    # the counts are freed before the inversion allocates its weights
+    q2 = _centre_conditionals(*_centre_counts(_two_sided_codes(plus, k), plus[k : k + m], 2 * k))
+    v_minus, v_plus, n_clamped = _channel_weights(q2[:, 0], q2[:, 1], arr[k : k + m], epsilon)
     xhat = arr.copy()
-    xhat[k : k + m], n_clamped = _dude_decisions(m_minus, m_plus, arr[k : k + m], epsilon)
-    q2 = _centre_conditionals(m_minus, m_plus)
+    xhat[k : k + m] = 2 * (v_plus >= v_minus).view(SPIN_DTYPE) - 1  # ties toward +1
     return DudeResult(xhat=SpinSequence(xhat), k=k, q2=q2, n_clamped=n_clamped)
 
 
@@ -413,20 +383,14 @@ def bfp_denoise(
     q_left = _centre_conditionals(*_centre_counts(windows[: n - k], plus[k:], k))[:m]
     q_right = _centre_conditionals(*_centre_counts(windows[1:], plus[: n - k], k))[k : k + m]
     prod = q_left * q_right
-    q2 = prod / prod.sum(axis=1, keepdims=True)
-    post_interior, _ = _posterior_batch(q2, arr[k : n - k], params.epsilon)
     # boundary positions: passthrough estimate, channel-only posterior
-    post = np.empty((n, 2))
-    boundary, _ = _posterior_batch(
-        np.full((2 * k, 2), 0.5), np.concatenate([arr[:k], arr[n - k :]]), params.epsilon
-    )
-    post[:k] = boundary[:k]
-    post[n - k :] = boundary[k:]
-    post[k : n - k] = post_interior
+    q2 = np.full((n, 2), 0.5)
+    np.divide(prod, prod.sum(axis=1, keepdims=True), out=q2[k : n - k])
+    v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
+    total = v_minus + v_plus
     xhat = arr.copy()
-    xhat[k : n - k] = np.where(post_interior[:, 1] >= post_interior[:, 0], 1, -1).astype(SPIN_DTYPE)
-    marg = PosteriorMarginals(q_minus=post[:, 0], q_plus=post[:, 1])
-    return SpinSequence(xhat), marg
+    xhat[k : n - k] = 2 * (v_plus[k : n - k] >= v_minus[k : n - k]).view(SPIN_DTYPE) - 1
+    return SpinSequence(xhat), PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
 
 
 def estimate_p_moment(y, epsilon: float) -> float:

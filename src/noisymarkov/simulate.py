@@ -158,7 +158,7 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
     zs: list[int] = []
     ys: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -168,10 +168,15 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
                 continue
             if line.startswith("i,"):
                 continue
-            _, xv, zv, yv = line.split(",")
-            xs.append(int(xv))
-            zs.append(int(zv))
-            ys.append(int(yv))
+            try:
+                _, xv, zv, yv = line.split(",")
+                xs.append(int(xv))
+                zs.append(int(zv))
+                ys.append(int(yv))
+            except ValueError:
+                raise MalformedDataError(
+                    f"{path}, line {lineno}: expected a row i,x,z,y with integer x, z, y; got {line!r}"
+                ) from None
     return SimulatedPath(
         x=SpinSequence(np.array(xs, dtype=SPIN_DTYPE)),
         z=SpinSequence(np.array(zs, dtype=SPIN_DTYPE)),

@@ -61,14 +61,22 @@ def matrix_route_posteriors(q2, y, eps: float) -> tuple[np.ndarray, int]:
     """Posterior rows (-1, +1) of the hidden spins from two-sided conditionals q2 of the observations.
 
     The channel inversion as a matrix product, kept here as the reference for
-    the denoisers' scalar forms: u = q2 Pi^{-1} with Pi^{-1} =
+    the package's elementwise form: u = q2 Pi^{-1} with Pi^{-1} =
     [[1-eps, -eps], [-eps, 1-eps]] / (1 - 2 eps), clamped at zero, weighted by
     P(y_i | x) and normalized. Also returns the number of rows with an entry
     of u below -1e-12. The argmax with ties toward +1 is
     ``post[:, 1] >= post[:, 0]``. Imports nothing from the package.
+
+    The product is multiplied out by hand, each entry of u a sum of two
+    rounded products, because ``q2 @ pinv`` goes to whichever BLAS kernel the
+    host picks at run time, and one that fuses the multiply and add rounds
+    differently: the reference would then depend on the CPU.
     """
+    q = np.asarray(q2, dtype=np.float64)
     pinv = np.array([[1.0 - eps, -eps], [-eps, 1.0 - eps]]) / (1.0 - 2.0 * eps)
-    u = np.asarray(q2, dtype=np.float64) @ pinv
+    u = np.empty_like(q)
+    for j in range(2):
+        u[:, j] = q[:, 0] * pinv[0, j] + q[:, 1] * pinv[1, j]
     flagged = int(np.count_nonzero((u < -1e-12).any(axis=1)))
     u = np.clip(u, 0.0, None)
     likelihood = np.where(

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,7 @@ from noisymarkov.denoise import (
     map_denoise,
     posterior_from_two_sided,
     _centre_counts,
-    _dude_decisions,
-    _posterior_batch,
+    _channel_weights,
 )
 from noisymarkov.errors import (
     InsufficientContextError,
@@ -148,11 +151,11 @@ class TestPosteriorFromTwoSided:
                             two_sided_conditional(1, y[:i], y[i + 1 :], M_REF),
                         ]
                     )
-                    mapped, _ = _posterior_batch(q2[None, :], y[i : i + 1], P_REF.epsilon)
+                    mapped = posterior_from_two_sided(q2, int(y[i]), P_REF)
                     worst = max(
                         worst,
-                        abs(mapped[0, 0] - post.q_minus[i]),
-                        abs(mapped[0, 1] - post.q_plus[i]),
+                        abs(mapped[0] - post.q_minus[i]),
+                        abs(mapped[1] - post.q_plus[i]),
                     )
         assert worst < 1e-10
         assert worst_oracle < 1e-10
@@ -170,6 +173,15 @@ class TestDude:
         np.testing.assert_allclose(result.q2[1], [1.0, 0.0])
         assert np.array_equal(result.xhat.symbols, [1, 1, -1, 1, 1])
         assert result.k == 1
+
+    def test_exact_tie_goes_to_plus(self):
+        # at eps = 1/4 the inversion is exact in floats; the context (+, +) is seen
+        # with centre -1 five times and +1 three times, and against an observed +1
+        # that count ratio ties exactly: positions 11-13 keep their +1
+        y = np.array([1, -1] * 5 + [1] * 5, dtype=np.int8)
+        xhat = dude(y, 0.25, k=1).symbols
+        assert np.array_equal(xhat[11:14], [1, 1, 1])
+        assert np.array_equal(xhat[1:10:2], y[1:10:2])  # the -1 centres are kept as well
 
     def test_constant_sequence_passthrough(self):
         y = np.ones(60, dtype=np.int8)
@@ -210,20 +222,42 @@ class TestDude:
     )
     def test_scalar_rule_equals_matrix_route(self, eps):
         # every count pair with 0 < m(c, -1) + m(c, +1) <= 200, seen with either
-        # centre; at eps = 0.2 the pairs 8j : 17j against y = -1 are near-ties
-        # where a float test of a m(c, y) against b m(c, -y) keeps -1 and the
-        # matrix route decides +1
-        m_minus, m_plus = (a.ravel() for a in np.meshgrid(np.arange(201), np.arange(201)))
-        keep = (m_minus + m_plus > 0) & (m_minus + m_plus <= 200)
-        m_minus, m_plus = m_minus[keep], m_plus[keep]
-        tot = m_minus + m_plus
-        q2 = np.stack([m_minus / tot, m_plus / tot], axis=1)
+        # centre, must give the reference's posteriors bit for bit; at eps = 0.2
+        # the pairs 8j : 17j against y = -1 miss an exact tie by about 3e-16 j
+        q2, _, _ = _count_pairs(200)
         for symbol in (-1, 1):
-            y = np.full(len(tot), symbol, dtype=np.int8)
+            y = np.full(len(q2), symbol, dtype=np.int8)
             post, flagged = matrix_route_posteriors(q2, y, eps)
-            xhat, n_clamped = _dude_decisions(m_minus, m_plus, y, eps)
-            assert np.array_equal(xhat, np.where(post[:, 1] >= post[:, 0], 1, -1))
+            v_minus, v_plus, n_clamped = _channel_weights(q2[:, 0], q2[:, 1], y, eps)
+            total = v_minus + v_plus
+            assert np.array_equal(v_minus / total, post[:, 0])
+            assert np.array_equal(v_plus / total, post[:, 1])
+            assert np.array_equal(v_plus >= v_minus, post[:, 1] >= post[:, 0])
             assert n_clamped == flagged
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.7])
+    def test_decisions_equal_exact_arithmetic(self, eps):
+        # with eps = a / d exactly (the float's binary fraction) and q2 = m / T,
+        # d (1 - 2 eps) T Pi^{-1} q2 has the integer entries
+        # (d - a) m(c, -+1) - a m(c, +-1); clamped, weighted by P(y | x) d and
+        # compared exactly, they give the decision of exact arithmetic, which
+        # the package and the reference must both reach off near-ties
+        q2, m_minus, m_plus = _count_pairs(200)
+        a, d = eps.as_integer_ratio()
+        sign = 1 if d > 2 * a else -1
+        u_minus = np.maximum(sign * ((d - a) * m_minus.astype(object) - a * m_plus), 0)
+        u_plus = np.maximum(sign * ((d - a) * m_plus.astype(object) - a * m_minus), 0)
+        for symbol in (-1, 1):
+            w_minus, w_plus = (a, d - a) if symbol == 1 else (d - a, a)
+            v_minus, v_plus = w_minus * u_minus, w_plus * u_plus
+            decided = np.abs(v_plus - v_minus) * 10**12 > v_plus + v_minus
+            exact = (v_plus >= v_minus).astype(bool)
+            assert decided.sum() > 0.99 * len(q2)
+            y = np.full(len(q2), symbol, dtype=np.int8)
+            pv_minus, pv_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], y, eps)
+            assert np.array_equal((pv_plus >= pv_minus)[decided], exact[decided])
+            post, _ = matrix_route_posteriors(q2, y, eps)
+            assert np.array_equal((post[:, 1] >= post[:, 0])[decided], exact[decided])
 
     def test_count_paths_agree(self, rng, monkeypatch):
         y = random_word(rng, 5000)
@@ -363,20 +397,75 @@ class TestBfp:
         q_left = np.stack([l_minus / l_tot, l_plus / l_tot], axis=1)[:m]
         q_right = np.stack([r_minus / r_tot, r_plus / r_tot], axis=1)[k_used : k_used + m]
         prod = q_left * q_right
-        expected, _ = _posterior_batch(
+        expected, _ = matrix_route_posteriors(
             prod / prod.sum(axis=1, keepdims=True), y[k_used : n - k_used], P_REF.epsilon
         )
         xhat, marg = bfp_denoise(y, P_REF, mode="empirical", k=k)
         assert np.array_equal(marg.q_minus[k_used : n - k_used], expected[:, 0])
         assert np.array_equal(marg.q_plus[k_used : n - k_used], expected[:, 1])
+        # boundary positions get the channel-only posterior of a uniform q2
+        ends = np.r_[0:k_used, n - k_used : n]
+        channel_only, _ = matrix_route_posteriors(np.full((len(ends), 2), 0.5), y[ends], P_REF.epsilon)
+        assert np.array_equal(marg.q_minus[ends], channel_only[:, 0])
+        assert np.array_equal(marg.q_plus[ends], channel_only[:, 1])
         interior = xhat.symbols[k_used : n - k_used]
         assert np.array_equal(interior, np.where(expected[:, 1] >= expected[:, 0], 1, -1))
+
+
+#: Prints digests of DUDE's and empirical BFP's outputs on the _count_word words.
+_KERNEL_PROBE = """
+import hashlib
+from noisymarkov.denoise import bfp_denoise, dude_detail
+from noisymarkov.model import validate_params
+from noisymarkov.simulate import generate_dataset
+
+params = validate_params(0.1, 0.2)
+for seed in (0, 1, 2, 3, 4):
+    y = generate_dataset(params, 3001, seed).y.symbols
+    for k in (1, 2, 3, 4):
+        result = dude_detail(y, 0.2, k)
+        print(seed, k, hashlib.sha256(result.xhat.symbols.tobytes()).hexdigest(),
+              hashlib.sha256(result.q2.tobytes()).hexdigest(), result.n_clamped)
+    _, marg = bfp_denoise(y, params, mode="empirical")
+    print(seed, "bfp", hashlib.sha256(marg.q_minus.tobytes() + marg.q_plus.tobytes()).hexdigest())
+"""
+
+
+class TestHostIndependence:
+    def test_outputs_do_not_depend_on_the_blas_kernel(self):
+        # OpenBLAS picks its kernel by CPU at run time, and a kernel with fused
+        # multiply-add rounds a matrix product differently from one without; the
+        # channel inversion uses no BLAS, so forcing the oldest x86-64 kernel
+        # (no FMA) must leave every output byte the same
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for coretype in (None, "Nehalem"):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["OPENBLAS_NUM_THREADS"] = "1"
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            run = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        assert len(outputs[0]) == 25
+        assert outputs[0] == outputs[1]
 
 
 def _count_word(k) -> np.ndarray:
     """A correlated noisy word of about 3000 symbols, so that contexts repeat unevenly."""
     seed = 0 if k is None else k
     return generate_dataset(validate_params(0.1, 0.2), 3001, seed).y.symbols
+
+
+def _count_pairs(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every count pair (m(c, -1), m(c, +1)) with 0 < m(c, -1) + m(c, +1) <= limit, and its q2 rows."""
+    m_minus, m_plus = (a.ravel() for a in np.meshgrid(np.arange(limit + 1), np.arange(limit + 1)))
+    keep = (m_minus + m_plus > 0) & (m_minus + m_plus <= limit)
+    m_minus, m_plus = m_minus[keep], m_plus[keep]
+    tot = m_minus + m_plus
+    return np.stack([m_minus / tot, m_plus / tot], axis=1), m_minus, m_plus
 
 
 def _default_k(n: int) -> int:

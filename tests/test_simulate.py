@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestPathFiles:
         target.write_bytes(raw)
         with pytest.raises(MalformedDataError):
             load_spins(target)
+
+    @pytest.mark.parametrize("row", ["1,+1,oops", "1,+1,x,+1"], ids=["three-fields", "non-integer"])
+    def test_malformed_csv_row_is_package_error(self, tmp_path, row):
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 4, seed=1))
+        lines = target.read_text().splitlines()
+        assert lines[6].startswith("1,")  # the second data row, line 7 of the file
+        lines[6] = row
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 7")):
+            load_path_csv(target)
 
     def test_csv_roundtrip(self, tmp_path):
         sim = generate_dataset(P_REF, 64, seed=33)
