@@ -27,6 +27,7 @@ from .denoise import (
     posterior_from_two_sided,
 )
 from .errors import (
+    CertificateOverflowError,
     DivisionNearZeroError,
     InsufficientContextError,
     LengthMismatchError,
@@ -50,28 +51,28 @@ from .simulate import (
     transmit,
 )
 from .thermo import (
-    DecayBound,
     GibbsCertificate,
     bowen_gibbs_certificate,
     bowen_gibbs_ratio,
     coboundary,
-    decay_rate_bound,
     g_continued_fraction,
     g_function,
     gibbs_potential,
     limit_field,
     pressure,
-    required_context,
     variation_estimate,
 )
 from .transfer import (
+    DecayBound,
     backward_fields,
     conditional_prob,
     cylinder_prob,
+    decay_rate_bound,
     field_shift,
     forward_fields,
     log_cylinder_prob,
     log_partition_term,
+    required_context,
     two_sided_conditional,
     two_sided_limit_conditional,
 )

@@ -35,14 +35,8 @@ from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
 from .model import channel_model, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
 from .simulate import GENERATOR_NAME, generate_dataset, save_path_csv, save_spins
-from .thermo import (
-    decay_rate_bound,
-    g_continued_fraction_detail,
-    g_function,
-    required_context,
-    variation_estimate,
-)
-from .transfer import cylinder_prob, scan_burn_in
+from .thermo import g_continued_fraction_detail, g_function, variation_estimate
+from .transfer import cylinder_prob, decay_rate_bound, required_context, scan_burn_in
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
 

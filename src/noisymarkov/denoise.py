@@ -157,6 +157,23 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
+def _apply_emission(v_minus: np.ndarray, v_plus: np.ndarray, y: np.ndarray, epsilon: float) -> None:
+    """Multiply v_minus and v_plus in place by pi_{y_i}(-1) and pi_{y_i}(+1).
+
+    pi is looked up by the observed symbol in the rows of the emission matrix,
+    which is faster than a where.
+    """
+    observed_plus = (y == 1).astype(np.intp)
+    pi = emission_matrix(epsilon)
+    v_minus *= pi[0].take(observed_plus)
+    v_plus *= pi[1].take(observed_plus)
+
+
+def _decide(v_minus: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
+    """Per-position argmax over (-1, +1) of unnormalized weights, as spins; exact ties go to +1."""
+    return 2 * (v_plus >= v_minus).view(SPIN_DTYPE) - 1
+
+
 def _channel_weights(
     q_minus: np.ndarray, q_plus: np.ndarray, y: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -165,8 +182,8 @@ def _channel_weights(
     ``q_minus`` and ``q_plus`` hold P(Y_i = -1 | rest) and P(Y_i = +1 | rest);
     ``y`` holds the observed symbols. Returns v = pi_{y_i} (.) max(Pi^{-1} q2, 0)
     as (v_minus, v_plus), whose normalization is the posterior of X_i and whose
-    argmax, v_plus >= v_minus with ties toward +1, is every denoiser's
-    decision; and the number of positions with an entry of Pi^{-1} q2 below
+    argmax, ``_decide``, is the decision of DUDE and empirical BFP; and the
+    number of positions with an entry of Pi^{-1} q2 below
     NEGATIVE_FLAG_THRESHOLD before the clamp, as empirical estimates need not
     lie in the image of the channel. Pi^{-1} q2 is written out with the two
     coefficients of ``emission_inverse`` rather than as a matrix product, so
@@ -182,10 +199,7 @@ def _channel_weights(
     flagged |= u_plus < NEGATIVE_FLAG_THRESHOLD
     np.maximum(u_minus, 0.0, out=u_minus)
     np.maximum(u_plus, 0.0, out=u_plus)
-    # pi_{y_i} looked up by the observed symbol, which is faster than a where
-    observed_plus = (y == 1).astype(np.intp)
-    u_minus *= np.array([1.0 - epsilon, epsilon]).take(observed_plus)
-    u_plus *= np.array([epsilon, 1.0 - epsilon]).take(observed_plus)
+    _apply_emission(u_minus, u_plus, y, epsilon)
     return u_minus, u_plus, int(np.count_nonzero(flagged))
 
 
@@ -325,7 +339,7 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     q2 = _centre_conditionals(*_centre_counts(_two_sided_codes(plus, k), plus[k : k + m], 2 * k))
     v_minus, v_plus, n_clamped = _channel_weights(q2[:, 0], q2[:, 1], arr[k : k + m], epsilon)
     xhat = arr.copy()
-    xhat[k : k + m] = 2 * (v_plus >= v_minus).view(SPIN_DTYPE) - 1  # ties toward +1
+    xhat[k : k + m] = _decide(v_minus, v_plus)
     return DudeResult(xhat=SpinSequence(xhat), k=k, q2=q2, n_clamped=n_clamped)
 
 
@@ -367,9 +381,9 @@ def bfp_denoise(
         l_low, l_high = _logistic_pair(2.0 * left)
         r_low, r_high = _logistic_pair(2.0 * right)
         cross = (eps * (1.0 - eps)) * (l_high - l_low) * (r_high - r_low)
-        observed_plus = arr == 1
-        v_plus = np.maximum(l_high * r_high - cross, 0.0) * np.where(observed_plus, 1.0 - eps, eps)
-        v_minus = np.maximum(l_low * r_low - cross, 0.0) * np.where(observed_plus, eps, 1.0 - eps)
+        v_plus = np.maximum(l_high * r_high - cross, 0.0)
+        v_minus = np.maximum(l_low * r_low - cross, 0.0)
+        _apply_emission(v_minus, v_plus, arr, eps)
         total = v_plus + v_minus
         marg = PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
         return map_denoise(marg), marg
@@ -389,7 +403,7 @@ def bfp_denoise(
     v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
     total = v_minus + v_plus
     xhat = arr.copy()
-    xhat[k : n - k] = 2 * (v_plus[k : n - k] >= v_minus[k : n - k]).view(SPIN_DTYPE) - 1
+    xhat[k : n - k] = _decide(v_minus[k : n - k], v_plus[k : n - k])
     return SpinSequence(xhat), PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
 
 
@@ -426,7 +440,7 @@ def gibbs_denoise(y, epsilon: float) -> SpinSequence:
 
 def map_denoise(post: PosteriorMarginals) -> SpinSequence:
     """Per-position argmax of the posterior; exact ties break toward +1."""
-    return SpinSequence(np.where(post.q_plus >= post.q_minus, 1, -1).astype(SPIN_DTYPE))
+    return SpinSequence(_decide(post.q_minus, post.q_plus))
 
 
 def bit_error_rate(xhat, x) -> float:

@@ -31,3 +31,7 @@ class LengthMismatchError(NoisyMarkovError, ValueError):
 
 class MalformedDataError(NoisyMarkovError, ValueError):
     """Input data, a spin word or a saved file, does not have the required form."""
+
+
+class CertificateOverflowError(NoisyMarkovError, OverflowError):
+    """A certificate constant would overflow, or underflow to zero, in double precision."""

@@ -14,39 +14,36 @@ explicit sandwich constant pair, and 2*g admits the continued fraction
     q_i = (1-2p) y_{i-1} y_i,  a_i = 1 + q_i,  b_i = 4 eps (1-eps) q_i.
 
 Finite inputs are interpreted through the repeat-last-symbol extension; the
-decay certificate C * rho^L bounds the influence of the unseen tail, so every
-limit quantity here carries a guaranteed error bar.
-
-Decay-rate certificate. The naive contraction rate of the field map is
-sup|dA/dw| = |1-2p|. When the channel is cleaner than the source
-(min(eps,1-eps) < min(p,1-p)) the fields stay a fixed distance away from zero
-and the rate improves to the closed form
-
-    rho = eps(1-eps) |1-2p| / ((p-eps)^2 + eps(1-eps))   (folded to p,eps <= 1/2).
-
-Otherwise two consecutive steps are contracted jointly and
-rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, with the supremum taken
-numerically over the invariant field interval [-(|K|+|J|), |K|+|J|].
+decay certificate C * rho^L of the transfer module, which also sets the burn-in
+of its lane scan, bounds the influence of the unseen tail, so every limit
+quantity here carries a guaranteed error bar.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionNearZeroError, InsufficientContextError, OutOfRangeError
-from .model import Couplings, channel_model
+from .errors import (
+    CertificateOverflowError,
+    DivisionNearZeroError,
+    InsufficientContextError,
+    OutOfRangeError,
+)
+from .model import Couplings
 from .sequences import as_spin_array
 from .transfer import (
+    DecayBound,
+    decay_rate_bound,
     extended_fields,
-    field_shift,
-    field_shift_deriv,
+    log2cosh,
     log_cylinder_prob,
     log_partition_term,
     log_partition_term_deriv,
+    required_context,
 )
 
 __all__ = [
@@ -70,25 +67,10 @@ __all__ = [
 #: Denominator magnitude below which continued-fraction evaluation refuses to proceed.
 NEAR_ZERO_DENOMINATOR = 1e-13
 
-
-@dataclass(frozen=True)
-class DecayBound:
-    """Certified geometric decay of field memory: |w_i^{(n)} - w_i| <= C * rho^(n-i).
-
-    regime is one of "naive" (rate |1-2p|), "eps_lt_p" (closed form) or
-    "second_iterate" (numerical supremum over two composed steps).
-    C = C1/(1-rho) with C1 = |K| + |J|, the radius of the invariant interval.
-    """
-
-    rho: float
-    regime: str
-    C: float
-    C1: float
-
-    @property
-    def theta(self) -> float:
-        """Holder exponent with respect to the 2^-n metric: theta = -log2(rho)."""
-        return math.inf if self.rho == 0.0 else -math.log2(self.rho)
+#: Logs of the largest and of the smallest positive double: the Bowen-Gibbs
+#: constants are refused where log C_upper or log C_lower falls outside them.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+LOG_FLOAT_TINY = math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -112,88 +94,6 @@ class ContinuedFractionResult:
     depth: int
     min_denominator: float
     tail_sensitivity: float
-
-
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _grid_golden_max(f, lo: float, hi: float, grid_points: int = 10_001, xtol: float = 1e-12) -> float:
-    """Dense-grid scan followed by golden-section refinement around the best cell."""
-    xs = np.linspace(lo, hi, grid_points)
-    fs = np.asarray(f(xs), dtype=np.float64)
-    i = int(np.argmax(fs))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_points - 1)]
-    _, fmax = _golden_max(lambda x: float(f(x)), float(a), float(b), xtol)
-    return max(fmax, float(fs[i]))
-
-
-def second_iterate_product(w, model: Couplings):
-    """|A'(K + A(w)) * A'(w)|, the two-step contraction factor at field w."""
-    inner = model.K + field_shift(w, model)
-    return np.abs(field_shift_deriv(inner, model) * field_shift_deriv(w, model))
-
-
-@lru_cache(maxsize=512)
-def _decay_rate_bound_cached(p: float, eps: float) -> DecayBound:
-    model = channel_model(p, eps)
-    c1 = abs(model.K) + abs(model.J)
-    naive = abs(1.0 - 2.0 * p)
-    if p == 0.5:
-        rho, regime = 0.0, "naive"
-    else:
-        # the output law is invariant under eps -> 1-eps (and p -> 1-p) up to sign
-        # flips, and |J|, |K| only see the folded values
-        pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
-        if eq < pq:
-            rho = eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
-            regime = "eps_lt_p"
-        elif eq == 0.5:
-            # K = 0: the two-step product peaks at w = 0 with value (1-2p)^2,
-            # so the second iterate brings no improvement
-            rho, regime = naive, "naive"
-        else:
-            folded = channel_model(pq, eq)
-            sup2 = _grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1)
-            rho, regime = math.sqrt(sup2), "second_iterate"
-    if rho >= 1.0:
-        raise OutOfRangeError(
-            f"no decay certificate at (p, epsilon) = ({p!r}, {eps!r}): "
-            "1 - rho is not representable in double precision"
-        )
-    return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
-
-
-def decay_rate_bound(params) -> DecayBound:
-    """Certified decay rate for (p, epsilon); accepts ChannelParams or Couplings."""
-    return _decay_rate_bound_cached(params.p, params.epsilon)
-
-
-def required_context(tol: float, model) -> int:
-    """Smallest context length L with C * rho^L < tol."""
-    if not tol > 0.0:
-        raise OutOfRangeError(f"tol must be positive, got {tol}")
-    bound = decay_rate_bound(model)
-    if bound.rho == 0.0 or bound.C < tol:
-        return 1
-    return max(1, math.floor(math.log(tol / bound.C) / math.log(bound.rho)) + 1)
 
 
 def _certified_context(y, tol: float, model: Couplings) -> np.ndarray:
@@ -317,23 +217,33 @@ def bowen_gibbs_certificate(model: Couplings) -> GibbsCertificate:
     """Explicit sandwich constants for the Bowen-Gibbs property of the output law.
 
     All suprema/infima are taken over the invariant interval I = [-C1, C1].
-    cosh and B are even and increasing in |w|, so their extrema sit at 0 and
-    C1; sup|dB/dw| is located by the numerical search. The factor 2 matches
+    B is even with B'' = (sech^2(w+J) + sech^2(w-J))/2 > 0, so B' is odd and
+    increasing: B, |B'| and cosh are all even and increasing in |w|, and each
+    extremum sits at an end of I. So sup|B'| = B'(C1), sup B = B(C1),
+    inf B = B(0), sup cosh = cosh(C1) and inf cosh = 1. The factor 2 matches
     the closed-form cylinder formula in the transfer module docstring.
+
+    Where C_upper would overflow or C_lower underflow to 0, which is decided on
+    their logs before any exponential is taken, CertificateOverflowError is
+    raised.
     """
     bound = decay_rate_bound(model)
     c1 = bound.C1
-    sup_dB = _grid_golden_max(
-        lambda w: np.abs(log_partition_term_deriv(w, model)), -c1, c1
-    )
-    grid = np.linspace(-c1, c1, 10_001)
-    b_vals = log_partition_term(grid, model)
-    sup_B, inf_B = float(np.max(b_vals)), float(np.min(b_vals))
-    sup_cosh = math.cosh(c1)
-    inf_cosh = 1.0
-    correction = math.exp(bound.C * sup_dB / (1.0 - bound.rho))
-    c_upper = 2.0 * model.cJ * sup_cosh * math.exp(-inf_B) * correction
-    c_lower = 2.0 * model.cJ * inf_cosh * math.exp(-sup_B) / correction
+    sup_dB = float(log_partition_term_deriv(c1, model))
+    sup_B = float(log_partition_term(c1, model))
+    inf_B = float(log_partition_term(0.0, model))
+    exponent = bound.C * sup_dB / (1.0 - bound.rho)
+    # the logs of C_upper and C_lower, as 2 cJ = exp(B(0))
+    log_upper = float(log2cosh(c1)) - math.log(2.0) + exponent
+    log_lower = inf_B - sup_B - exponent
+    if not (log_upper <= LOG_FLOAT_MAX and log_lower >= LOG_FLOAT_TINY):
+        raise CertificateOverflowError(
+            f"Bowen-Gibbs constants at (p, epsilon) = ({model.p!r}, {model.epsilon!r}) leave "
+            f"double precision: log C_upper = {log_upper:.6g}, log C_lower = {log_lower:.6g}"
+        )
+    correction = math.exp(exponent)
+    c_upper = 2.0 * model.cJ * math.cosh(c1) * math.exp(-inf_B) * correction
+    c_lower = 2.0 * model.cJ * math.exp(-sup_B) / correction
     return GibbsCertificate(pressure=pressure(model), C_lower=c_lower, C_upper=c_upper)
 
 

@@ -21,11 +21,22 @@ which sums positive terms and calls no transcendental function. As A is odd,
 m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
 once K + |J| exceeds about 354. A = -(1/2) log rho is read off afterwards.
 
-Long words are scanned in lanes. The decay certificate of the thermo module
-(C, rho) bounds how far a field scanned from any start lies from the limit
-field after L symbols: C rho^L. Two scans of the same symbols, started from
-any two shifts in [-|J|, |J|], therefore differ by at most 2 C rho^L after L
-steps, through the limit field. With L the smallest length where that is at
+Decay-rate certificate. The naive contraction rate of the field map is
+sup|dA/dw| = |1-2p|. When the channel is cleaner than the source
+(min(eps,1-eps) < min(p,1-p)) the fields stay a fixed distance away from zero
+and the rate improves to the closed form
+
+    rho = eps(1-eps) |1-2p| / ((p-eps)^2 + eps(1-eps))   (folded to p,eps <= 1/2).
+
+Otherwise two consecutive steps are contracted jointly and
+rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, with the supremum taken
+numerically over the invariant field interval [-(|K|+|J|), |K|+|J|].
+
+Long words are scanned in lanes. The decay certificate (C, rho) bounds how far
+a field scanned from any start lies from the limit field after L symbols:
+C rho^L. Two scans of the same symbols, started from any two shifts in
+[-|J|, |J|], therefore differ by at most 2 C rho^L after L steps, through the
+limit field. With L the smallest length where that is at
 most BURN_IN_TOL = 1e-17, a scan started at zero field L symbols to the right
 of a position agrees there with the sequential scan to far below the rounding
 of a shift. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
@@ -51,12 +62,14 @@ a word of length L on [m, n].
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
-from .model import Couplings
+from .model import Couplings, channel_model
 from .sequences import FieldTrajectory, SpinSequence, as_spin_array
 
 __all__ = [
@@ -76,6 +89,9 @@ __all__ = [
     "two_sided_conditional",
     "two_sided_limit_conditional",
     "scan_burn_in",
+    "DecayBound",
+    "decay_rate_bound",
+    "required_context",
 ]
 
 #: Width b of a lane of the lane scan; lanes widen to L where the burn-in L exceeds it.
@@ -145,6 +161,108 @@ def log_partition_term_deriv(w, model: Couplings):
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
+@dataclass(frozen=True)
+class DecayBound:
+    """Certified geometric decay of field memory: |w_i^{(n)} - w_i| <= C * rho^(n-i).
+
+    regime is one of "naive" (rate |1-2p|), "eps_lt_p" (closed form) or
+    "second_iterate" (numerical supremum over two composed steps).
+    C = C1/(1-rho) with C1 = |K| + |J|, the radius of the invariant interval.
+    """
+
+    rho: float
+    regime: str
+    C: float
+    C1: float
+
+    @property
+    def theta(self) -> float:
+        """Holder exponent with respect to the 2^-n metric: theta = -log2(rho)."""
+        return math.inf if self.rho == 0.0 else -math.log2(self.rho)
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
+    """Golden-section maximization of a scalar function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _grid_golden_max(f, lo: float, hi: float, grid_points: int = 10_001, xtol: float = 1e-12) -> float:
+    """Dense-grid scan followed by golden-section refinement around the best cell."""
+    xs = np.linspace(lo, hi, grid_points)
+    fs = np.asarray(f(xs), dtype=np.float64)
+    i = int(np.argmax(fs))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, grid_points - 1)]
+    _, fmax = _golden_max(lambda x: float(f(x)), float(a), float(b), xtol)
+    return max(fmax, float(fs[i]))
+
+
+def second_iterate_product(w, model: Couplings):
+    """|A'(K + A(w)) * A'(w)|, the two-step contraction factor at field w."""
+    inner = model.K + field_shift(w, model)
+    return np.abs(field_shift_deriv(inner, model) * field_shift_deriv(w, model))
+
+
+@lru_cache(maxsize=512)
+def _decay_rate_bound_cached(p: float, eps: float) -> DecayBound:
+    model = channel_model(p, eps)
+    c1 = abs(model.K) + abs(model.J)
+    naive = abs(1.0 - 2.0 * p)
+    if p == 0.5:
+        rho, regime = 0.0, "naive"
+    else:
+        # the output law is invariant under eps -> 1-eps (and p -> 1-p) up to sign
+        # flips, and |J|, |K| only see the folded values
+        pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
+        if eq < pq:
+            rho = eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
+            regime = "eps_lt_p"
+        elif eq == 0.5:
+            # K = 0: the two-step product peaks at w = 0 with value (1-2p)^2,
+            # so the second iterate brings no improvement
+            rho, regime = naive, "naive"
+        else:
+            folded = channel_model(pq, eq)
+            sup2 = _grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1)
+            rho, regime = math.sqrt(sup2), "second_iterate"
+    if rho >= 1.0:
+        raise OutOfRangeError(
+            f"no decay certificate at (p, epsilon) = ({p!r}, {eps!r}): "
+            "1 - rho is not representable in double precision"
+        )
+    return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
+
+
+def decay_rate_bound(params) -> DecayBound:
+    """Certified decay rate for (p, epsilon); accepts ChannelParams or Couplings."""
+    return _decay_rate_bound_cached(params.p, params.epsilon)
+
+
+def required_context(tol: float, model) -> int:
+    """Smallest context length L with C * rho^L < tol."""
+    if not tol > 0.0:
+        raise OutOfRangeError(f"tol must be positive, got {tol}")
+    bound = decay_rate_bound(model)
+    if bound.rho == 0.0 or bound.C < tol:
+        return 1
+    return max(1, math.floor(math.log(tol / bound.C) / math.log(bound.rho)) + 1)
+
+
 def _sequential_shifts(symbols: np.ndarray, model: Couplings, shift_init: float) -> np.ndarray:
     """The transfer step run one symbol at a time, right to left, from ``shift_init``."""
     r, ratio = model.r, _transfer_ratio
@@ -169,8 +287,6 @@ def scan_burn_in(n: int, model) -> int | None:
     """
     if n < LANE_CUTOVER * (LANE_WIDTH + 1):  # too short for any L: skip the certificate
         return None
-    from .thermo import required_context  # thermo imports this module at load time
-
     try:
         burn_in = required_context(0.5 * BURN_IN_TOL, model)
     except OutOfRangeError:

@@ -35,15 +35,15 @@ from noisymarkov.thermo import (
     decay_rate_bound,
     g_continued_fraction,
     g_function,
-    second_iterate_product,
     variation_estimate,
 )
-from noisymarkov import thermo
 from noisymarkov.transfer import (
+    _grid_golden_max,
     backward_fields,
     cylinder_prob,
     field_shift,
     forward_fields,
+    second_iterate_product,
     two_sided_conditional,
 )
 
@@ -195,7 +195,7 @@ def test_criterion_4_decay_bounds():
             continue
         model = channel_model(p, eps)
         c1 = abs(model.K) + abs(model.J)
-        sup2 = thermo._grid_golden_max(lambda w: second_iterate_product(w, model), -c1, c1)
+        sup2 = _grid_golden_max(lambda w: second_iterate_product(w, model), -c1, c1)
         sup_ok = sup_ok and sup2 < (1.0 - 2.0 * p) ** 2 - 1e-9
 
     # empirical variation never exceeds C rho^n (1e-15 floor = double resolution of g)

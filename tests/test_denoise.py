@@ -376,6 +376,18 @@ class TestBfp:
         assert np.array_equal(xhat.symbols[-2:], y[-2:])
         np.testing.assert_allclose(marg.q_plus + marg.q_minus, 1.0, atol=1e-12)
 
+    def test_empirical_exact_tie_goes_to_plus(self):
+        # pair counts N(+,-) = 5, N(+,+) = 3, N(-,-) = 5, N(-,+) = 4; at k = 1 a +1
+        # between a + and a - has the one-sided estimates (5/8, 3/8) and (1/2, 1/2),
+        # whose normalized product (5/8, 3/8) ties exactly at eps = 1/4 (as in
+        # TestDude::test_exact_tie_goes_to_plus): positions 1, 5 and 9 keep their +1
+        runs = [(1, 2), (-1, 2), (1, 2), (-1, 2), (1, 2), (-1, 2), (1, 1), (-1, 2), (1, 1), (-1, 2)]
+        y = np.array([s for s, length in runs for _ in range(length)], dtype=np.int8)
+        xhat, marg = bfp_denoise(y, validate_params(0.2, 0.25), mode="empirical", k=1)
+        tied = [1, 5, 9]
+        assert np.array_equal(marg.q_plus[tied], [0.5, 0.5, 0.5])
+        assert np.array_equal(xhat.symbols[tied], [1, 1, 1])
+
     def test_bad_mode(self):
         with pytest.raises(NoisyMarkovError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="typo")

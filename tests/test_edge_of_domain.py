@@ -4,7 +4,9 @@
 cylinder probabilities must still meet the brute-force oracle, the posteriors
 must still meet the alpha/beta oracle, and no call may warn or raise. On long
 words the lane scan must equal the sequential scan where a decay certificate
-exists, and give way to it silently where none does.
+exists, and give way to it silently where none does. The decay certificate and
+the Gibbs quantities built on it either return finite, consistent values or
+refuse with a package error, OutOfRangeError exactly where rho rounds to 1.
 """
 
 import math
@@ -16,17 +18,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymarkov.denoise import bfp_denoise, forward_backward
+from noisymarkov.errors import (
+    CertificateOverflowError,
+    InsufficientContextError,
+    NoisyMarkovError,
+    OutOfRangeError,
+)
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import brute_force_cylinder
+from noisymarkov.thermo import bowen_gibbs_certificate, g_function
 from noisymarkov.transfer import (
     _fixed_point_shift,
+    _grid_golden_max,
     _scan_shifts,
     _sequential_shifts,
     backward_fields,
     cylinder_prob,
+    decay_rate_bound,
     forward_fields,
     log_cylinder_prob,
+    required_context,
     scan_burn_in,
+    second_iterate_product,
     two_sided_conditional,
 )
 
@@ -37,6 +50,10 @@ ORACLE_FLOOR = 1e-290
 
 #: Long enough to be scanned in lanes at every cell below that has a decay certificate.
 LANE_WORD = 70_000
+
+#: Tolerance of the thermo queries; g is asked for on windows of up to G_WINDOW symbols.
+THERMO_TOL = 1e-9
+G_WINDOW = 4096
 
 toward_zero = st.floats(0.3, 300.0).map(lambda t: 10.0**-t)
 toward_one = st.floats(0.3, 15.0).map(lambda t: 1.0 - 10.0**-t)
@@ -123,3 +140,58 @@ def test_lane_scan_falls_back_without_certificate(p, eps, rng):
         assert scan_burn_in(len(y), model) is None
         shifts = _scan_shifts(y, model)
     np.testing.assert_array_equal(shifts, _sequential_shifts(y, model, 0.0))
+
+
+def _outcome(query):
+    """query() with warnings as errors: its value, or the package error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return query()
+        except NoisyMarkovError as exc:
+            return exc
+
+
+def reference_rate(model):
+    """The certified rate by its definition, folded to p, eps <= 1/2.
+
+    The closed form where the channel is cleaner than the source, the naive
+    |1-2p| where K = 0, else the root of the two-step supremum over [-C1, C1].
+    """
+    p, eps = model.p, model.epsilon
+    pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
+    naive = abs(1.0 - 2.0 * p)
+    if p == 0.5:
+        return 0.0
+    if eq < pq:
+        return eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
+    if eq == 0.5:
+        return naive
+    folded = channel_model(pq, eq)
+    c1 = abs(model.K) + abs(model.J)
+    return math.sqrt(_grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=edge_probability, eps=edge_probability, y=words)
+def test_thermo_layer_near_the_edge(p, eps, y):
+    model = channel_model(p, eps)
+    rate = reference_rate(model)
+    bound = _outcome(lambda: decay_rate_bound(model))
+    context = _outcome(lambda: required_context(THERMO_TOL, model))
+    cert = _outcome(lambda: bowen_gibbs_certificate(model))
+    if rate >= 1.0:
+        assert all(isinstance(out, OutOfRangeError) for out in (bound, context, cert))
+        assert isinstance(_outcome(lambda: g_function(y, THERMO_TOL, model)), NoisyMarkovError)
+        return
+    assert bound.rho == rate
+    assert math.isfinite(bound.C)
+    assert isinstance(context, int) and context >= 1
+    if not isinstance(cert, CertificateOverflowError):
+        assert 0.0 < cert.C_lower <= cert.C_upper < math.inf
+    # a window long enough to certify g wherever that takes at most G_WINDOW symbols
+    g = _outcome(lambda: g_function(np.resize(y, min(context + 1, G_WINDOW)), THERMO_TOL, model))
+    if context < G_WINDOW:
+        assert 0.0 <= g <= 1.0
+    else:
+        assert isinstance(g, InsufficientContextError)

@@ -1,22 +1,50 @@
-"""The error contract, checked on the source: every raise in the package raises a package error.
+"""The error contract and the layering, checked on the source.
 
-A builtin exception class raised by name (``raise ValueError(...)``,
-``raise TypeError``) would escape callers that catch ``NoisyMarkovError``; the
-package's own classes subclass the builtin where one fits, so nothing is lost
-by raising them instead. Re-raises (a bare ``raise``) are allowed.
+Every raise in the package raises a package error. A builtin exception class
+raised by name (``raise ValueError(...)``, ``raise TypeError``) would escape
+callers that catch ``NoisyMarkovError``; the package's own classes subclass the
+builtin where one fits, so nothing is lost by raising them instead. Re-raises
+(a bare ``raise``) are allowed.
+
+Every import sits at module level, where the import order shows it, and the
+modules' imports of each other form no cycle.
 """
 
 import ast
 import builtins
+from functools import cache
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "noisymarkov").glob("*.py"))
+MODULES = {path.stem for path in SOURCES}
 BUILTIN_EXCEPTIONS = {
     name for name, value in vars(builtins).items()
     if isinstance(value, type) and issubclass(value, BaseException)
 }
+
+
+@cache
+def _tree(source: Path) -> ast.Module:
+    return ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+
+
+def _package_imports(source: Path) -> set[str]:
+    """The package's modules that ``source`` imports, anywhere in it, by ``from .x import``.
+
+    ``from . import name`` imports the module ``name`` if there is one, else
+    the package's ``__init__``.
+    """
+    found = set()
+    for node in ast.walk(_tree(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+    return found
 
 
 def _raised_name(node: ast.Raise) -> str | None:
@@ -27,14 +55,34 @@ def _raised_name(node: ast.Raise) -> str | None:
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
 def test_no_builtin_exception_is_raised(source):
-    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
     offenders = [
         f"{source.name}:{node.lineno} raises {name}"
-        for node in ast.walk(tree)
+        for node in ast.walk(_tree(source))
         if isinstance(node, ast.Raise) and node.exc is not None
         and (name := _raised_name(node)) in BUILTIN_EXCEPTIONS
     ]
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_no_import_inside_a_function(source):
+    offenders = {
+        f"{source.name}:{node.lineno} imports inside {func.name}"
+        for func in ast.walk(_tree(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert not offenders, sorted(offenders)
+
+
+def test_package_imports_form_no_cycle():
+    graph = {source.stem: _package_imports(source) for source in SOURCES}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert "thermo" not in graph["transfer"]  # the decay certificate sits under the scan kernel
 
 
 def test_sources_found():

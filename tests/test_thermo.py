@@ -23,15 +23,16 @@ from noisymarkov.thermo import (
     limit_field,
     pressure,
     required_context,
-    second_iterate_product,
     variation_estimate,
 )
 from noisymarkov import thermo
 from noisymarkov.transfer import (
+    _grid_golden_max,
     extended_fields,
     field_shift,
     log2cosh,
     log_partition_term,
+    second_iterate_product,
 )
 
 from conftest import PARAM_GRID, random_word
@@ -114,7 +115,7 @@ class TestDecayRateBound:
         for p, eps in PARAM_GRID:
             m = channel_model(p, eps)
             c1 = abs(m.K) + abs(m.J)
-            sup2 = thermo._grid_golden_max(lambda w: second_iterate_product(w, m), -c1, c1)
+            sup2 = _grid_golden_max(lambda w: second_iterate_product(w, m), -c1, c1)
             assert sup2 < (1.0 - 2.0 * p) ** 2 - 1e-9
 
     @pytest.mark.parametrize("p,eps", [(1e-17, 0.2), (1e-300, 1e-300)])
