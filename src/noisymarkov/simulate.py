@@ -12,8 +12,13 @@ Packed binary (``save_spins``/``load_spins``): an 8-byte header
 ``ceil(N/8)`` bytes from ``numpy.packbits`` with the mapping +1 -> 0,
 -1 -> 1 and the first symbol in the most significant bit of the first byte.
 
-CSV (``save_path_csv``/``load_path_csv``): ``# key=value`` comment lines
-(seed, generator, N), a header row ``i,x,z,y`` and one line per symbol.
+CSV (``save_path_csv``/``load_path_csv``): ASCII with LF line endings.
+``# key=value`` lines (schema, seed, generator, n) come first and only there,
+then the header row ``i,x,z,y``, then one row ``{i},{x:+d},{z:+d},{y:+d}`` per
+symbol: i runs 0..n-1 in decimal without leading zeros, x and z are written
+``+1`` or ``-1``, y = x * z, and n equals the ``# n=`` line. The loader refuses
+any other form (a blank line, CRLF, an unsigned ``1``, a missing header row)
+with ``MalformedDataError`` naming the file and the offending line.
 """
 
 from __future__ import annotations
@@ -139,48 +144,110 @@ def load_spins(path: str | Path) -> SpinSequence:
     return SpinSequence(np.where(bits == 1, -1, 1).astype(SPIN_DTYPE))
 
 
+#: The four row tails ``,x,z,y\n`` with y = x * z, indexed by 2 * (x > 0) + (z > 0).
+_ROW_TAILS = np.frombuffer(b",-1,-1,+1\n,-1,+1,-1\n,+1,-1,-1\n,+1,+1,+1\n", dtype=np.uint8).reshape(4, 10)
+
+_CSV_HEADER_ROW = b"i,x,z,y"
+
+
+def _encode_rows(x_plus: np.ndarray, z_plus: np.ndarray) -> np.ndarray:
+    """The CSV rows ``{i},{x:+d},{z:+d},{y:+d}``, i = 0..n-1, each ending in LF, as one uint8 array.
+
+    ``x_plus`` and ``z_plus`` are boolean arrays, true where the spin is +1.
+    Rows whose index has d digits all have width d + 10, so each such group is
+    filled as one (rows, d + 10) block: digit columns by division, the tail
+    from ``_ROW_TAILS``.
+    """
+    codes = 2 * x_plus.view(np.uint8) + z_plus.view(np.uint8)
+    n = len(codes)
+    groups = []  # (first index, end index, digits)
+    lo, d = 0, 1
+    while lo < n:
+        groups.append((lo, min(n, 10**d), d))
+        lo, d = 10**d, d + 1
+    out = np.empty(sum((hi - lo) * (d + 10) for lo, hi, d in groups), dtype=np.uint8)
+    at = 0
+    for lo, hi, d in groups:
+        rows = out[at:at + (hi - lo) * (d + 10)].reshape(hi - lo, d + 10)
+        at += rows.size
+        q = np.arange(lo, hi)
+        for j in range(d - 1, -1, -1):
+            q, digit = np.divmod(q, 10)
+            rows[:, j] = digit + 48
+        rows[:, d:] = _ROW_TAILS[codes[lo:hi]]
+    return out
+
+
 def save_path_csv(path: str | Path, sim: SimulatedPath) -> None:
     """Write a simulated path as self-describing CSV, one line per symbol."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# schema=noisymarkov-path-v1\n")
-        fh.write(f"# seed={sim.seed}\n")
-        fh.write(f"# generator={sim.generator}\n")
-        fh.write(f"# n={len(sim.y)}\n")
-        fh.write("i,x,z,y\n")
-        for i, (xv, zv, yv) in enumerate(zip(sim.x.symbols, sim.z.symbols, sim.y.symbols)):
-            fh.write(f"{i},{xv:+d},{zv:+d},{yv:+d}\n")
+    meta = f"# schema=noisymarkov-path-v1\n# seed={sim.seed}\n# generator={sim.generator}\n# n={len(sim.y)}\n"
+    with open(path, "wb") as fh:
+        fh.write(meta.encode() + _CSV_HEADER_ROW + b"\n")
+        fh.write(_encode_rows(sim.x.symbols > 0, sim.z.symbols > 0))
+
+
+def _meta_int(path: str | Path, meta: dict[str, tuple[str, int]], key: str) -> int:
+    value, lineno = meta[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise MalformedDataError(f"{path}, line {lineno}: {key} must be an integer; got {value!r}") from None
 
 
 def load_path_csv(path: str | Path) -> SimulatedPath:
-    """Read a path written by save_path_csv."""
-    meta: dict[str, str] = {}
-    xs: list[int] = []
-    zs: list[int] = []
-    ys: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key] = value
-                continue
-            if line.startswith("i,"):
-                continue
-            try:
-                _, xv, zv, yv = line.split(",")
-                xs.append(int(xv))
-                zs.append(int(zv))
-                ys.append(int(yv))
-            except ValueError:
-                raise MalformedDataError(
-                    f"{path}, line {lineno}: expected a row i,x,z,y with integer x, z, y; got {line!r}"
-                ) from None
+    """Read a path written by save_path_csv; any other form raises MalformedDataError naming its line.
+
+    The rows are checked by encoding the signs read off them again: the file
+    loads only if that reproduces its body byte for byte.
+    """
+    data = Path(path).read_bytes()
+    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
+    pos = lineno = 0
+    while True:
+        lineno += 1
+        end = data.find(b"\n", pos)
+        if end < 0:
+            end = len(data)
+        line, pos = data[pos:end], end + 1
+        if line == _CSV_HEADER_ROW:
+            break
+        key, sep, value = line.decode("ascii", "replace").lstrip("# ").partition("=")
+        if not (line.startswith(b"#") and line.isascii() and sep):
+            raise MalformedDataError(
+                f"{path}, line {lineno}: expected a '# key=value' line or the header row i,x,z,y; got {line[:80]!r}"
+            )
+        meta[key] = (value, lineno)
+    if "n" not in meta:
+        raise MalformedDataError(f"{path}: no '# n=' line before the header row")
+    n = _meta_int(path, meta, "n")
+    seed = _meta_int(path, meta, "seed") if "seed" in meta else 0
+
+    body = np.frombuffer(data, dtype=np.uint8)[pos:]
+    ends = np.flatnonzero(body == ord("\n"))
+    # A row's x and z signs sit 8 and 5 bytes before its newline. On a short
+    # line this reads some other byte, and the comparison below refuses it.
+    x_plus = body[np.maximum(ends - 8, 0)] == ord("+")
+    z_plus = body[np.maximum(ends - 5, 0)] == ord("+")
+    expected = _encode_rows(x_plus, z_plus)
+    common = min(len(expected), len(body))
+    differs = np.flatnonzero(expected[:common] != body[:common])
+    if differs.size or len(expected) != len(body):
+        first = int(differs[0]) if differs.size else common
+        row = int(np.searchsorted(ends, first))
+        start = int(ends[row - 1]) + 1 if row else 0
+        got = bytes(body[start:start + 80]).partition(b"\n")[0]
+        raise MalformedDataError(
+            f"{path}, line {lineno + 1 + row}: expected the row '{row},x,z,y' with x, z, y = x * z "
+            f"each written +1 or -1; got {got!r}"
+        )
+    if len(ends) != n:
+        raise MalformedDataError(f"{path}, line {meta['n'][1]}: n={n}, but the file holds {len(ends)} rows")
+    x = 2 * x_plus.view(SPIN_DTYPE) - 1
+    z = 2 * z_plus.view(SPIN_DTYPE) - 1
     return SimulatedPath(
-        x=SpinSequence(np.array(xs, dtype=SPIN_DTYPE)),
-        z=SpinSequence(np.array(zs, dtype=SPIN_DTYPE)),
-        y=SpinSequence(np.array(ys, dtype=SPIN_DTYPE)),
-        seed=int(meta.get("seed", "0")),
-        generator=meta.get("generator", GENERATOR_NAME),
+        x=SpinSequence(x),
+        z=SpinSequence(z),
+        y=SpinSequence(x * z),
+        seed=seed,
+        generator=meta.get("generator", (GENERATOR_NAME, 0))[0],
     )

@@ -84,3 +84,21 @@ def matrix_route_posteriors(q2, y, eps: float) -> tuple[np.ndarray, int]:
     )
     v = likelihood * u
     return v / v.sum(axis=1, keepdims=True), flagged
+
+
+def reference_path_csv(sim) -> bytes:
+    """A simulated path as CSV bytes, written row by row with f-strings.
+
+    The writer ``save_path_csv`` replaced, kept here as the reference its
+    output must equal byte for byte.
+    """
+    lines = [
+        "# schema=noisymarkov-path-v1",
+        f"# seed={sim.seed}",
+        f"# generator={sim.generator}",
+        f"# n={len(sim.y)}",
+        "i,x,z,y",
+    ]
+    rows = zip(sim.x.symbols, sim.z.symbols, sim.y.symbols)
+    lines += [f"{i},{xv:+d},{zv:+d},{yv:+d}" for i, (xv, zv, yv) in enumerate(rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")

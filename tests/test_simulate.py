@@ -1,11 +1,14 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisymarkov.errors import LengthMismatchError, MalformedDataError, OutOfRangeError
+from noisymarkov.errors import LengthMismatchError, MalformedDataError, NoisyMarkovError, OutOfRangeError
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.sequences import SpinSequence
 from noisymarkov.simulate import (
@@ -21,6 +24,8 @@ from noisymarkov.simulate import (
 )
 from noisymarkov.transfer import cylinder_prob
 from noisymarkov.oracle import code_to_spins
+
+from conftest import reference_path_csv
 
 P_REF = validate_params(0.2, 0.1)
 
@@ -177,16 +182,57 @@ class TestPathFiles:
         with pytest.raises(MalformedDataError):
             load_spins(target)
 
-    @pytest.mark.parametrize("row", ["1,+1,oops", "1,+1,x,+1"], ids=["three-fields", "non-integer"])
-    def test_malformed_csv_row_is_package_error(self, tmp_path, row):
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda ls: [*ls[:6], b"1,+1,oops", *ls[7:]], 7),
+            (lambda ls: [*ls[:6], b"1,+1,x,+1", *ls[7:]], 7),
+            (lambda ls: [ls[0], b"# seed=abc", *ls[2:]], 2),
+            (lambda ls: [*ls[:6], b"1,+1,\xff1,+1", *ls[7:]], 7),
+            (lambda ls: [*ls[:6], b"1,255,+1,+1", *ls[7:]], 7),
+            (lambda ls: [*ls[:3], b"# n=7", *ls[4:]], 4),
+            (lambda ls: [*ls[:4], *ls[5:]], 5),
+            (lambda ls: [*ls[:5], *(i + row[1:] for i, row in zip([b"0", b"x", b"9", b"3"], ls[5:]))], 7),
+            (lambda ls: [*ls[:6], b"01" + ls[6][1:], *ls[7:]], 7),
+            (lambda ls: [*ls[:6], b"", *ls[6:]], 7),
+            (lambda ls: [*ls[:6], ls[6] + b"\r", *ls[7:]], 7),
+            (lambda ls: [*ls[:6], ls[6].replace(b"+", b""), *ls[7:]], 7),
+            (lambda ls: [*ls[:6], ls[6][:-2] + (b"+1" if ls[6].endswith(b"-1") else b"-1"), *ls[7:]], 7),
+            (lambda ls: [*ls[:9], b"4" + ls[8][1:]], 4),
+        ],
+        ids=[
+            "three-fields", "non-integer", "seed-not-integer", "non-ascii-byte", "x-out-of-int8",
+            "n-above-row-count", "no-header-row", "index-not-counting", "index-leading-zero",
+            "blank-line", "crlf", "unsigned", "y-not-x-times-z", "row-past-n",
+        ],
+    )
+    def test_malformed_csv_row_is_package_error(self, tmp_path, edit, line):
         target = tmp_path / "path.csv"
         save_path_csv(target, generate_dataset(P_REF, 4, seed=1))
-        lines = target.read_text().splitlines()
-        assert lines[6].startswith("1,")  # the second data row, line 7 of the file
-        lines[6] = row
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 7")):
+        lines = target.read_bytes().splitlines()
+        assert lines[6].startswith(b"1,")  # the second data row, line 7 of the file
+        target.write_bytes(b"\n".join(edit(lines)) + b"\n")
+        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line {line}:")):
             load_path_csv(target)
+
+    def test_truncated_csv_names_its_last_line(self, tmp_path):
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 4, seed=1))
+        target.write_bytes(target.read_bytes()[:-1])
+        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 9:")):
+            load_path_csv(target)
+
+    @pytest.mark.parametrize("seed", [5, 2024])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 100_003])
+    def test_csv_writer_matches_reference_and_reads_back(self, tmp_path, n, seed):
+        sim = generate_dataset(P_REF, n, seed=seed)
+        target = tmp_path / "path.csv"
+        save_path_csv(target, sim)
+        assert target.read_bytes() == reference_path_csv(sim)
+        loaded = load_path_csv(target)
+        for name in "xzy":
+            assert np.array_equal(getattr(loaded, name).symbols, getattr(sim, name).symbols)
+        assert (loaded.seed, loaded.generator) == (seed, GENERATOR_NAME)
 
     def test_csv_roundtrip(self, tmp_path):
         sim = generate_dataset(P_REF, 64, seed=33)
@@ -200,3 +246,51 @@ class TestPathFiles:
         assert loaded.generator == GENERATOR_NAME
         header = target.read_text().splitlines()[0]
         assert header.startswith("# schema=")
+
+
+#: Bytes that move a path file between valid and malformed forms, tried more often than the rest.
+FORMAT_BYTES = st.sampled_from(b"+-0129,#=\n\r i")
+byte_edit = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.one_of(FORMAT_BYTES, st.integers(0, 255)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["csv", "bin"]),
+    edits=st.lists(byte_edit, max_size=4),
+    keep=st.none() | st.floats(0.0, 1.0),
+    tail=st.binary(max_size=12) | st.lists(FORMAT_BYTES, max_size=12).map(bytes),
+)
+def test_edited_path_file_loads_or_raises_package_error(tmp_path_factory, kind, edits, keep, tail):
+    """A path file after byte edits, truncation or appended bytes loads to a valid path or raises a package error."""
+    sim = generate_dataset(P_REF, 23, seed=4)
+    target = tmp_path_factory.mktemp("fuzz") / f"path.{kind}"
+    if kind == "csv":
+        save_path_csv(target, sim)
+    else:
+        save_spins(target, sim.y)
+    raw = bytearray(target.read_bytes())
+    for op, where, byte in edits:
+        at = int(where * len(raw))
+        if op == "insert":
+            raw.insert(at, byte)
+        elif raw:
+            if op == "replace":
+                raw[at] = byte
+            else:
+                del raw[at]
+    if keep is not None:
+        raw = raw[:int(keep * len(raw))]
+    target.write_bytes(bytes(raw) + tail)
+    load = load_path_csv if kind == "csv" else load_spins
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loaded = load(target)
+        except NoisyMarkovError:
+            return
+    # both constructors validate: spins of +-1, at least one, y = x * z
+    assert isinstance(loaded, SimulatedPath if kind == "csv" else SpinSequence)
