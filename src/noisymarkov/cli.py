@@ -32,11 +32,11 @@ from .denoise import (
     map_denoise,
 )
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
-from .model import channel_model, validate_params
+from .model import ChannelParams, derive_couplings, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
 from .simulate import GENERATOR_NAME, generate_dataset, save_path_csv, save_spins
 from .thermo import g_continued_fraction_detail, g_function, variation_estimate
-from .transfer import cylinder_prob, decay_rate_bound, required_context, scan_burn_in
+from .transfer import DecayBound, cylinder_prob, decay_rate_bound, required_context, scan_burn_in
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
 
@@ -173,7 +173,7 @@ def cmd_probs(cfg: Settings) -> int:
     if not 1 <= length <= MAX_ENUMERATION_LENGTH:
         raise ConfigError(f"enumeration length must be in 1..{MAX_ENUMERATION_LENGTH}, got {length}")
     params = _validated_cell(cfg.get_float("p"), cfg.get_float("eps"))
-    model = channel_model(params.p, params.epsilon)
+    model = derive_couplings(params)
     out = Path(cfg.get("out", "probs.csv"))
     rows = []
     total = 0.0
@@ -195,22 +195,23 @@ def cmd_probs(cfg: Settings) -> int:
     return 0
 
 
-def _empirical_variation_rate(p: float, eps: float, samples: int, seed: int) -> tuple[float, int]:
+def _empirical_variation_rate(
+    params: ChannelParams, bound: DecayBound, samples: int, seed: int
+) -> tuple[float, int]:
     """Least-squares per-step decay rate of the adversarial variation of g.
 
     The fit runs over n = 2..n_hi with n_hi chosen so the certified bound
     C * rho^n stays above the double-precision measurement floor; a plain
     two-point ratio would carry an O(1/gap) prefactor bias, a regression over
-    the whole window averages it out.
+    the whole window averages it out. ``bound`` is the decay certificate of ``params``.
     """
-    model = channel_model(p, eps)
-    bound = decay_rate_bound(validate_params(p, eps))
     if bound.rho == 0.0:
         return 0.0, 0
     n_hi = 2
     while n_hi < 14 and bound.C * bound.rho ** (n_hi + 1) > 1e-12:
         n_hi += 1
     ns = np.arange(2, n_hi + 1)
+    model = derive_couplings(params)
     values = np.array([variation_estimate(int(n), samples, model, seed) for n in ns])
     mask = values > 0.0
     if int(mask.sum()) < 2:
@@ -230,7 +231,7 @@ def cmd_decay(cfg: Settings) -> int:
     for p, eps in grid:
         params = _validated_cell(p, eps)
         bound = decay_rate_bound(params)
-        rate, n_hi = _empirical_variation_rate(p, eps, samples, seed)
+        rate, n_hi = _empirical_variation_rate(params, bound, samples, seed)
         ok = rate <= bound.rho + 1e-12
         all_ok = all_ok and ok
         rows.append(
@@ -252,7 +253,7 @@ def cmd_decay(cfg: Settings) -> int:
 def cmd_gfun(cfg: Settings) -> int:
     """Cross-validate the recursion and continued-fraction forms of g."""
     params = _validated_cell(cfg.get_float("p"), cfg.get_float("eps"))
-    model = channel_model(params.p, params.epsilon)
+    model = derive_couplings(params)
     count = cfg.get_int("n", 50)
     depth = cfg.get_int("depth", 200)
     tol = cfg.get_float("tol", 1e-12)
@@ -288,48 +289,41 @@ def cmd_gfun(cfg: Settings) -> int:
     return 0
 
 
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algorithms: list[str]):
     """All requested denoisers on one simulated path; one BerReport per algorithm."""
     params = validate_params(p, eps)
     path = generate_dataset(params, n, seed)
     reports: list[BerReport] = []
 
-    def run(algorithm: str, fn, **extra) -> None:
-        t0 = time.perf_counter()
-        xhat = fn()
-        elapsed = time.perf_counter() - t0
+    def report(algorithm: str, xhat, runtime_s: float, **extra) -> None:
         reports.append(
             BerReport(algorithm=algorithm, p=p, epsilon=eps, n=n, seed=seed,
-                      ber=bit_error_rate(xhat, path.x), runtime_s=elapsed, extra=extra)
+                      ber=bit_error_rate(xhat, path.x), runtime_s=runtime_s, extra=extra)
         )
 
     # the lane-scan burn-in the exact field scans used; None where they ran sequentially
     burn_in = scan_burn_in(n, params)
     if "bf" in algorithms:
-        run("bf", lambda: map_denoise(forward_backward(path.y, params)), scan_burn_in=burn_in)
+        xhat, elapsed = _timed(lambda: map_denoise(forward_backward(path.y, params)))
+        report("bf", xhat, elapsed, scan_burn_in=burn_in)
     if "gibbs" in algorithms:
-        fit = {}
-
-        def run_gibbs():
-            xhat, fit["cell"] = gibbs_detail(path.y, eps)
-            return xhat
-
-        run("gibbs", run_gibbs)
-        reports[-1].extra.update(p_hat=fit["cell"].p, scan_burn_in=scan_burn_in(n, fit["cell"]))
+        (xhat, fitted), elapsed = _timed(gibbs_detail, path.y, eps)
+        report("gibbs", xhat, elapsed, p_hat=fitted.p, scan_burn_in=scan_burn_in(n, fitted))
     if "dude" in algorithms:
         for k in k_list:
-            result = {}
-
-            def run_dude(k=k, result=result):
-                detail = dude_detail(path.y, eps, k)
-                result["n_clamped"] = detail.n_clamped
-                return detail.xhat
-
-            run(f"dude_k{k}", run_dude, k=k)
-            reports[-1].extra["n_clamped"] = result["n_clamped"]
+            detail, elapsed = _timed(dude_detail, path.y, eps, k)
+            report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
+            del detail  # its q2 array would otherwise stay alive through the next call
     if "bfp" in algorithms:
-        run("bfp", lambda: bfp_denoise(path.y, params, mode="exact")[0], mode="exact",
-            scan_burn_in=burn_in)
+        (xhat, _), elapsed = _timed(bfp_denoise, path.y, params, mode="exact")
+        report("bfp", xhat, elapsed, mode="exact", scan_burn_in=burn_in)
     return reports
 
 

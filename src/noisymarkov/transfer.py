@@ -29,8 +29,21 @@ and the rate improves to the closed form
     rho = eps(1-eps) |1-2p| / ((p-eps)^2 + eps(1-eps))   (folded to p,eps <= 1/2).
 
 Otherwise two consecutive steps are contracted jointly and
-rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, with the supremum taken
-numerically over the invariant field interval [-(|K|+|J|), |K|+|J|].
+rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, the supremum taken over the
+invariant field interval |w| <= C1 = |K|+|J|. With u = exp(-2w), folded to
+r, c <= 1, A'(w) = u (1-r^2) / ((r+u)(1+r*u)) and K + A(w) has ratio c*m(u),
+so the factor (r+u)(1+r*u) cancels from the product, which is the rational
+function
+
+    (1-r^2)^2 c u / ((r(1+c) + (r^2+c) u) (1 + r^2 c + r(1+c) u)).
+
+It peaks at u* = sqrt((1 + r^2 c) / (r^2 + c)), which lies in [1, 1/(r c)],
+inside the interval [exp(-2 C1), exp(2 C1)] that the fields obey. So the
+supremum over that interval is the global one. Written in p and eps (folded to
+p, eps <= 1/2), which avoids the cancellation in 1 - r^2 near p = 1/2,
+
+    rho = (1-2p) sqrt(eps(1-eps)) / (p(1-p) + sqrt(a b)),
+    a = (1-p)^2 (1-eps) + p^2 eps,   b = p^2 (1-eps) + eps (1-p)^2.
 
 Long words are scanned in lanes. The decay certificate (C, rho) bounds how far
 a field scanned from any start lies from the limit field after L symbols:
@@ -63,7 +76,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -166,7 +178,7 @@ class DecayBound:
     """Certified geometric decay of field memory: |w_i^{(n)} - w_i| <= C * rho^(n-i).
 
     regime is one of "naive" (rate |1-2p|), "eps_lt_p" (closed form) or
-    "second_iterate" (numerical supremum over two composed steps).
+    "second_iterate" (closed-form supremum over two composed steps).
     C = C1/(1-rho) with C1 = |K| + |J|, the radius of the invariant interval.
     """
 
@@ -181,45 +193,9 @@ class DecayBound:
         return math.inf if self.rho == 0.0 else -math.log2(self.rho)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _grid_golden_max(f, lo: float, hi: float, grid_points: int = 10_001, xtol: float = 1e-12) -> float:
-    """Dense-grid scan followed by golden-section refinement around the best cell."""
-    xs = np.linspace(lo, hi, grid_points)
-    fs = np.asarray(f(xs), dtype=np.float64)
-    i = int(np.argmax(fs))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_points - 1)]
-    _, fmax = _golden_max(lambda x: float(f(x)), float(a), float(b), xtol)
-    return max(fmax, float(fs[i]))
-
-
-def second_iterate_product(w, model: Couplings):
-    """|A'(K + A(w)) * A'(w)|, the two-step contraction factor at field w."""
-    inner = model.K + field_shift(w, model)
-    return np.abs(field_shift_deriv(inner, model) * field_shift_deriv(w, model))
-
-
-@lru_cache(maxsize=512)
-def _decay_rate_bound_cached(p: float, eps: float) -> DecayBound:
+def decay_rate_bound(params) -> DecayBound:
+    """Certified decay rate for (p, epsilon); accepts ChannelParams or Couplings."""
+    p, eps = params.p, params.epsilon
     model = channel_model(p, eps)
     c1 = abs(model.K) + abs(model.J)
     naive = abs(1.0 - 2.0 * p)
@@ -237,20 +213,18 @@ def _decay_rate_bound_cached(p: float, eps: float) -> DecayBound:
             # so the second iterate brings no improvement
             rho, regime = naive, "naive"
         else:
-            folded = channel_model(pq, eq)
-            sup2 = _grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1)
-            rho, regime = math.sqrt(sup2), "second_iterate"
+            # the peak of the two-step product at u* (module docstring), in p and eps:
+            # the same form in r and c loses digits to 1 - r^2 near p = 1/2
+            a = (1.0 - pq) ** 2 * (1.0 - eq) + pq**2 * eq
+            b = pq**2 * (1.0 - eq) + eq * (1.0 - pq) ** 2
+            rho = naive * math.sqrt(eq * (1.0 - eq)) / (pq * (1.0 - pq) + math.sqrt(a * b))
+            regime = "second_iterate"
     if rho >= 1.0:
         raise OutOfRangeError(
             f"no decay certificate at (p, epsilon) = ({p!r}, {eps!r}): "
             "1 - rho is not representable in double precision"
         )
     return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
-
-
-def decay_rate_bound(params) -> DecayBound:
-    """Certified decay rate for (p, epsilon); accepts ChannelParams or Couplings."""
-    return _decay_rate_bound_cached(params.p, params.epsilon)
 
 
 def required_context(tol: float, model) -> int:

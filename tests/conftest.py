@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from noisymarkov.transfer import field_shift, field_shift_deriv
 
 #: The (p, epsilon) grid used by cross-checking properties throughout the suite.
 PARAM_GRID = [(p, e) for p in (0.1, 0.2, 0.3, 0.45) for e in (0.05, 0.2, 0.35, 0.45)]
@@ -102,3 +106,45 @@ def reference_path_csv(sim) -> bytes:
     rows = zip(sim.x.symbols, sim.z.symbols, sim.y.symbols)
     lines += [f"{i},{xv:+d},{zv:+d},{yv:+d}" for i, (xv, zv, yv) in enumerate(rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def second_iterate_product(w, model):
+    """|A'(K + A(w)) * A'(w)|, the two-step contraction factor at field w."""
+    inner = model.K + field_shift(w, model)
+    return np.abs(field_shift_deriv(inner, model) * field_shift_deriv(w, model))
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """Golden-section maximization of a scalar function on [lo, hi]; returns the maximum."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return f(0.5 * (a + b))
+
+
+def second_iterate_sup(model) -> float:
+    """sup |A'(K + A(w)) A'(w)| over |w| <= C1 = |K| + |J|, found by search.
+
+    A dense grid followed by golden-section refinement around its best point,
+    kept as the reference for the closed form of ``decay_rate_bound``. It
+    shares only the public ``field_shift`` and ``field_shift_deriv`` with the
+    package.
+    """
+    c1 = abs(model.K) + abs(model.J)
+    xs = np.linspace(-c1, c1, 10_001)
+    fs = second_iterate_product(xs, model)
+    i = int(np.argmax(fs))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    fmax = _golden_max(lambda w: float(second_iterate_product(w, model)), float(lo), float(hi))
+    return max(fmax, float(fs[i]))

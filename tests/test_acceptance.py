@@ -38,16 +38,14 @@ from noisymarkov.thermo import (
     variation_estimate,
 )
 from noisymarkov.transfer import (
-    _grid_golden_max,
     backward_fields,
     cylinder_prob,
     field_shift,
     forward_fields,
-    second_iterate_product,
     two_sided_conditional,
 )
 
-from conftest import PARAM_GRID, alpha_beta_posteriors, random_word
+from conftest import PARAM_GRID, alpha_beta_posteriors, random_word, second_iterate_sup
 
 MAX_WORD_LENGTH = 10
 
@@ -193,9 +191,7 @@ def test_criterion_4_decay_bounds():
     for p, eps in PARAM_GRID:
         if eps < p:
             continue
-        model = channel_model(p, eps)
-        c1 = abs(model.K) + abs(model.J)
-        sup2 = _grid_golden_max(lambda w: second_iterate_product(w, model), -c1, c1)
+        sup2 = second_iterate_sup(channel_model(p, eps))
         sup_ok = sup_ok and sup2 < (1.0 - 2.0 * p) ** 2 - 1e-9
 
     # empirical variation never exceeds C rho^n (1e-15 floor = double resolution of g)

@@ -29,7 +29,6 @@ from noisymarkov.oracle import brute_force_cylinder
 from noisymarkov.thermo import bowen_gibbs_certificate, g_function
 from noisymarkov.transfer import (
     _fixed_point_shift,
-    _grid_golden_max,
     _scan_shifts,
     _sequential_shifts,
     backward_fields,
@@ -39,7 +38,6 @@ from noisymarkov.transfer import (
     log_cylinder_prob,
     required_context,
     scan_burn_in,
-    second_iterate_product,
     two_sided_conditional,
 )
 
@@ -156,7 +154,8 @@ def reference_rate(model):
     """The certified rate by its definition, folded to p, eps <= 1/2.
 
     The closed form where the channel is cleaner than the source, the naive
-    |1-2p| where K = 0, else the root of the two-step supremum over [-C1, C1].
+    |1-2p| where K = 0, else the root of the two-step supremum over [-C1, C1],
+    written out in closed form (its peak lies inside that interval).
     """
     p, eps = model.p, model.epsilon
     pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
@@ -167,9 +166,9 @@ def reference_rate(model):
         return eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
     if eq == 0.5:
         return naive
-    folded = channel_model(pq, eq)
-    c1 = abs(model.K) + abs(model.J)
-    return math.sqrt(_grid_golden_max(lambda w: second_iterate_product(w, folded), -c1, c1))
+    a = (1.0 - pq) ** 2 * (1.0 - eq) + pq**2 * eq
+    b = pq**2 * (1.0 - eq) + eq * (1.0 - pq) ** 2
+    return naive * math.sqrt(eq * (1.0 - eq)) / (pq * (1.0 - pq) + math.sqrt(a * b))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

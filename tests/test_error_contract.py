@@ -7,11 +7,14 @@ builtin where one fits, so nothing is lost by raising them instead. Re-raises
 (a bare ``raise``) are allowed.
 
 Every import sits at module level, where the import order shows it, and the
-modules' imports of each other form no cycle.
+modules' imports of each other form no cycle. Every name a module lists in
+``__all__`` exists once it is imported, so deleting a function cannot leave its
+export behind.
 """
 
 import ast
 import builtins
+import importlib
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -83,6 +86,14 @@ def test_package_imports_form_no_cycle():
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert "thermo" not in graph["transfer"]  # the decay certificate sits under the scan kernel
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_every_exported_name_resolves(source):
+    name = "noisymarkov" if source.stem == "__init__" else f"noisymarkov.{source.stem}"
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, missing
 
 
 def test_sources_found():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,15 +28,13 @@ from noisymarkov.thermo import (
 )
 from noisymarkov import thermo
 from noisymarkov.transfer import (
-    _grid_golden_max,
     extended_fields,
     field_shift,
     log2cosh,
     log_partition_term,
-    second_iterate_product,
 )
 
-from conftest import PARAM_GRID, random_word
+from conftest import PARAM_GRID, random_word, second_iterate_product, second_iterate_sup
 
 M_REF = channel_model(0.2, 0.1)
 
@@ -64,7 +63,8 @@ class TestDecayRateBound:
         assert bound.rho == pytest.approx(57.0 / 140.0, abs=1e-12)
 
     def test_second_iterate_regression(self):
-        # numerical supremum; value frozen as a regression baseline
+        # frozen regression baseline; a 50-digit maximisation of the two-step product
+        # gives 0.57507496852255500819 at w* = -0.18440
         bound = decay_rate_bound(validate_params(0.2, 0.3))
         assert bound.regime == "second_iterate"
         assert bound.rho == pytest.approx(0.575074968522555, abs=1e-9)
@@ -94,6 +94,11 @@ class TestDecayRateBound:
         assert decay_rate_bound(validate_params(0.2, 0.9)).rho == pytest.approx(base.rho, rel=1e-14)
         assert decay_rate_bound(validate_params(0.8, 0.1)).rho == pytest.approx(base.rho, rel=1e-14)
 
+    def test_unvalidated_cell_is_refused(self):
+        # the bound validates (p, epsilon) itself rather than trusting a duck-typed cell
+        with pytest.raises(OutOfRangeError, match="strictly inside"):
+            decay_rate_bound(SimpleNamespace(p=1.5, epsilon=0.2))
+
     def test_holder_exponent(self):
         bound = decay_rate_bound(validate_params(0.2, 0.05))
         assert bound.theta == pytest.approx(-math.log2(bound.rho), rel=1e-14)
@@ -113,10 +118,41 @@ class TestDecayRateBound:
 
     def test_second_iterate_strictly_below_naive_square(self):
         for p, eps in PARAM_GRID:
-            m = channel_model(p, eps)
-            c1 = abs(m.K) + abs(m.J)
-            sup2 = _grid_golden_max(lambda w: second_iterate_product(w, m), -c1, c1)
+            sup2 = second_iterate_sup(channel_model(p, eps))
             assert sup2 < (1.0 - 2.0 * p) ** 2 - 1e-9
+
+    def test_second_iterate_closed_form_matches_search(self):
+        cells = [(p, eps) for p, eps in PARAM_GRID if eps >= p]
+        cells += [tuple(c) for c in np.random.default_rng(7).uniform(0.01, 0.49, size=(200, 2))]
+        checked = 0
+        for p, eps in cells:
+            m = channel_model(p, eps)
+            bound = decay_rate_bound(m)
+            if bound.regime != "second_iterate":
+                continue
+            checked += 1
+            assert bound.rho == pytest.approx(math.sqrt(second_iterate_sup(m)), rel=1e-14)
+            # the peak u* = exp(-2 w*) lies inside the invariant field interval
+            r2c = m.r**2 * m.c
+            u_star = math.sqrt((1.0 + r2c) / (m.r**2 + m.c))
+            assert math.exp(-2.0 * bound.C1) <= u_star <= math.exp(2.0 * bound.C1)
+            w_star = -0.5 * math.log(u_star)
+            assert float(second_iterate_product(w_star, m)) == pytest.approx(bound.rho**2, rel=1e-14)
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "p,eps,rho",
+        [
+            # the supremum to 50 digits, rounded: 2.000000165480741998180743e-10
+            (0.4999999999, 0.499999999999, 2.000000165480742e-10),
+            # 2.000000000057510929032423e-07
+            (0.4999999, 0.49999999, 2.0000000000575108e-07),
+        ],
+    )
+    def test_second_iterate_near_half(self, p, eps, rho):
+        bound = decay_rate_bound(validate_params(p, eps))
+        assert bound.regime == "second_iterate"
+        assert abs(bound.rho - rho) <= 4 * math.ulp(rho)
 
     @pytest.mark.parametrize("p,eps", [(1e-17, 0.2), (1e-300, 1e-300)])
     @pytest.mark.parametrize(
