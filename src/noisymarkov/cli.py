@@ -320,7 +320,6 @@ def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algo
         for k in k_list:
             detail, elapsed = _timed(dude_detail, path.y, eps, k)
             report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
-            del detail  # its q2 array would otherwise stay alive through the next call
     if "bfp" in algorithms:
         (xhat, _), elapsed = _timed(bfp_denoise, path.y, params, mode="exact")
         report("bfp", xhat, elapsed, mode="exact", scan_burn_in=burn_in)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,13 @@ def _require_invertible(epsilon: float) -> None:
         raise SingularChannelError("epsilon = 1/2 makes the emission matrix singular")
 
 
+def _check_crossover(epsilon: float) -> None:
+    """Refuse a crossover probability that is 1/2, outside [0, 1] or not a number."""
+    _require_invertible(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRangeError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def emission_matrix(epsilon: float) -> np.ndarray:
     """Row-stochastic emission matrix Pi[x, y] = P(Y=y | X=x), indices (-1, +1)."""
     return np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])
@@ -176,14 +184,14 @@ def _decide(v_minus: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
 
 def _channel_weights(
     q_minus: np.ndarray, q_plus: np.ndarray, y: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel inversion of two-sided conditionals, up to each position's normalization.
 
     ``q_minus`` and ``q_plus`` hold P(Y_i = -1 | rest) and P(Y_i = +1 | rest);
     ``y`` holds the observed symbols. Returns v = pi_{y_i} (.) max(Pi^{-1} q2, 0)
     as (v_minus, v_plus), whose normalization is the posterior of X_i and whose
     argmax, ``_decide``, is the decision of DUDE and empirical BFP; and the
-    number of positions with an entry of Pi^{-1} q2 below
+    mask of the entries with a component of Pi^{-1} q2 below
     NEGATIVE_FLAG_THRESHOLD before the clamp, as empirical estimates need not
     lie in the image of the channel. Pi^{-1} q2 is written out with the two
     coefficients of ``emission_inverse`` rather than as a matrix product, so
@@ -200,7 +208,7 @@ def _channel_weights(
     np.maximum(u_minus, 0.0, out=u_minus)
     np.maximum(u_plus, 0.0, out=u_plus)
     _apply_emission(u_minus, u_plus, y, epsilon)
-    return u_minus, u_plus, int(np.count_nonzero(flagged))
+    return u_minus, u_plus, flagged
 
 
 def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
@@ -216,10 +224,14 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
     vec = np.asarray(q2, dtype=np.float64)
     if vec.shape != (2,):
         raise OutOfRangeError(f"q2 must have shape (2,), got {vec.shape}")
-    if np.any(vec < NEGATIVE_FLAG_THRESHOLD) or abs(float(vec.sum()) - 1.0) > 1e-6:
+    if (
+        not np.all(np.isfinite(vec))
+        or np.any(vec < NEGATIVE_FLAG_THRESHOLD)
+        or abs(float(vec.sum()) - 1.0) > 1e-6
+    ):
         raise OutOfRangeError(f"q2 must be a probability distribution, got {vec}")
-    v_minus, v_plus, n_flagged = _channel_weights(vec[:1], vec[1:], np.array([y_n]), params.epsilon)
-    if n_flagged:
+    v_minus, v_plus, flagged = _channel_weights(vec[:1], vec[1:], np.array([y_n]), params.epsilon)
+    if flagged[0]:
         warnings.warn(
             "channel inversion produced a negative intermediate; clamped to zero",
             stacklevel=2,
@@ -261,27 +273,16 @@ def _context_codes(bits: np.ndarray, k: int) -> np.ndarray:
     return windows
 
 
-def _two_sided_codes(bits: np.ndarray, k: int) -> np.ndarray:
-    """Codes of the context pairs of positions k..n-1-k: left context low, right context high.
-
-    Built in its own frame so that the window codes are freed before counting.
-    """
-    windows = _context_codes(bits, k)
-    m = len(bits) - 2 * k
-    codes = windows[k + 1 : k + 1 + m] << k
-    codes |= windows[:m]
-    return codes
-
-
 def _centre_counts(codes: np.ndarray, centres: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """m(c_i, -1) and m(c_i, +1): how often each position's context occurs with either centre.
+    """Pair codes of every position and the count table they address.
 
     ``codes`` holds context codes below 2^bits and ``centres`` is 1 for +1.
     Each (context, centre) pair is coded as ``code << 1 | centre`` and all
     pairs are counted with one bincount into a table addressed by that code,
-    which is read back at ``code | 1`` and ``code & ~1``. The table has
-    2^(bits+1) entries; past COUNT_TABLE_MAX entries one sort first renumbers
-    the contexts that occur as 0, 1, 2, ... Each position counts itself.
+    so m(c, -1) and m(c, +1) sit at ``pair & ~1`` and ``pair | 1``. The table
+    has 2^(bits+1) entries; past COUNT_TABLE_MAX entries one sort first
+    renumbers the contexts that occur as 0, 1, 2, ... Each position counts
+    itself, so every pair code in ``pairs`` has a nonzero count.
     """
     size = 2 << bits
     if size > COUNT_TABLE_MAX:
@@ -289,15 +290,16 @@ def _centre_counts(codes: np.ndarray, centres: np.ndarray, bits: int) -> tuple[n
         size = 2 * len(uniq)
     pairs = codes << 1
     pairs |= centres
-    table = np.bincount(pairs, minlength=size)
-    pairs |= 1
-    m_plus = table[pairs]
-    pairs ^= 1
-    return table[pairs], m_plus
+    return pairs, np.bincount(pairs, minlength=size)
 
 
-def _centre_conditionals(m_minus: np.ndarray, m_plus: np.ndarray) -> np.ndarray:
-    """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)): the empirical P(centre | context)."""
+def _centre_conditionals(pairs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)) at each pair code of ``table``.
+
+    Each row is the empirical P(centre | context) of the pair's context.
+    """
+    m_minus = table[pairs & ~1]
+    m_plus = table[pairs | 1]
     total = m_minus + m_plus
     rows = np.empty((len(total), 2))
     np.divide(m_minus, total, out=rows[:, 0])
@@ -305,42 +307,84 @@ def _centre_conditionals(m_minus: np.ndarray, m_plus: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _two_sided_pairs(plus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_centre_counts`` of the (left context, right context, centre) pairs of positions k..n-1-k.
+
+    ``plus`` is 1 for +1. The left context is coded low and the right context
+    high; the window codes are freed before counting.
+    """
+    windows = _context_codes(plus, k)
+    m = len(plus) - 2 * k
+    codes = windows[k + 1 : k + 1 + m] << k
+    codes |= windows[:m]
+    del windows
+    return _centre_counts(codes, plus[k : k + m], 2 * k)
+
+
 @dataclass(frozen=True)
 class DudeResult:
-    """Denoised sequence plus diagnostics of the counting/inversion pipeline."""
+    """Denoised sequence plus diagnostics of the counting/inversion pipeline.
+
+    ``y`` is the read-only observed word that was denoised, kept so that
+    ``q2`` can be built when it is read rather than with every call.
+    """
 
     xhat: SpinSequence
     k: int
-    q2: np.ndarray  # interior-position estimates of P(Y_i | contexts), columns (-1, +1)
     n_clamped: int
+    y: np.ndarray = field(repr=False)
+
+    @cached_property
+    def q2(self) -> np.ndarray:
+        """Interior positions' estimates of P(Y_i | contexts), columns (-1, +1).
+
+        Counted again from ``y`` on the first read, then kept; read-only.
+        """
+        q2 = _centre_conditionals(*_two_sided_pairs((self.y == 1).astype(np.int64), self.k))
+        q2.setflags(write=False)
+        return q2
 
 
 def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     """Two-pass context-count denoiser with diagnostics.
 
-    Pass one encodes the (left context, right context) word of every interior
-    position once and counts its centres m(c, -1), m(c, +1) with one bincount
-    (see _centre_counts for the direct-address table and its sort cut-over);
-    pass two estimates the two-sided conditional q2 = m / (m(c, -1) + m(c, +1))
-    of each interior position and decides it by the channel inversion of
-    _channel_weights. Interior contexts always contain the position itself, so
-    every count total is >= 1 and no smoothing is needed. The first and last k
-    positions are passed through unchanged.
+    Pass one codes the (left context, right context, centre) pair of every
+    interior position once and counts the pairs with one bincount (see
+    _centre_counts for the direct-address table and its sort cut-over). The
+    decision at a position depends only on its pair, so pass two runs once per
+    pair code that occurs: it estimates the two-sided conditional
+    q2 = m / (m(c, -1) + m(c, +1)) of the pair's context, inverts the channel
+    with _channel_weights against the pair's centre and decides; each position
+    then reads its decision off an int8 table at its pair code. ``n_clamped``
+    counts the positions whose pair was flagged. Interior contexts always
+    contain the position itself, so every count total is >= 1 and no
+    smoothing is needed. The first and last k positions are passed through
+    unchanged. ``q2`` is left to the result, which builds it when read.
     """
-    _require_invertible(epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRangeError(f"epsilon must lie in [0, 1], got {epsilon}")
+    _check_crossover(epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     k = _check_context(n, k)
-    m = n - 2 * k
-    plus = (arr == 1).astype(np.int64)
-    # the counts are freed before the inversion allocates its weights
-    q2 = _centre_conditionals(*_centre_counts(_two_sided_codes(plus, k), plus[k : k + m], 2 * k))
-    v_minus, v_plus, n_clamped = _channel_weights(q2[:, 0], q2[:, 1], arr[k : k + m], epsilon)
+    pairs, table = _two_sided_pairs((arr == 1).astype(np.int64), k)
+    size = len(table)
+    occurring = np.flatnonzero(table != 0)  # a bool mask takes numpy's fast nonzero path
+    counts = table[occurring]
+    rows = _centre_conditionals(occurring, table)
+    # the table, rows and weights are freed before the decision table is built
+    del table
+    v_minus, v_plus, flagged = _channel_weights(
+        rows[:, 0], rows[:, 1], 2 * (occurring & 1) - 1, epsilon
+    )
+    del rows
+    n_clamped = int(counts[flagged].sum())
+    decisions = _decide(v_minus, v_plus)
+    del v_minus, v_plus, counts, flagged
+    # entries of codes that do not occur are never read
+    decided = np.empty(size, dtype=SPIN_DTYPE)
+    decided[occurring] = decisions
     xhat = arr.copy()
-    xhat[k : k + m] = _decide(v_minus, v_plus)
-    return DudeResult(xhat=SpinSequence(xhat), k=k, q2=q2, n_clamped=n_clamped)
+    xhat[k : n - k] = decided.take(pairs)
+    return DudeResult(xhat=SpinSequence(xhat), k=k, n_clamped=n_clamped, y=arr)
 
 
 def dude(y, epsilon: float, k: int | None = None) -> SpinSequence:
@@ -412,8 +456,9 @@ def estimate_p_moment(y, epsilon: float) -> float:
 
     E[Y_i Y_{i+1}] = (1-2p)(1-2 eps)^2, so p_hat = (1 - r_hat/(1-2 eps)^2)/2
     with r_hat the empirical neighbor product mean, clamped to [1e-6, 1/2].
+    An epsilon of 1/2, outside [0, 1] or NaN is refused.
     """
-    _require_invertible(epsilon)
+    _check_crossover(epsilon)
     arr = as_spin_array(y)
     if len(arr) < 2:
         raise InsufficientContextError("need at least 2 symbols to estimate p")

@@ -119,6 +119,11 @@ class TestPosteriorFromTwoSided:
         with pytest.raises(ValueError):
             posterior_from_two_sided(np.array([-0.2, 1.2]), 1, P_REF)
 
+    @pytest.mark.parametrize("q2", [[math.nan, 1.0], [1.0, math.nan]], ids=["minus", "plus"])
+    def test_rejects_non_finite(self, q2):
+        with pytest.raises(OutOfRangeError):
+            posterior_from_two_sided(np.array(q2), 1, P_REF)
+
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):
             posterior_from_two_sided(np.array([0.5, 0.5]), 1, validate_params(0.2, 0.5))
@@ -199,21 +204,29 @@ class TestDude:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 11, None])
     def test_q2_equals_window_recount(self, k):
-        # k <= 4 counts with the direct-address table, k = 11 through the sort
+        # k <= 4 counts with the direct-address table, k = 11 through the sort;
+        # past eps = 1/2 the inversion flags and clamps the other entry
         y = _count_word(k)
         n = len(y)
         k_used = _default_k(n) if k is None else k
         m_minus, m_plus = _context_counts(y, 2 * k_used + 1, k_used)
-        result = dude_detail(y, 0.2, k)
-        assert result.k == k_used
         tot = m_minus + m_plus
         q2 = np.stack([m_minus / tot, m_plus / tot], axis=1)
-        assert np.array_equal(result.q2, q2)
-        post, flagged = matrix_route_posteriors(q2, y[k_used : n - k_used], 0.2)
-        interior = np.where(post[:, 1] >= post[:, 0], 1, -1)
-        assert np.array_equal(result.xhat.symbols, np.concatenate(
-            [y[:k_used], interior, y[n - k_used :]]))
-        assert result.n_clamped == flagged
+        for eps in (0.2, 0.7):
+            result = dude_detail(y, eps, k)
+            assert result.k == k_used
+            assert np.array_equal(result.q2, q2)
+            post, flagged = matrix_route_posteriors(q2, y[k_used : n - k_used], eps)
+            interior = np.where(post[:, 1] >= post[:, 0], 1, -1)
+            assert np.array_equal(result.xhat.symbols, np.concatenate(
+                [y[:k_used], interior, y[n - k_used :]]))
+            assert result.n_clamped == flagged
+
+    def test_q2_is_read_only_and_built_once(self):
+        result = dude_detail(_count_word(3), 0.2, 3)
+        q2 = result.q2
+        assert not q2.flags.writeable
+        assert result.q2 is q2
 
     @pytest.mark.parametrize(
         "eps",
@@ -228,12 +241,12 @@ class TestDude:
         for symbol in (-1, 1):
             y = np.full(len(q2), symbol, dtype=np.int8)
             post, flagged = matrix_route_posteriors(q2, y, eps)
-            v_minus, v_plus, n_clamped = _channel_weights(q2[:, 0], q2[:, 1], y, eps)
+            v_minus, v_plus, clamped = _channel_weights(q2[:, 0], q2[:, 1], y, eps)
             total = v_minus + v_plus
             assert np.array_equal(v_minus / total, post[:, 0])
             assert np.array_equal(v_plus / total, post[:, 1])
             assert np.array_equal(v_plus >= v_minus, post[:, 1] >= post[:, 0])
-            assert n_clamped == flagged
+            assert np.count_nonzero(clamped) == flagged
 
     @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.7])
     def test_decisions_equal_exact_arithmetic(self, eps):
@@ -260,14 +273,24 @@ class TestDude:
             assert np.array_equal((post[:, 1] >= post[:, 0])[decided], exact[decided])
 
     def test_count_paths_agree(self, rng, monkeypatch):
+        # the sort renumbers the pair codes, but not the counts read at them,
+        # nor DUDE's per-pair decisions
         y = random_word(rng, 5000)
         plus = (y == 1).astype(np.int64)
         codes = sliding_window_view(plus, 9) @ (1 << np.arange(9))
-        direct = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
+
+        def counts():
+            pairs, table = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
+            return table[pairs & ~1], table[pairs | 1]
+
+        direct, detail = counts(), dude_detail(y, 0.2, 4)
         monkeypatch.setattr(denoise_module, "COUNT_TABLE_MAX", 0)
-        sorted_ = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
+        sorted_, resorted = counts(), dude_detail(y, 0.2, 4)
         for a, b in zip(direct, sorted_):
             assert np.array_equal(a, b)
+        assert resorted.xhat == detail.xhat
+        assert resorted.n_clamped == detail.n_clamped
+        assert np.array_equal(resorted.q2, detail.q2)
 
     @pytest.mark.parametrize(
         "n, k, sorts",
@@ -542,6 +565,11 @@ class TestMomentEstimator:
             estimate_p_moment(np.ones(10, dtype=np.int8), 0.5)
         with pytest.raises(InsufficientContextError):
             estimate_p_moment(np.array([1]), 0.2)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1, 1.5])
+    def test_crossover_outside_unit_interval_is_package_error(self, eps):
+        with pytest.raises(OutOfRangeError):
+            estimate_p_moment(np.ones(10, dtype=np.int8), eps)
 
 
 class TestGibbsDenoise:
