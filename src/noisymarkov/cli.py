@@ -32,11 +32,11 @@ from .denoise import (
     map_denoise,
 )
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
-from .model import ChannelParams, derive_couplings, validate_params
+from .model import Couplings, channel_model, derive_couplings, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
 from .simulate import GENERATOR_NAME, generate_dataset, save_path_csv, save_spins
 from .thermo import g_continued_fraction_detail, g_function, variation_estimate
-from .transfer import DecayBound, cylinder_prob, decay_rate_bound, required_context, scan_burn_in
+from .transfer import cylinder_prob, decay_rate_bound, required_context, scan_burn_in
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
 
@@ -160,19 +160,12 @@ class Settings:
         return out
 
 
-def _validated_cell(p: float, eps: float):
-    try:
-        return validate_params(p, eps)
-    except OutOfRangeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_probs(cfg: Settings) -> int:
     """Enumerate all words of a given length; cross-check the two probability routes."""
     length = cfg.get_int("n", 2)
     if not 1 <= length <= MAX_ENUMERATION_LENGTH:
         raise ConfigError(f"enumeration length must be in 1..{MAX_ENUMERATION_LENGTH}, got {length}")
-    params = _validated_cell(cfg.get_float("p"), cfg.get_float("eps"))
+    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
     model = derive_couplings(params)
     out = Path(cfg.get("out", "probs.csv"))
     rows = []
@@ -195,23 +188,21 @@ def cmd_probs(cfg: Settings) -> int:
     return 0
 
 
-def _empirical_variation_rate(
-    params: ChannelParams, bound: DecayBound, samples: int, seed: int
-) -> tuple[float, int]:
+def _empirical_variation_rate(model: Couplings, samples: int, seed: int) -> tuple[float, int]:
     """Least-squares per-step decay rate of the adversarial variation of g.
 
     The fit runs over n = 2..n_hi with n_hi chosen so the certified bound
     C * rho^n stays above the double-precision measurement floor; a plain
     two-point ratio would carry an O(1/gap) prefactor bias, a regression over
-    the whole window averages it out. ``bound`` is the decay certificate of ``params``.
+    the whole window averages it out.
     """
+    bound = decay_rate_bound(model)
     if bound.rho == 0.0:
         return 0.0, 0
     n_hi = 2
     while n_hi < 14 and bound.C * bound.rho ** (n_hi + 1) > 1e-12:
         n_hi += 1
     ns = np.arange(2, n_hi + 1)
-    model = derive_couplings(params)
     values = np.array([variation_estimate(int(n), samples, model, seed) for n in ns])
     mask = values > 0.0
     if int(mask.sum()) < 2:
@@ -229,9 +220,9 @@ def cmd_decay(cfg: Settings) -> int:
     rows = []
     all_ok = True
     for p, eps in grid:
-        params = _validated_cell(p, eps)
-        bound = decay_rate_bound(params)
-        rate, n_hi = _empirical_variation_rate(params, bound, samples, seed)
+        model = channel_model(p, eps)
+        bound = decay_rate_bound(model)
+        rate, n_hi = _empirical_variation_rate(model, samples, seed)
         ok = rate <= bound.rho + 1e-12
         all_ok = all_ok and ok
         rows.append(
@@ -252,7 +243,7 @@ def cmd_decay(cfg: Settings) -> int:
 
 def cmd_gfun(cfg: Settings) -> int:
     """Cross-validate the recursion and continued-fraction forms of g."""
-    params = _validated_cell(cfg.get_float("p"), cfg.get_float("eps"))
+    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
     model = derive_couplings(params)
     count = cfg.get_int("n", 50)
     depth = cfg.get_int("depth", 200)
@@ -352,7 +343,7 @@ def cmd_bench(cfg: Settings) -> int:
     records: list[dict] = []
     by_cell: dict[tuple[float, float], dict[str, list[float]]] = {}
     for p, eps in grid:
-        _validated_cell(p, eps)
+        validate_params(p, eps)
         cell = by_cell.setdefault((p, eps), {})
         for seed in seeds:
             try:
@@ -412,7 +403,7 @@ def cmd_bench(cfg: Settings) -> int:
 
 def cmd_simulate(cfg: Settings) -> int:
     """Generate a seeded dataset and export it (packed .bin for y, or full .csv path)."""
-    params = _validated_cell(cfg.get_float("p"), cfg.get_float("eps"))
+    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
     n = cfg.get_int("n", 1000)
     seed = cfg.get_int("seed", 0)
     out = Path(cfg.get("out", "path.bin"))
@@ -474,10 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = Settings(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OutOfRangeError as exc:
+    except (ConfigError, OutOfRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NoisyMarkovError as exc:

@@ -2,7 +2,31 @@
 
 Every formula in the package reads its constants from a single ``Couplings``
 object so that the source flip rate p and channel crossover rate epsilon are
-validated exactly once.
+validated exactly once, and the cell's decay certificate is derived once.
+
+Decay-rate certificate. The naive contraction rate of the field map
+w -> K*y + A(w) of the transfer module is sup|dA/dw| = |1-2p|. When the
+channel is cleaner than the source (min(eps,1-eps) < min(p,1-p)) the fields
+stay a fixed distance away from zero and the rate improves to the closed form
+
+    rho = eps(1-eps) |1-2p| / ((p-eps)^2 + eps(1-eps))   (folded to p,eps <= 1/2).
+
+Otherwise two consecutive steps are contracted jointly and
+rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, the supremum taken over the
+invariant field interval |w| <= C1 = |K|+|J|. With u = exp(-2w), folded to
+r, c <= 1, A'(w) = u (1-r^2) / ((r+u)(1+r*u)) and K + A(w) has ratio c*m(u),
+so the factor (r+u)(1+r*u) cancels from the product, which is the rational
+function
+
+    (1-r^2)^2 c u / ((r(1+c) + (r^2+c) u) (1 + r^2 c + r(1+c) u)).
+
+It peaks at u* = sqrt((1 + r^2 c) / (r^2 + c)), which lies in [1, 1/(r c)],
+inside the interval [exp(-2 C1), exp(2 C1)] that the fields obey. So the
+supremum over that interval is the global one. Written in p and eps (folded to
+p, eps <= 1/2), which avoids the cancellation in 1 - r^2 near p = 1/2,
+
+    rho = (1-2p) sqrt(eps(1-eps)) / (p(1-p) + sqrt(a b)),
+    a = (1-p)^2 (1-eps) + p^2 eps,   b = p^2 (1-eps) + eps (1-p)^2.
 """
 
 from __future__ import annotations
@@ -40,6 +64,54 @@ def validate_params(p: float, epsilon: float) -> ChannelParams:
 
 
 @dataclass(frozen=True)
+class DecayBound:
+    """Certified geometric decay of field memory: |w_i^{(n)} - w_i| <= C * rho^(n-i).
+
+    regime is one of "naive" (rate |1-2p|), "eps_lt_p" (closed form) or
+    "second_iterate" (closed-form supremum over two composed steps).
+    C = C1/(1-rho) with C1 = |K| + |J|, the radius of the invariant interval.
+    """
+
+    rho: float
+    regime: str
+    C: float
+    C1: float
+
+    @property
+    def theta(self) -> float:
+        """Holder exponent with respect to the 2^-n metric: theta = -log2(rho)."""
+        return math.inf if self.rho == 0.0 else -math.log2(self.rho)
+
+
+def _decay_bound(p: float, eps: float, c1: float) -> DecayBound | None:
+    """The decay certificate of the cell (module docstring), or None where rho rounds to 1."""
+    naive = abs(1.0 - 2.0 * p)
+    if p == 0.5:
+        rho, regime = 0.0, "naive"
+    else:
+        # the output law is invariant under eps -> 1-eps (and p -> 1-p) up to sign
+        # flips, and |J|, |K| only see the folded values
+        pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
+        if eq < pq:
+            rho = eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
+            regime = "eps_lt_p"
+        elif eq == 0.5:
+            # K = 0: the two-step product peaks at w = 0 with value (1-2p)^2,
+            # so the second iterate brings no improvement
+            rho, regime = naive, "naive"
+        else:
+            # the peak of the two-step product at u* (module docstring), in p and eps:
+            # the same form in r and c loses digits to 1 - r^2 near p = 1/2
+            a = (1.0 - pq) ** 2 * (1.0 - eq) + pq**2 * eq
+            b = pq**2 * (1.0 - eq) + eq * (1.0 - pq) ** 2
+            rho = naive * math.sqrt(eq * (1.0 - eq)) / (pq * (1.0 - pq) + math.sqrt(a * b))
+            regime = "second_iterate"
+    if rho >= 1.0:
+        return None
+    return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
+
+
+@dataclass(frozen=True)
 class Couplings:
     """All derived constants, kept together with the parameters that produced them.
 
@@ -49,6 +121,7 @@ class Couplings:
     lam = 4 cosh(J) cosh(K)           per-symbol normalizer
     r = p/(1-p) = exp(-2J)            ratio form of J, used by the transfer scan
     c = eps/(1-eps) = exp(-2K)        ratio form of K, used by the transfer scan
+    decay                             the decay certificate, None where rho rounds to 1
     """
 
     p: float
@@ -59,6 +132,7 @@ class Couplings:
     lam: float
     r: float
     c: float
+    decay: DecayBound | None
 
 
 def derive_couplings(params: ChannelParams) -> Couplings:
@@ -75,6 +149,7 @@ def derive_couplings(params: ChannelParams) -> Couplings:
         lam=4.0 * math.cosh(J) * math.cosh(K),
         r=p / (1.0 - p),
         c=eps / (1.0 - eps),
+        decay=_decay_bound(p, eps, abs(K) + abs(J)),
     )
 
 

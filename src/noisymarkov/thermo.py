@@ -14,9 +14,11 @@ explicit sandwich constant pair, and 2*g admits the continued fraction
     q_i = (1-2p) y_{i-1} y_i,  a_i = 1 + q_i,  b_i = 4 eps (1-eps) q_i.
 
 Finite inputs are interpreted through the repeat-last-symbol extension; the
-decay certificate C * rho^L of the transfer module, which also sets the burn-in
-of its lane scan, bounds the influence of the unseen tail, so every limit
-quantity here carries a guaranteed error bar.
+decay certificate C * rho^L, built once per cell with its ``Couplings`` (see the
+model module) and also the source of the transfer module's lane-scan burn-in,
+bounds the influence of the unseen tail, so every limit quantity here carries a
+guaranteed error bar. Every query reads that certificate through
+``decay_rate_bound`` rather than deriving it again.
 """
 
 from __future__ import annotations

@@ -21,31 +21,8 @@ which sums positive terms and calls no transcendental function. As A is odd,
 m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
 once K + |J| exceeds about 354. A = -(1/2) log rho is read off afterwards.
 
-Decay-rate certificate. The naive contraction rate of the field map is
-sup|dA/dw| = |1-2p|. When the channel is cleaner than the source
-(min(eps,1-eps) < min(p,1-p)) the fields stay a fixed distance away from zero
-and the rate improves to the closed form
-
-    rho = eps(1-eps) |1-2p| / ((p-eps)^2 + eps(1-eps))   (folded to p,eps <= 1/2).
-
-Otherwise two consecutive steps are contracted jointly and
-rho = sqrt( sup_w |A'(K + A(w)) A'(w)| ) < |1-2p|, the supremum taken over the
-invariant field interval |w| <= C1 = |K|+|J|. With u = exp(-2w), folded to
-r, c <= 1, A'(w) = u (1-r^2) / ((r+u)(1+r*u)) and K + A(w) has ratio c*m(u),
-so the factor (r+u)(1+r*u) cancels from the product, which is the rational
-function
-
-    (1-r^2)^2 c u / ((r(1+c) + (r^2+c) u) (1 + r^2 c + r(1+c) u)).
-
-It peaks at u* = sqrt((1 + r^2 c) / (r^2 + c)), which lies in [1, 1/(r c)],
-inside the interval [exp(-2 C1), exp(2 C1)] that the fields obey. So the
-supremum over that interval is the global one. Written in p and eps (folded to
-p, eps <= 1/2), which avoids the cancellation in 1 - r^2 near p = 1/2,
-
-    rho = (1-2p) sqrt(eps(1-eps)) / (p(1-p) + sqrt(a b)),
-    a = (1-p)^2 (1-eps) + p^2 eps,   b = p^2 (1-eps) + eps (1-p)^2.
-
-Long words are scanned in lanes. The decay certificate (C, rho) bounds how far
+Long words are scanned in lanes. The cell's decay certificate (C, rho), which
+the model module derives with the couplings (and documents), bounds how far
 a field scanned from any start lies from the limit field after L symbols:
 C rho^L. Two scans of the same symbols, started from any two shifts in
 [-|J|, |J|], therefore differ by at most 2 C rho^L after L steps, through the
@@ -75,13 +52,12 @@ a word of length L on [m, n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
-from .model import Couplings, channel_model
+from .model import Couplings, DecayBound, channel_model
 from .sequences import FieldTrajectory, SpinSequence, as_spin_array
 
 __all__ = [
@@ -173,58 +149,15 @@ def log_partition_term_deriv(w, model: Couplings):
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
-@dataclass(frozen=True)
-class DecayBound:
-    """Certified geometric decay of field memory: |w_i^{(n)} - w_i| <= C * rho^(n-i).
-
-    regime is one of "naive" (rate |1-2p|), "eps_lt_p" (closed form) or
-    "second_iterate" (closed-form supremum over two composed steps).
-    C = C1/(1-rho) with C1 = |K| + |J|, the radius of the invariant interval.
-    """
-
-    rho: float
-    regime: str
-    C: float
-    C1: float
-
-    @property
-    def theta(self) -> float:
-        """Holder exponent with respect to the 2^-n metric: theta = -log2(rho)."""
-        return math.inf if self.rho == 0.0 else -math.log2(self.rho)
-
-
 def decay_rate_bound(params) -> DecayBound:
-    """Certified decay rate for (p, epsilon); accepts ChannelParams or Couplings."""
-    p, eps = params.p, params.epsilon
-    model = channel_model(p, eps)
-    c1 = abs(model.K) + abs(model.J)
-    naive = abs(1.0 - 2.0 * p)
-    if p == 0.5:
-        rho, regime = 0.0, "naive"
-    else:
-        # the output law is invariant under eps -> 1-eps (and p -> 1-p) up to sign
-        # flips, and |J|, |K| only see the folded values
-        pq, eq = min(p, 1.0 - p), min(eps, 1.0 - eps)
-        if eq < pq:
-            rho = eq * (1.0 - eq) * naive / ((pq - eq) ** 2 + eq * (1.0 - eq))
-            regime = "eps_lt_p"
-        elif eq == 0.5:
-            # K = 0: the two-step product peaks at w = 0 with value (1-2p)^2,
-            # so the second iterate brings no improvement
-            rho, regime = naive, "naive"
-        else:
-            # the peak of the two-step product at u* (module docstring), in p and eps:
-            # the same form in r and c loses digits to 1 - r^2 near p = 1/2
-            a = (1.0 - pq) ** 2 * (1.0 - eq) + pq**2 * eq
-            b = pq**2 * (1.0 - eq) + eq * (1.0 - pq) ** 2
-            rho = naive * math.sqrt(eq * (1.0 - eq)) / (pq * (1.0 - pq) + math.sqrt(a * b))
-            regime = "second_iterate"
-    if rho >= 1.0:
+    """The decay certificate of the cell: read off a Couplings, derived for any other (p, epsilon)."""
+    model = params if isinstance(params, Couplings) else channel_model(params.p, params.epsilon)
+    if model.decay is None:
         raise OutOfRangeError(
-            f"no decay certificate at (p, epsilon) = ({p!r}, {eps!r}): "
+            f"no decay certificate at (p, epsilon) = ({model.p!r}, {model.epsilon!r}): "
             "1 - rho is not representable in double precision"
         )
-    return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
+    return model.decay
 
 
 def required_context(tol: float, model) -> int:
@@ -349,7 +282,7 @@ def forward_fields(y, model: Couplings) -> FieldTrajectory:
     """
     start = y.start if isinstance(y, SpinSequence) else 0
     arr = as_spin_array(y)
-    values = backward_fields(arr[::-1], model).values[::-1].copy()
+    values = backward_fields(arr[::-1], model).values[::-1]
     return FieldTrajectory(values=values, start=start, horizon=start)
 
 
@@ -435,9 +368,10 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Couplin
     Each nonempty context is treated as the visible part of an infinite context
     obtained by repeating its last symbol; the fields of that extension are
     computed to machine accuracy through the attracting fixed point, so the
-    returned value is stable under further extension to well within ``tol``.
-    Empty sides keep the field-zero convention. The decay certificate bounds the
-    influence of the unseen tail by C * rho^len for each side.
+    value is exact for that extension. Empty sides keep the field-zero
+    convention. The decay certificate bounds the influence of any other unseen
+    tail by C * rho^len for each side, but no certificate is consulted here:
+    ``tol`` is only checked to be positive, and short contexts are not refused.
     """
     if y0 not in (-1, 1):
         raise OutOfRangeError(f"y0 must be -1 or +1, got {y0}")

@@ -244,3 +244,11 @@ class TestConfigFile:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["probs", "--grid-file", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize("command", ["bench", "decay"])
+    def test_out_of_range_grid_cell_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=1.5:0.2 0.1:0.2\n")
+        code = cli.main([command, "--grid-file", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err

@@ -174,8 +174,9 @@ def reference_rate(model):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(p=edge_probability, eps=edge_probability, y=words)
 def test_thermo_layer_near_the_edge(p, eps, y):
-    model = channel_model(p, eps)
+    model = channel_model(p, eps)  # the cell is valid even where it has no certificate
     rate = reference_rate(model)
+    assert (model.decay is None) == (rate >= 1.0)
     bound = _outcome(lambda: decay_rate_bound(model))
     context = _outcome(lambda: required_context(THERMO_TOL, model))
     cert = _outcome(lambda: bowen_gibbs_certificate(model))
@@ -183,6 +184,7 @@ def test_thermo_layer_near_the_edge(p, eps, y):
         assert all(isinstance(out, OutOfRangeError) for out in (bound, context, cert))
         assert isinstance(_outcome(lambda: g_function(y, THERMO_TOL, model)), NoisyMarkovError)
         return
+    assert bound is model.decay
     assert bound.rho == rate
     assert math.isfinite(bound.C)
     assert isinstance(context, int) and context >= 1

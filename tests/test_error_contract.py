@@ -85,7 +85,34 @@ def test_package_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
-    assert "thermo" not in graph["transfer"]  # the decay certificate sits under the scan kernel
+    assert "thermo" not in graph["transfer"]  # the scan kernel sits under the Gibbs layer
+
+
+def _calls_to(node: ast.AST, name: str) -> set[int]:
+    """Lines of the calls under ``node`` of a function or class named ``name``."""
+    return {
+        call.lineno for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and (call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)) == name
+    }
+
+
+def test_one_decay_certificate_per_cell():
+    homes = [
+        f"{source.name}:{node.lineno}" for source in SOURCES for node in ast.walk(_tree(source))
+        if isinstance(node, ast.ClassDef) and node.name == "DecayBound"
+    ]
+    assert len(homes) == 1, homes
+    # derive_couplings builds the certificate with the cell, so it alone constructs one
+    calls = {source.name: _calls_to(_tree(source), "Couplings") for source in SOURCES}
+    model = next(source for source in SOURCES if source.name == "model.py")
+    builder = next(
+        func for func in ast.walk(_tree(model))
+        if isinstance(func, ast.FunctionDef) and func.name == "derive_couplings"
+    )
+    assert {name: lines for name, lines in calls.items() if lines} == {
+        "model.py": _calls_to(builder, "Couplings")
+    }
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)

@@ -26,7 +26,7 @@ from noisymarkov.thermo import (
     required_context,
     variation_estimate,
 )
-from noisymarkov import thermo
+from noisymarkov import thermo, transfer
 from noisymarkov.transfer import (
     extended_fields,
     field_shift,
@@ -98,6 +98,25 @@ class TestDecayRateBound:
         # the bound validates (p, epsilon) itself rather than trusting a duck-typed cell
         with pytest.raises(OutOfRangeError, match="strictly inside"):
             decay_rate_bound(SimpleNamespace(p=1.5, epsilon=0.2))
+
+    def test_couplings_carry_the_certificate_of_their_cell(self):
+        for p, eps in PARAM_GRID:
+            model = channel_model(p, eps)
+            assert decay_rate_bound(validate_params(p, eps)) == decay_rate_bound(model)
+            assert decay_rate_bound(model) is model.decay
+
+    def test_existing_couplings_are_not_validated_again(self, monkeypatch):
+        model = channel_model(0.2, 0.1)
+
+        def refuse(p, epsilon):
+            raise AssertionError("the cell's certificate was derived again")
+
+        monkeypatch.setattr(transfer, "channel_model", refuse)
+        context = required_context(1e-9, model)
+        assert context >= 1
+        assert transfer.scan_burn_in(10**6, model) is not None
+        assert 0.0 < g_function(np.ones(context + 1, dtype=np.int8), 1e-9, model) < 1.0
+        assert 0.0 < bowen_gibbs_certificate(model).C_lower
 
     def test_holder_exponent(self):
         bound = decay_rate_bound(validate_params(0.2, 0.05))
