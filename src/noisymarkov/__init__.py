@@ -37,7 +37,7 @@ from .errors import (
     SingularChannelError,
     TooLongError,
 )
-from .model import ChannelParams, Couplings, channel_model, derive_couplings, validate_params
+from .model import ChannelParams, channel_model, validate_params
 from .oracle import brute_force_cylinder, enumerate_cylinder_table
 from .sequences import FieldTrajectory, SpinSequence, as_spin_array
 from .simulate import (

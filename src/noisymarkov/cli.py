@@ -32,7 +32,7 @@ from .denoise import (
     map_denoise,
 )
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
-from .model import Couplings, channel_model, derive_couplings, validate_params
+from .model import ChannelParams, check_count, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
 from .simulate import GENERATOR_NAME, generate_dataset, save_path_csv, save_spins
 from .thermo import g_continued_fraction_detail, g_function, variation_estimate
@@ -166,14 +166,13 @@ def cmd_probs(cfg: Settings) -> int:
     if not 1 <= length <= MAX_ENUMERATION_LENGTH:
         raise ConfigError(f"enumeration length must be in 1..{MAX_ENUMERATION_LENGTH}, got {length}")
     params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
-    model = derive_couplings(params)
     out = Path(cfg.get("out", "probs.csv"))
     rows = []
     total = 0.0
     max_rel_err = 0.0
     for code in range(1 << length):
         word = code_to_spins(code, length)
-        q_transfer = cylinder_prob(word, model)
+        q_transfer = cylinder_prob(word, params)
         q_brute = brute_force_cylinder(word, params)
         rel_err = abs(q_transfer - q_brute) / q_brute
         max_rel_err = max(max_rel_err, rel_err)
@@ -188,7 +187,7 @@ def cmd_probs(cfg: Settings) -> int:
     return 0
 
 
-def _empirical_variation_rate(model: Couplings, samples: int, seed: int) -> tuple[float, int]:
+def _empirical_variation_rate(params: ChannelParams, samples: int, seed: int) -> tuple[float, int]:
     """Least-squares per-step decay rate of the adversarial variation of g.
 
     The fit runs over n = 2..n_hi with n_hi chosen so the certified bound
@@ -196,14 +195,14 @@ def _empirical_variation_rate(model: Couplings, samples: int, seed: int) -> tupl
     two-point ratio would carry an O(1/gap) prefactor bias, a regression over
     the whole window averages it out.
     """
-    bound = decay_rate_bound(model)
+    bound = decay_rate_bound(params)
     if bound.rho == 0.0:
         return 0.0, 0
     n_hi = 2
     while n_hi < 14 and bound.C * bound.rho ** (n_hi + 1) > 1e-12:
         n_hi += 1
     ns = np.arange(2, n_hi + 1)
-    values = np.array([variation_estimate(int(n), samples, model, seed) for n in ns])
+    values = np.array([variation_estimate(int(n), samples, params, seed) for n in ns])
     mask = values > 0.0
     if int(mask.sum()) < 2:
         return 0.0, int(ns[-1])
@@ -220,9 +219,9 @@ def cmd_decay(cfg: Settings) -> int:
     rows = []
     all_ok = True
     for p, eps in grid:
-        model = channel_model(p, eps)
-        bound = decay_rate_bound(model)
-        rate, n_hi = _empirical_variation_rate(model, samples, seed)
+        params = validate_params(p, eps)
+        bound = decay_rate_bound(params)
+        rate, n_hi = _empirical_variation_rate(params, samples, seed)
         ok = rate <= bound.rho + 1e-12
         all_ok = all_ok and ok
         rows.append(
@@ -244,13 +243,13 @@ def cmd_decay(cfg: Settings) -> int:
 def cmd_gfun(cfg: Settings) -> int:
     """Cross-validate the recursion and continued-fraction forms of g."""
     params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
-    model = derive_couplings(params)
     count = cfg.get_int("n", 50)
     depth = cfg.get_int("depth", 200)
     tol = cfg.get_float("tol", 1e-12)
     seed = cfg.get_int("seed", 0)
+    check_count("seed", seed)
     out = Path(cfg.get("out", "gfun.csv"))
-    length = max(depth + 1, required_context(tol, model) + 1)
+    length = max(depth + 1, required_context(tol, params) + 1)
     rng = np.random.default_rng(seed)
     windows = [np.ones(length, dtype=np.int8)]
     windows += [rng.choice(np.array([-1, 1], dtype=np.int8), size=length) for _ in range(count)]
@@ -258,9 +257,9 @@ def cmd_gfun(cfg: Settings) -> int:
     max_diff = 0.0
     flagged = 0
     for win in windows:
-        g_rec = g_function(win, tol, model)
+        g_rec = g_function(win, tol, params)
         try:
-            detail = g_continued_fraction_detail(win, depth, model)
+            detail = g_continued_fraction_detail(win, depth, params)
             diff = abs(g_rec - detail.value)
             max_diff = max(max_diff, diff)
             rows.append((_spins_to_text(win[:24]), _fmt(g_rec), _fmt(detail.value),
@@ -287,15 +286,14 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algorithms: list[str]):
-    """All requested denoisers on one simulated path; one BerReport per algorithm."""
-    params = validate_params(p, eps)
+def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], algorithms: list[str]):
+    """All requested denoisers on one simulated path of the cell; one BerReport per algorithm."""
     path = generate_dataset(params, n, seed)
     reports: list[BerReport] = []
 
     def report(algorithm: str, xhat, runtime_s: float, **extra) -> None:
         reports.append(
-            BerReport(algorithm=algorithm, p=p, epsilon=eps, n=n, seed=seed,
+            BerReport(algorithm=algorithm, p=params.p, epsilon=params.epsilon, n=n, seed=seed,
                       ber=bit_error_rate(xhat, path.x), runtime_s=runtime_s, extra=extra)
         )
 
@@ -305,11 +303,11 @@ def _bench_cell(p: float, eps: float, n: int, seed: int, k_list: list[int], algo
         xhat, elapsed = _timed(lambda: map_denoise(forward_backward(path.y, params)))
         report("bf", xhat, elapsed, scan_burn_in=burn_in)
     if "gibbs" in algorithms:
-        (xhat, fitted), elapsed = _timed(gibbs_detail, path.y, eps)
+        (xhat, fitted), elapsed = _timed(gibbs_detail, path.y, params.epsilon)
         report("gibbs", xhat, elapsed, p_hat=fitted.p, scan_burn_in=scan_burn_in(n, fitted))
     if "dude" in algorithms:
         for k in k_list:
-            detail, elapsed = _timed(dude_detail, path.y, eps, k)
+            detail, elapsed = _timed(dude_detail, path.y, params.epsilon, k)
             report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
     if "bfp" in algorithms:
         (xhat, _), elapsed = _timed(bfp_denoise, path.y, params, mode="exact")
@@ -324,6 +322,8 @@ def cmd_bench(cfg: Settings) -> int:
     if n < 4:
         raise ConfigError(f"bench needs n >= 4, got {n}")
     seeds = cfg.get_int_list("seed", "0,1,2")
+    for seed in seeds:
+        check_count("seed", seed)
     algorithms = [a.strip() for a in str(cfg.get("algorithms", "bf,gibbs,dude")).split(",") if a.strip()]
     for algo in algorithms:
         if algo not in ("bf", "gibbs", "dude", "bfp"):
@@ -343,11 +343,11 @@ def cmd_bench(cfg: Settings) -> int:
     records: list[dict] = []
     by_cell: dict[tuple[float, float], dict[str, list[float]]] = {}
     for p, eps in grid:
-        validate_params(p, eps)
+        params = validate_params(p, eps)
         cell = by_cell.setdefault((p, eps), {})
         for seed in seeds:
             try:
-                reports = _bench_cell(p, eps, n, seed, k_list, algorithms)
+                reports = _bench_cell(params, n, seed, k_list, algorithms)
             except NoisyMarkovError as exc:
                 failures += 1
                 records.append({"schema": "noisymarkov-ber-v1", "p": p, "epsilon": eps,

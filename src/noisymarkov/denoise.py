@@ -39,7 +39,7 @@ from .errors import (
     OutOfRangeError,
     SingularChannelError,
 )
-from .model import ChannelParams, derive_couplings, validate_params
+from .model import ChannelParams, check_count, validate_params
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
 from .transfer import _logistic_pair, neighbour_shifts
 
@@ -159,9 +159,8 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     is taken in overflow-safe form.
     """
     arr = as_spin_array(y)
-    model = derive_couplings(params)
-    left, right = neighbour_shifts(arr, model)
-    q_minus, q_plus = _logistic_pair(2.0 * (model.K * arr + left + right))
+    left, right = neighbour_shifts(arr, params)
+    q_minus, q_plus = _logistic_pair(2.0 * (params.K * arr + left + right))
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
@@ -242,8 +241,7 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
 
 def default_context_length(n: int) -> int:
     """Default DUDE context length: ceil(log2(n)/2), at least 1, capped at 12."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
     return min(12, max(1, math.ceil(0.5 * math.log2(n))))
 
 
@@ -251,8 +249,7 @@ def _check_context(n: int, k: int | None) -> int:
     """The context length to use for a word of n symbols (default if k is None)."""
     if k is None:
         k = default_context_length(n)
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     if n <= 2 * k + 1:
         raise InsufficientContextError(
             f"need n >= {2 * k + 2} symbols for context length k={k}, got {n}"
@@ -416,7 +413,7 @@ def bfp_denoise(
     arr = as_spin_array(y)
     n = len(arr)
     if mode == "exact":
-        left, right = neighbour_shifts(arr, derive_couplings(params))
+        left, right = neighbour_shifts(arr, params)
         eps = params.epsilon
         # Each side's conditional of Y_i is (1 + s y tanh A)/2 with s = 1 - 2 eps.
         # Inverting their normalized product through the channel gives entries

@@ -1,8 +1,9 @@
-"""Channel parameters and the coupling constants derived from them.
+"""One cell of the model: the parameters, their couplings and the decay certificate.
 
-Every formula in the package reads its constants from a single ``Couplings``
-object so that the source flip rate p and channel crossover rate epsilon are
-validated exactly once, and the cell's decay certificate is derived once.
+A ``ChannelParams`` validates the source flip rate p and the channel crossover
+rate epsilon once, and derives every constant the formulas of the package
+read, the cell's decay certificate included, when it is built. ``check_count``
+is the package's one check on the counts, lengths and seeds it is passed.
 
 Decay-rate certificate. The naive contraction rate of the field map
 w -> K*y + A(w) of the transfer module is sup|dA/dw| = |1-2p|. When the
@@ -33,17 +34,36 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import OutOfRangeError
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Validated model parameters: source flip probability p, channel crossover epsilon."""
+    """One validated cell: source flip probability p and channel crossover epsilon.
+
+    Building it derives the constants below, once; only (p, epsilon) enter
+    repr, equality and hash.
+
+    J = (1/2) log((1-p)/p)            source coupling, tanh(J) = 1 - 2p
+    K = (1/2) log((1-eps)/eps)        field coupling, tanh(K) = 1 - 2 eps
+    cJ = cosh(J)                      cylinder prefactor
+    lam = 4 cosh(J) cosh(K)           per-symbol normalizer
+    r = p/(1-p) = exp(-2J)            ratio form of J, used by the transfer scan
+    c = eps/(1-eps) = exp(-2K)        ratio form of K, used by the transfer scan
+    decay                             the decay certificate, None where rho rounds to 1
+    """
 
     p: float
     epsilon: float
+    J: float = field(init=False, repr=False, compare=False)
+    K: float = field(init=False, repr=False, compare=False)
+    cJ: float = field(init=False, repr=False, compare=False)
+    lam: float = field(init=False, repr=False, compare=False)
+    r: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
+    decay: DecayBound | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "epsilon"):
@@ -56,11 +76,35 @@ class ChannelParams:
             if not 0.0 < value < 1.0:
                 raise OutOfRangeError(f"{name} must lie strictly inside (0, 1), got {value}")
             object.__setattr__(self, name, value)
+        p, eps = self.p, self.epsilon
+        J = 0.5 * math.log((1.0 - p) / p)
+        K = 0.5 * math.log((1.0 - eps) / eps)
+        derived = dict(J=J, K=K, cJ=math.cosh(J), lam=4.0 * math.cosh(J) * math.cosh(K),
+                       r=p / (1.0 - p), c=eps / (1.0 - eps),
+                       decay=_decay_bound(p, eps, abs(K) + abs(J)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def validate_params(p: float, epsilon: float) -> ChannelParams:
-    """Validate (p, epsilon); raises OutOfRangeError rather than clamping."""
+    """Validate (p, epsilon) and derive the cell; raises OutOfRangeError rather than clamping."""
     return ChannelParams(p, epsilon)
+
+
+#: validate_params under its second name; both build the same cell.
+channel_model = validate_params
+
+
+def check_count(name: str, value, least: int = 0) -> None:
+    """Refuse a count, length, depth or seed ``value`` that is not an integer >= ``least``.
+
+    Python and numpy integers pass; booleans and floats, integral or not, raise
+    OutOfRangeError, as does a value below ``least``.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise OutOfRangeError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,50 +153,3 @@ def _decay_bound(p: float, eps: float, c1: float) -> DecayBound | None:
     if rho >= 1.0:
         return None
     return DecayBound(rho=rho, regime=regime, C=c1 / (1.0 - rho), C1=c1)
-
-
-@dataclass(frozen=True)
-class Couplings:
-    """All derived constants, kept together with the parameters that produced them.
-
-    J = (1/2) log((1-p)/p)            source coupling, tanh(J) = 1 - 2p
-    K = (1/2) log((1-eps)/eps)        field coupling, tanh(K) = 1 - 2 eps
-    cJ = cosh(J)                      cylinder prefactor
-    lam = 4 cosh(J) cosh(K)           per-symbol normalizer
-    r = p/(1-p) = exp(-2J)            ratio form of J, used by the transfer scan
-    c = eps/(1-eps) = exp(-2K)        ratio form of K, used by the transfer scan
-    decay                             the decay certificate, None where rho rounds to 1
-    """
-
-    p: float
-    epsilon: float
-    J: float
-    K: float
-    cJ: float
-    lam: float
-    r: float
-    c: float
-    decay: DecayBound | None
-
-
-def derive_couplings(params: ChannelParams) -> Couplings:
-    """Derive all coupling constants from validated parameters. Pure and deterministic."""
-    p, eps = params.p, params.epsilon
-    J = 0.5 * math.log((1.0 - p) / p)
-    K = 0.5 * math.log((1.0 - eps) / eps)
-    return Couplings(
-        p=p,
-        epsilon=eps,
-        J=J,
-        K=K,
-        cJ=math.cosh(J),
-        lam=4.0 * math.cosh(J) * math.cosh(K),
-        r=p / (1.0 - p),
-        c=eps / (1.0 - eps),
-        decay=_decay_bound(p, eps, abs(K) + abs(J)),
-    )
-
-
-def channel_model(p: float, epsilon: float) -> Couplings:
-    """Validate raw parameters and derive couplings in one step."""
-    return derive_couplings(validate_params(p, epsilon))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, TooLongError
-from .model import ChannelParams
+from .model import ChannelParams, check_count
 from .sequences import as_spin_array
 
 #: Hard budget on the hidden-configuration enumeration, 2^22 configurations.
@@ -35,7 +35,9 @@ def spin_word_code(y) -> int:
 
 def code_to_spins(code: int, length: int) -> np.ndarray:
     """Inverse of spin_word_code."""
-    if not 0 <= code < (1 << length):
+    check_count("length", length)
+    check_count("code", code)
+    if code >= 1 << length:
         raise OutOfRangeError(f"code {code} out of range for length {length}")
     bits = (code >> np.arange(length, dtype=np.uint64)) & 1
     return np.where(bits == 1, -1, 1).astype(np.int8)
@@ -73,7 +75,8 @@ def enumerate_cylinder_table(length: int, params: ChannelParams) -> np.ndarray:
     Still pure enumeration: a (2^L, 2^L) mismatch-count matrix is contracted
     against the per-configuration transition weights.
     """
-    if not 1 <= length <= MAX_TABLE_LENGTH:
+    check_count("length", length, 1)
+    if length > MAX_TABLE_LENGTH:
         raise TooLongError(f"table length must be in 1..{MAX_TABLE_LENGTH}, got {length}")
     p, eps = params.p, params.epsilon
     configs = np.arange(1 << length, dtype=np.uint32)

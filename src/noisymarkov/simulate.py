@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LengthMismatchError, MalformedDataError, OutOfRangeError
-from .model import ChannelParams
+from .model import ChannelParams, check_count
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
 
 GENERATOR_NAME = "philox4x64"
@@ -77,8 +77,8 @@ def _sample_markov_with(rng: np.random.Generator, p: float, n: int) -> np.ndarra
 
 def sample_markov(p: float, n: int, seed: int) -> SpinSequence:
     """Stationary symmetric two-state chain: x_0 uniform, P(x_{i+1} != x_i) = p."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
+    check_count("seed", seed)
     if not 0.0 < p < 1.0:
         raise OutOfRangeError(f"p must lie strictly inside (0, 1), got {p}")
     rng = _philox(np.random.SeedSequence(seed))
@@ -94,6 +94,7 @@ def transmit(x, epsilon: float, seed: int) -> SimulatedPath:
     """Push a hidden sequence through the memoryless channel: P(z = -1) = epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise OutOfRangeError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
+    check_count("seed", seed)
     arr = as_spin_array(x)
     rng = _philox(np.random.SeedSequence(seed))
     z, y = _transmit_with(rng, arr, epsilon)
@@ -104,8 +105,8 @@ def transmit(x, epsilon: float, seed: int) -> SimulatedPath:
 
 def generate_dataset(params: ChannelParams, n: int, seed: int) -> SimulatedPath:
     """Sample a full path with independent spawned substreams for source and noise."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
+    check_count("seed", seed)
     source_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     x = _sample_markov_with(_philox(source_seq), params.p, n)
     z, y = _transmit_with(_philox(noise_seq), x, params.epsilon)

@@ -14,10 +14,10 @@ explicit sandwich constant pair, and 2*g admits the continued fraction
     q_i = (1-2p) y_{i-1} y_i,  a_i = 1 + q_i,  b_i = 4 eps (1-eps) q_i.
 
 Finite inputs are interpreted through the repeat-last-symbol extension; the
-decay certificate C * rho^L, built once per cell with its ``Couplings`` (see the
-model module) and also the source of the transfer module's lane-scan burn-in,
-bounds the influence of the unseen tail, so every limit quantity here carries a
-guaranteed error bar. Every query reads that certificate through
+decay certificate C * rho^L, built once per cell with its ``ChannelParams``
+(see the model module) and also the source of the transfer module's lane-scan
+burn-in, bounds the influence of the unseen tail, so every limit quantity here
+carries a guaranteed error bar. Every query reads that certificate through
 ``decay_rate_bound`` rather than deriving it again.
 """
 
@@ -35,7 +35,7 @@ from .errors import (
     InsufficientContextError,
     OutOfRangeError,
 )
-from .model import Couplings
+from .model import ChannelParams, check_count
 from .sequences import as_spin_array
 from .transfer import (
     DecayBound,
@@ -98,7 +98,7 @@ class ContinuedFractionResult:
     tail_sensitivity: float
 
 
-def _certified_context(y, tol: float, model: Couplings) -> np.ndarray:
+def _certified_context(y, tol: float, model: ChannelParams) -> np.ndarray:
     arr = as_spin_array(y)
     bound = decay_rate_bound(model)
     if bound.rho > 0.0 and bound.C * bound.rho ** len(arr) >= tol:
@@ -110,7 +110,7 @@ def _certified_context(y, tol: float, model: Couplings) -> np.ndarray:
     return arr
 
 
-def limit_field(y, tol: float, model: Couplings) -> float:
+def limit_field(y, tol: float, model: ChannelParams) -> float:
     """Limit field w_0 of the one-sided sequence starting with y, within tol.
 
     The value is computed along the repeat-last-symbol extension of y; the
@@ -123,7 +123,7 @@ def limit_field(y, tol: float, model: Couplings) -> float:
     return float(extended_fields(arr, model)[0])
 
 
-def g_function(y, tol: float, model: Couplings) -> float:
+def g_function(y, tol: float, model: ChannelParams) -> float:
     """Conditional probability g(y) = Q(y_0 | y_1, y_2, ...) of the first symbol.
 
     Evaluated as 1/2 + (1/2)(1-2p)(1-2eps) y_0 tanh(w_1) with w_1 the limit
@@ -156,7 +156,7 @@ def _tail_value(q_inf: float, t2e: float) -> float:
     return u_hi if abs(u_hi) >= abs(u_lo) else u_lo
 
 
-def g_continued_fraction_detail(y, depth: int, model: Couplings) -> ContinuedFractionResult:
+def g_continued_fraction_detail(y, depth: int, model: ChannelParams) -> ContinuedFractionResult:
     """Continued-fraction evaluation of g, truncated at ``depth``, with diagnostics.
 
     The backward recurrence starts from the attracting fixed-point value of the
@@ -164,8 +164,7 @@ def g_continued_fraction_detail(y, depth: int, model: Couplings) -> ContinuedFra
     truncation error. Denominators below NEAR_ZERO_DENOMINATOR raise
     DivisionNearZeroError; the result is reported, never patched.
     """
-    if depth < 1:
-        raise OutOfRangeError(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth, 1)
     arr = as_spin_array(y)
     if len(arr) < depth + 1:
         raise InsufficientContextError(
@@ -193,29 +192,29 @@ def g_continued_fraction_detail(y, depth: int, model: Couplings) -> ContinuedFra
     )
 
 
-def g_continued_fraction(y, depth: int, model: Couplings) -> float:
+def g_continued_fraction(y, depth: int, model: ChannelParams) -> float:
     """g evaluated through its continued fraction, truncated at ``depth``."""
     return g_continued_fraction_detail(y, depth, model).value
 
 
-def gibbs_potential(y, tol: float, model: Couplings) -> float:
+def gibbs_potential(y, tol: float, model: ChannelParams) -> float:
     """Potential phi(y) = B(w_0(y)); |dB/dw| <= 1 so the field tolerance carries over."""
     w0 = limit_field(y, tol, model)
     return float(log_partition_term(w0, model))
 
 
-def coboundary(y, tol: float, model: Couplings) -> float:
+def coboundary(y, tol: float, model: ChannelParams) -> float:
     """h(y) = cosh(w_0) exp(-B(w_0)); satisfies g = (e^phi / lam) h / (h o shift)."""
     w0 = limit_field(y, tol, model)
     return math.cosh(w0) * math.exp(-float(log_partition_term(w0, model)))
 
 
-def pressure(model: Couplings) -> float:
+def pressure(model: ChannelParams) -> float:
     """Pressure of the potential: P = log(lam)."""
     return math.log(model.lam)
 
 
-def bowen_gibbs_certificate(model: Couplings) -> GibbsCertificate:
+def bowen_gibbs_certificate(model: ChannelParams) -> GibbsCertificate:
     """Explicit sandwich constants for the Bowen-Gibbs property of the output law.
 
     All suprema/infima are taken over the invariant interval I = [-C1, C1].
@@ -249,7 +248,7 @@ def bowen_gibbs_certificate(model: Couplings) -> GibbsCertificate:
     return GibbsCertificate(pressure=pressure(model), C_lower=c_lower, C_upper=c_upper)
 
 
-def bowen_gibbs_ratio(y, model: Couplings) -> float:
+def bowen_gibbs_ratio(y, model: ChannelParams) -> float:
     """Ratio Q(y_0^n) / exp(S_{n+1} phi(y) - (n+1) P) for the repeat-extension of y.
 
     Both the cylinder probability and the Birkhoff sum are assembled in log
@@ -264,7 +263,7 @@ def bowen_gibbs_ratio(y, model: Couplings) -> float:
     return math.exp(log_ratio)
 
 
-def variation_estimate(n: int, samples: int, model: Couplings, seed: int) -> float:
+def variation_estimate(n: int, samples: int, model: ChannelParams, seed: int) -> float:
     """Largest observed |g(y) - g(y~)| over pairs agreeing on their first n symbols.
 
     Pairs are adversarial: a common random prefix of length n continued by the
@@ -273,10 +272,9 @@ def variation_estimate(n: int, samples: int, model: Couplings, seed: int) -> flo
     spawned substreams, so estimates at different n are nested (the length-n
     prefix of every sample extends its length-(n-1) prefix).
     """
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
-    if samples < 1:
-        raise OutOfRangeError(f"samples must be >= 1, got {samples}")
+    check_count("n", n, 1)
+    check_count("samples", samples, 1)
+    check_count("seed", seed)
     half_tt = 0.5 * (1.0 - 2.0 * model.p) * (1.0 - 2.0 * model.epsilon)
     worst = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):

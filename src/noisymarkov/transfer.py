@@ -57,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
-from .model import Couplings, DecayBound, channel_model
+from .model import ChannelParams, DecayBound, channel_model
 from .sequences import FieldTrajectory, SpinSequence, as_spin_array
 
 __all__ = [
@@ -111,13 +111,13 @@ def _transfer_ratio(u, r: float):
     return (r + u) / (1.0 + r * u)
 
 
-def _shift_from_ratio(rho, model: Couplings):
+def _shift_from_ratio(rho, model: ChannelParams):
     """A = -(1/2) log rho, clamped to the interval |A| <= |J| that it obeys exactly."""
     bound = abs(model.J)
     return np.minimum(np.maximum(-0.5 * np.log(rho), -bound), bound)
 
 
-def field_shift(w, model: Couplings):
+def field_shift(w, model: ChannelParams):
     """Field A(w) passed to the left neighbor when a spin feeling field w is summed out.
 
     Evaluates the transfer map at u = exp(-2|w|) <= 1 and uses that A is odd;
@@ -127,7 +127,7 @@ def field_shift(w, model: Couplings):
     return np.sign(w) * _shift_from_ratio(rho, model)
 
 
-def field_shift_deriv(w, model: Couplings):
+def field_shift_deriv(w, model: ChannelParams):
     """dA/dw = sinh(2J) / (cosh(2J) + cosh(2w)), evaluated overflow-safely."""
     s2j = math.sinh(2.0 * model.J)
     c2j = math.cosh(2.0 * model.J)
@@ -137,21 +137,21 @@ def field_shift_deriv(w, model: Couplings):
     return 2.0 * s2j * eu / (1.0 + eu * eu + 2.0 * c2j * eu)
 
 
-def log_partition_term(w, model: Couplings):
+def log_partition_term(w, model: ChannelParams):
     """Per-site log-partition contribution B(w) = (1/2) log(4 cosh(w+J) cosh(w-J))."""
     J = model.J
     return 0.5 * (log2cosh(w + J) + log2cosh(w - J))
 
 
-def log_partition_term_deriv(w, model: Couplings):
+def log_partition_term_deriv(w, model: ChannelParams):
     """dB/dw = (tanh(w+J) + tanh(w-J)) / 2."""
     J = model.J
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
 def decay_rate_bound(params) -> DecayBound:
-    """The decay certificate of the cell: read off a Couplings, derived for any other (p, epsilon)."""
-    model = params if isinstance(params, Couplings) else channel_model(params.p, params.epsilon)
+    """The decay certificate of the cell: read off a ChannelParams, derived for any other (p, epsilon)."""
+    model = params if isinstance(params, ChannelParams) else channel_model(params.p, params.epsilon)
     if model.decay is None:
         raise OutOfRangeError(
             f"no decay certificate at (p, epsilon) = ({model.p!r}, {model.epsilon!r}): "
@@ -170,7 +170,7 @@ def required_context(tol: float, model) -> int:
     return max(1, math.floor(math.log(tol / bound.C) / math.log(bound.rho)) + 1)
 
 
-def _sequential_shifts(symbols: np.ndarray, model: Couplings, shift_init: float) -> np.ndarray:
+def _sequential_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
     """The transfer step run one symbol at a time, right to left, from ``shift_init``."""
     r, ratio = model.r, _transfer_ratio
     factors = np.where(symbols == 1, model.c, 1.0 / model.c).tolist()
@@ -186,7 +186,7 @@ def _sequential_shifts(symbols: np.ndarray, model: Couplings, shift_init: float)
 def scan_burn_in(n: int, model) -> int | None:
     """Burn-in L of the lane scan of a word of n symbols, or None where the scan runs sequentially.
 
-    ``model`` is the cell's Couplings or ChannelParams. L is the smallest
+    ``model`` is the cell, as ``decay_rate_bound`` takes it. L is the smallest
     length with 2 C rho^L <= BURN_IN_TOL for the decay certificate (C, rho) of
     the cell. The sequential loop runs where the word is shorter than
     LANE_CUTOVER (b + L), with b = max(LANE_WIDTH, L), or where the cell has no
@@ -201,7 +201,7 @@ def scan_burn_in(n: int, model) -> int | None:
     return burn_in if n >= LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in) else None
 
 
-def _lane_shifts(symbols: np.ndarray, model: Couplings, width: int, burn_in: int) -> np.ndarray:
+def _lane_shifts(symbols: np.ndarray, model: ChannelParams, width: int, burn_in: int) -> np.ndarray:
     """Shifts of the first len(symbols) - burn_in positions, scanned in lanes of ``width``.
 
     Lane j covers positions [j*width, (j+1)*width) and starts at zero field
@@ -225,7 +225,7 @@ def _lane_shifts(symbols: np.ndarray, model: Couplings, width: int, burn_in: int
     return _shift_from_ratio(out[::-1].T.ravel(), model)
 
 
-def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0) -> np.ndarray:
+def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0) -> np.ndarray:
     """Right-to-left transfer scan of a word of n symbols.
 
     Entry i < n is A(w_i), the shift that position i passes to its left
@@ -249,7 +249,7 @@ def _scan_shifts(symbols: np.ndarray, model: Couplings, shift_init: float = 0.0)
     return np.concatenate([lanes, _sequential_shifts(symbols[n - tail :], model, shift_init)])
 
 
-def _fixed_point_shift(symbol: int, model: Couplings) -> float:
+def _fixed_point_shift(symbol: int, model: ChannelParams) -> float:
     """A(w) at the limit field w = K*symbol + A(w) of the constant sequence of ``symbol``.
 
     Its ratio rho is the attracting fixed point of rho -> m(f rho), f = c^symbol:
@@ -263,7 +263,7 @@ def _fixed_point_shift(symbol: int, model: Couplings) -> float:
     return shift if f <= 1.0 else -shift
 
 
-def backward_fields(y, model: Couplings) -> FieldTrajectory:
+def backward_fields(y, model: ChannelParams) -> FieldTrajectory:
     """Fields w_i^{(n)} for i = m..n of the word y on window [m, n], scanned right to left.
 
     The base case is w_n = K*y_n, i.e. the field beyond the horizon is zero.
@@ -274,7 +274,7 @@ def backward_fields(y, model: Couplings) -> FieldTrajectory:
     return FieldTrajectory(values=values, start=start, horizon=start + len(arr) - 1)
 
 
-def forward_fields(y, model: Couplings) -> FieldTrajectory:
+def forward_fields(y, model: ChannelParams) -> FieldTrajectory:
     """Mirror of backward_fields for a left context, scanned left to right.
 
     The recursion w_{j+1} = K*y_{j+1} + A(w_j) starts from w_m = K*y_m, so the
@@ -286,7 +286,7 @@ def forward_fields(y, model: Couplings) -> FieldTrajectory:
     return FieldTrajectory(values=values, start=start, horizon=start)
 
 
-def neighbour_shifts(y, model: Couplings) -> tuple[np.ndarray, np.ndarray]:
+def neighbour_shifts(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """Shifts A(wf_{i-1}) and A(wb_{i+1}) that the two sides of every position put on it.
 
     wf are the forward and wb the backward fields of the whole word; an absent
@@ -299,19 +299,19 @@ def neighbour_shifts(y, model: Couplings) -> tuple[np.ndarray, np.ndarray]:
     return left[:-1], right[1:]
 
 
-def fixed_point_field(symbol: int, model: Couplings) -> float:
+def fixed_point_field(symbol: int, model: ChannelParams) -> float:
     """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w)."""
     if symbol not in (-1, 1):
         raise OutOfRangeError(f"symbol must be -1 or +1, got {symbol}")
     return model.K * symbol + _fixed_point_shift(symbol, model)
 
 
-def _extended_shifts(arr: np.ndarray, model: Couplings) -> np.ndarray:
+def _extended_shifts(arr: np.ndarray, model: ChannelParams) -> np.ndarray:
     """_scan_shifts of arr extended to the right by repeating its last symbol."""
     return _scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))
 
 
-def extended_fields(y, model: Couplings) -> np.ndarray:
+def extended_fields(y, model: ChannelParams) -> np.ndarray:
     """Limit fields at the positions of y when y is extended by repeating its last symbol.
 
     Every position at or beyond the last given symbol sees a constant tail, so
@@ -323,30 +323,30 @@ def extended_fields(y, model: Couplings) -> np.ndarray:
     return model.K * arr + _extended_shifts(arr, model)[1:]
 
 
-def _symbol_prob(y, shift, model: Couplings):
+def _symbol_prob(y, shift, model: ChannelParams):
     """Q(y | rest) when the rest of the word puts the field ``shift`` on the hidden spin of y."""
     low, high = _logistic_pair(2.0 * y * shift)
     return (1.0 - model.epsilon) * high + model.epsilon * low
 
 
-def log_cylinder_prob(y, model: Couplings) -> float:
+def log_cylinder_prob(y, model: ChannelParams) -> float:
     """log Q(y_m^n), assembled in log space so long words do not underflow."""
     arr = as_spin_array(y)
     conditionals = _symbol_prob(arr, _scan_shifts(arr, model)[1:], model)
     return math.fsum(np.log(conditionals))
 
 
-def cylinder_prob(y, model: Couplings) -> float:
+def cylinder_prob(y, model: ChannelParams) -> float:
     """Q(y_m^n) via the transfer recursion; matches the brute-force oracle to 1e-12."""
     return math.exp(log_cylinder_prob(y, model))
 
 
-def conditional_prob(y0: int, future, model: Couplings) -> float:
+def conditional_prob(y0: int, future, model: ChannelParams) -> float:
     """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context."""
     return two_sided_conditional(y0, [], as_spin_array(future), model)
 
 
-def two_sided_conditional(y0: int, left, right, model: Couplings) -> float:
+def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:
     """Two-sided conditional Q(y0 | left context, right context).
 
     Either context may be empty; an absent side contributes field zero, which
@@ -362,7 +362,7 @@ def two_sided_conditional(y0: int, left, right, model: Couplings) -> float:
     return float(_symbol_prob(y0, shift, model))
 
 
-def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Couplings) -> float:
+def two_sided_limit_conditional(y0: int, left, right, tol: float, model: ChannelParams) -> float:
     """Two-sided conditional with both contexts extended to their limits.
 
     Each nonempty context is treated as the visible part of an infinite context

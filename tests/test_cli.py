@@ -245,6 +245,13 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         assert cli.main(["probs", "--grid-file", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "bench", "gfun"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        code = cli.main([command, "--p", "0.2", "--eps", "0.1", "--n", "100", "--k", "1",
+                         "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bench", "decay"])
     def test_out_of_range_grid_cell_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.txt"

@@ -103,15 +103,20 @@ def test_one_decay_certificate_per_cell():
         if isinstance(node, ast.ClassDef) and node.name == "DecayBound"
     ]
     assert len(homes) == 1, homes
-    # derive_couplings builds the certificate with the cell, so it alone constructs one
-    calls = {source.name: _calls_to(_tree(source), "Couplings") for source in SOURCES}
+    # ChannelParams builds the certificate with the cell, so it alone derives one
+    calls = {source.name: _calls_to(_tree(source), "_decay_bound") for source in SOURCES}
     model = next(source for source in SOURCES if source.name == "model.py")
-    builder = next(
-        func for func in ast.walk(_tree(model))
-        if isinstance(func, ast.FunctionDef) and func.name == "derive_couplings"
+    cell = next(
+        node for node in ast.walk(_tree(model))
+        if isinstance(node, ast.ClassDef) and node.name == "ChannelParams"
     )
+    builder = next(
+        func for func in cell.body
+        if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+    )
+    assert _calls_to(builder, "_decay_bound")
     assert {name: lines for name, lines in calls.items() if lines} == {
-        "model.py": _calls_to(builder, "Couplings")
+        "model.py": _calls_to(builder, "_decay_bound")
     }
 
 

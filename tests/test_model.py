@@ -1,10 +1,17 @@
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from noisymarkov import thermo, transfer
+from noisymarkov.denoise import default_context_length, dude
 from noisymarkov.errors import OutOfRangeError
-from noisymarkov.model import channel_model, derive_couplings, validate_params
+from noisymarkov.model import ChannelParams, channel_model, validate_params
+from noisymarkov.oracle import code_to_spins, enumerate_cylinder_table
+from noisymarkov.simulate import generate_dataset, sample_markov, transmit
+from noisymarkov.thermo import g_continued_fraction_detail, variation_estimate
 
 from conftest import PARAM_GRID
 
@@ -59,43 +66,137 @@ class TestValidateParams:
 
 
 class TestDeriveCouplings:
+    """The constants that validate_params derives with the cell."""
+
     def test_reference_point(self):
         # e^J = 2 and e^K = 3 at (0.2, 0.1)
-        m = channel_model(0.2, 0.1)
+        m = validate_params(0.2, 0.1)
         assert m.J == pytest.approx(math.log(2.0), rel=1e-14)
         assert m.K == pytest.approx(math.log(3.0), rel=1e-14)
         assert m.cJ == pytest.approx(1.25, rel=1e-14)
         assert m.lam == pytest.approx(25.0 / 3.0, rel=1e-14)
 
     def test_symmetric_point(self):
-        m = channel_model(0.5, 0.5)
+        m = validate_params(0.5, 0.5)
         assert m.J == 0.0
         assert m.K == 0.0
         assert m.lam == pytest.approx(4.0, rel=1e-14)
 
     def test_equal_rates(self):
-        m = channel_model(0.2, 0.2)
+        m = validate_params(0.2, 0.2)
         assert m.J == m.K
 
     def test_normalizer_forms_agree(self, rng):
         # lam = 2(cosh(J+K) + cosh(J-K)) = 4 cosh(J) cosh(K)
         points = PARAM_GRID + [tuple(rng.uniform(0.01, 0.99, size=2)) for _ in range(50)]
         for p, eps in points:
-            m = channel_model(p, eps)
+            m = validate_params(p, eps)
             other = 2.0 * (math.cosh(m.J + m.K) + math.cosh(m.J - m.K))
             assert m.lam == pytest.approx(other, rel=1e-14)
             assert m.lam > 0.0
 
     def test_tanh_identities(self, rng):
         for p, eps in PARAM_GRID + [tuple(rng.uniform(0.01, 0.99, size=2)) for _ in range(50)]:
-            m = channel_model(p, eps)
+            m = validate_params(p, eps)
             assert math.tanh(m.J) == pytest.approx(1.0 - 2.0 * p, rel=1e-14, abs=1e-15)
             assert math.tanh(m.K) == pytest.approx(1.0 - 2.0 * eps, rel=1e-14, abs=1e-15)
 
     def test_deterministic_and_pure(self):
-        params = validate_params(0.37, 0.21)
-        assert derive_couplings(params) == derive_couplings(params)
+        derived = ("J", "K", "cJ", "lam", "r", "c", "decay")
+        first, second = validate_params(0.37, 0.21), validate_params(0.37, 0.21)
+        assert [getattr(first, name) for name in derived] == [getattr(second, name) for name in derived]
 
     def test_half_gives_zero_coupling(self):
-        assert channel_model(0.5, 0.2).J == 0.0
-        assert channel_model(0.2, 0.5).K == 0.0
+        assert validate_params(0.5, 0.2).J == 0.0
+        assert validate_params(0.2, 0.5).K == 0.0
+
+    def test_identity_is_the_pair(self):
+        params = validate_params(0.2, 0.1)
+        assert repr(params) == "ChannelParams(p=0.2, epsilon=0.1)"
+        assert params == ChannelParams(0.2, 0.1) != ChannelParams(0.2, 0.3)
+        assert hash(params) == hash(ChannelParams(0.2, 0.1))
+        with pytest.raises(AttributeError):
+            params.J = 1.0
+
+    def test_one_function_builds_the_cell(self):
+        assert channel_model is validate_params
+
+
+def _takes_a_cell(func) -> bool:
+    return inspect.isfunction(func) and {"model", "params"} & set(inspect.signature(func).parameters)
+
+
+CELL_FUNCTIONS = {
+    f"{module.__name__.rpartition('.')[2]}.{name}": getattr(module, name)
+    for module in (transfer, thermo)
+    for name in module.__all__
+    if _takes_a_cell(getattr(module, name))
+}
+
+_WORD = np.resize(np.array([1, 1, -1, 1, -1, -1, 1], dtype=np.int8), 200)
+
+#: An argument for every other parameter name of the functions in CELL_FUNCTIONS.
+CELL_FUNCTION_ARGS = {
+    "w": np.linspace(-3.0, 3.0, 7),
+    "y": _WORD,
+    "left": _WORD[:30],
+    "right": _WORD[30:60],
+    "future": _WORD[:30],
+    "symbol": 1,
+    "y0": -1,
+    "tol": 1e-6,
+    "depth": 20,
+    "n": 5,
+    "samples": 3,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("func", CELL_FUNCTIONS.values(), ids=CELL_FUNCTIONS.keys())
+def test_cell_functions_take_the_validated_cell(func):
+    """Every public transfer and thermo function gives the same bits for validate_params' cell."""
+
+    def call(cell):
+        return func(*(
+            cell if name in ("model", "params") else CELL_FUNCTION_ARGS[name]
+            for name in inspect.signature(func).parameters
+        ))
+
+    assert pickle.dumps(call(validate_params(0.1, 0.2))) == pickle.dumps(call(channel_model(0.1, 0.2)))
+
+
+def test_cell_functions_found():
+    assert {"transfer.cylinder_prob", "transfer.decay_rate_bound", "thermo.g_function",
+            "thermo.bowen_gibbs_certificate", "thermo.variation_estimate"} <= set(CELL_FUNCTIONS)
+
+
+CELL = validate_params(0.1, 0.2)
+
+#: Calls given a negative seed, a count that is not an integer, or a float seed.
+BAD_COUNT_CALLS = {
+    "generate_dataset-seed": lambda: generate_dataset(CELL, 10, -1),
+    "sample_markov-seed": lambda: sample_markov(0.1, 10, -1),
+    "transmit-seed": lambda: transmit(_WORD, 0.2, -1),
+    "variation_estimate-seed": lambda: variation_estimate(3, 2, CELL, -1),
+    "generate_dataset-float-seed": lambda: generate_dataset(CELL, 10, 1.0),
+    "g_continued_fraction_detail-depth": lambda: g_continued_fraction_detail(_WORD, 2.5, CELL),
+    "dude-k": lambda: dude(_WORD, 0.2, k=2.5),
+    "generate_dataset-n": lambda: generate_dataset(CELL, 2.5, 0),
+    "sample_markov-n": lambda: sample_markov(0.1, 2.5, 0),
+    "variation_estimate-samples": lambda: variation_estimate(3, 2.5, CELL, 0),
+    "enumerate_cylinder_table-length": lambda: enumerate_cylinder_table(2.5, CELL),
+    "default_context_length-n": lambda: default_context_length(2.5),
+    "code_to_spins-code": lambda: code_to_spins(2.5, 3),
+    "generate_dataset-bool-n": lambda: generate_dataset(CELL, True, 0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())
+def test_bad_count_or_seed_is_out_of_range(call):
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
+def test_numpy_integer_counts_and_seeds_are_accepted():
+    path = generate_dataset(CELL, np.int64(50), np.uint32(7))
+    assert path.y == generate_dataset(CELL, 50, 7).y
