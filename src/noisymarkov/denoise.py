@@ -39,8 +39,8 @@ from .errors import (
     OutOfRangeError,
     SingularChannelError,
 )
-from .model import ChannelParams, check_count, validate_params
-from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
+from .model import ChannelParams, check_count, check_probability, validate_params
+from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array, check_spin
 from .transfer import _logistic_pair, neighbour_shifts
 
 __all__ = [
@@ -121,34 +121,29 @@ class BerReport:
         }
 
 
-def _require_invertible(epsilon: float) -> None:
+def _check_crossover(epsilon) -> float:
+    """An invertible channel's crossover: ``check_probability``, and 1/2 raises SingularChannelError."""
+    epsilon = check_probability("epsilon", epsilon)
     if epsilon == 0.5:
         raise SingularChannelError("epsilon = 1/2 makes the emission matrix singular")
-
-
-def _check_crossover(epsilon: float) -> None:
-    """Refuse a crossover probability that is 1/2, outside [0, 1] or not a number."""
-    _require_invertible(epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise OutOfRangeError(f"epsilon must lie in [0, 1], got {epsilon}")
+    return epsilon
 
 
 def emission_matrix(epsilon: float) -> np.ndarray:
     """Row-stochastic emission matrix Pi[x, y] = P(Y=y | X=x), indices (-1, +1)."""
+    epsilon = check_probability("epsilon", epsilon)
     return np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])
 
 
 def emission_inverse(epsilon: float) -> np.ndarray:
     """Inverse of the emission matrix; requires epsilon != 1/2."""
-    _require_invertible(epsilon)
+    epsilon = _check_crossover(epsilon)
     return np.array([[1.0 - epsilon, -epsilon], [-epsilon, 1.0 - epsilon]]) / (1.0 - 2.0 * epsilon)
 
 
 def emission_column(epsilon: float, y: int) -> np.ndarray:
     """Likelihood vector pi_y over hidden states for a single observed symbol."""
-    if y not in (-1, 1):
-        raise OutOfRangeError(f"y must be -1 or +1, got {y}")
-    return emission_matrix(epsilon)[:, (y + 1) // 2]
+    return emission_matrix(epsilon)[:, (check_spin("y", y) + 1) // 2]
 
 
 def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
@@ -217,10 +212,12 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
     of channel inversion applied to empirical estimates) trigger a warning and
     are clamped to zero before renormalizing.
     """
-    _require_invertible(params.epsilon)
-    if y_n not in (-1, 1):
-        raise OutOfRangeError(f"y_n must be -1 or +1, got {y_n}")
-    vec = np.asarray(q2, dtype=np.float64)
+    epsilon = _check_crossover(params.epsilon)
+    y_n = check_spin("y_n", y_n)
+    try:
+        vec = np.asarray(q2, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRangeError(f"q2 must be a pair of real numbers, got {q2!r}") from exc
     if vec.shape != (2,):
         raise OutOfRangeError(f"q2 must have shape (2,), got {vec.shape}")
     if (
@@ -229,7 +226,7 @@ def posterior_from_two_sided(q2, y_n: int, params: ChannelParams) -> np.ndarray:
         or abs(float(vec.sum()) - 1.0) > 1e-6
     ):
         raise OutOfRangeError(f"q2 must be a probability distribution, got {vec}")
-    v_minus, v_plus, flagged = _channel_weights(vec[:1], vec[1:], np.array([y_n]), params.epsilon)
+    v_minus, v_plus, flagged = _channel_weights(vec[:1], vec[1:], np.array([y_n]), epsilon)
     if flagged[0]:
         warnings.warn(
             "channel inversion produced a negative intermediate; clamped to zero",
@@ -358,7 +355,7 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     smoothing is needed. The first and last k positions are passed through
     unchanged. ``q2`` is left to the result, which builds it when read.
     """
-    _check_crossover(epsilon)
+    epsilon = _check_crossover(epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     k = _check_context(n, k)
@@ -409,7 +406,7 @@ def bfp_denoise(
     closed form on the two shifts. It deliberately does not equal the exact
     two-sided conditional in general.
     """
-    _require_invertible(params.epsilon)
+    _check_crossover(params.epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     if mode == "exact":
@@ -453,9 +450,9 @@ def estimate_p_moment(y, epsilon: float) -> float:
 
     E[Y_i Y_{i+1}] = (1-2p)(1-2 eps)^2, so p_hat = (1 - r_hat/(1-2 eps)^2)/2
     with r_hat the empirical neighbor product mean, clamped to [1e-6, 1/2].
-    An epsilon of 1/2, outside [0, 1] or NaN is refused.
+    An epsilon of 1/2 or outside (0, 1) is refused.
     """
-    _check_crossover(epsilon)
+    epsilon = _check_crossover(epsilon)
     arr = as_spin_array(y)
     if len(arr) < 2:
         raise InsufficientContextError("need at least 2 symbols to estimate p")

@@ -2,8 +2,10 @@
 
 A ``ChannelParams`` validates the source flip rate p and the channel crossover
 rate epsilon once, and derives every constant the formulas of the package
-read, the cell's decay certificate included, when it is built. ``check_count``
-is the package's one check on the counts, lengths and seeds it is passed.
+read, the cell's decay certificate included, when it is built. The package
+checks each kind of scalar argument in one place: ``check_probability`` (inside
+(0, 1)), ``check_tolerance`` (positive) and ``check_count`` (counts, lengths,
+seeds) here, and ``sequences.check_spin`` for a symbol.
 
 Decay-rate certificate. The naive contraction rate of the field map
 w -> K*y + A(w) of the transfer module is sup|dA/dw| = |1-2p|. When the
@@ -66,17 +68,9 @@ class ChannelParams:
     decay: DecayBound | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("p", "epsilon"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise OutOfRangeError(f"{name} must be finite, got {value}")
-            if not 0.0 < value < 1.0:
-                raise OutOfRangeError(f"{name} must lie strictly inside (0, 1), got {value}")
-            object.__setattr__(self, name, value)
-        p, eps = self.p, self.epsilon
+        p, eps = check_probability("p", self.p), check_probability("epsilon", self.epsilon)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "epsilon", eps)
         J = 0.5 * math.log((1.0 - p) / p)
         K = 0.5 * math.log((1.0 - eps) / eps)
         derived = dict(J=J, K=K, cJ=math.cosh(J), lam=4.0 * math.cosh(J) * math.cosh(K),
@@ -93,6 +87,23 @@ def validate_params(p: float, epsilon: float) -> ChannelParams:
 
 #: validate_params under its second name; both build the same cell.
 channel_model = validate_params
+
+
+def check_probability(name: str, value) -> float:
+    """Refuse a probability ``value`` that is not a real number strictly inside (0, 1).
+
+    Returns it as a float. Booleans, strings, NaN and +-inf raise OutOfRangeError.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value < 1.0:
+        raise OutOfRangeError(f"{name} must be a real number strictly inside (0, 1), got {value!r}")
+    return float(value)
+
+
+def check_tolerance(tol) -> float:
+    """Refuse a tolerance ``tol`` that is not a positive real number; returns it as a float."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not tol > 0.0:
+        raise OutOfRangeError(f"tol must be a positive real number, got {tol!r}")
+    return float(tol)
 
 
 def check_count(name: str, value, least: int = 0) -> None:

@@ -1,12 +1,17 @@
-"""Spin-valued sequences over {-1, +1} and auxiliary field trajectories."""
+"""Spin-valued sequences over {-1, +1} and auxiliary field trajectories.
+
+This module decides what a spin is, for the whole package: ``as_spin_array``
+checks a word of symbols and ``check_spin`` a single symbol.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedDataError
+from .errors import MalformedDataError, OutOfRangeError
 
 SPIN_DTYPE = np.int8
 
@@ -37,22 +42,24 @@ def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
     return out
 
 
+def check_spin(name: str, value) -> int:
+    """Refuse a symbol ``value`` that is not a real scalar equal to -1 or +1; returns it as an int.
+
+    Arrays, strings and booleans raise OutOfRangeError, as does any other value.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or value not in (-1, 1):
+        raise OutOfRangeError(f"{name} must be -1 or +1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SpinSequence:
-    """A finite word over {-1, +1} occupying index window [start, start + len - 1]."""
+    """A finite word over {-1, +1}."""
 
     symbols: np.ndarray
-    start: int = 0
 
     def __post_init__(self) -> None:
-        arr = as_spin_array(np.asarray(self.symbols))
-        object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "start", int(self.start))
-
-    @property
-    def end(self) -> int:
-        """Index of the last symbol."""
-        return self.start + len(self.symbols) - 1
+        object.__setattr__(self, "symbols", as_spin_array(np.asarray(self.symbols)))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -60,24 +67,17 @@ class SpinSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinSequence):
             return NotImplemented
-        return self.start == other.start and np.array_equal(self.symbols, other.symbols)
+        return np.array_equal(self.symbols, other.symbols)
 
 
 @dataclass(frozen=True, eq=False)
 class FieldTrajectory:
-    """Auxiliary fields w_i attached to positions start..start+len-1, horizon n.
-
-    ``values[j]`` is the field at absolute position ``start + j``; fields beyond
-    ``horizon`` are zero by convention.
-    """
+    """Auxiliary fields w_i of a word, one per symbol: ``values[j]`` is the field at symbol j."""
 
     values: np.ndarray
-    start: int
-    horizon: int
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals = vals.copy()
+        vals = np.array(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LengthMismatchError, MalformedDataError, OutOfRangeError
-from .model import ChannelParams, check_count
+from .model import ChannelParams, check_count, check_probability
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
 
 GENERATOR_NAME = "philox4x64"
@@ -79,8 +79,7 @@ def sample_markov(p: float, n: int, seed: int) -> SpinSequence:
     """Stationary symmetric two-state chain: x_0 uniform, P(x_{i+1} != x_i) = p."""
     check_count("n", n, 1)
     check_count("seed", seed)
-    if not 0.0 < p < 1.0:
-        raise OutOfRangeError(f"p must lie strictly inside (0, 1), got {p}")
+    p = check_probability("p", p)
     rng = _philox(np.random.SeedSequence(seed))
     return SpinSequence(_sample_markov_with(rng, p, n))
 
@@ -92,8 +91,7 @@ def _transmit_with(rng: np.random.Generator, x: np.ndarray, epsilon: float) -> t
 
 def transmit(x, epsilon: float, seed: int) -> SimulatedPath:
     """Push a hidden sequence through the memoryless channel: P(z = -1) = epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise OutOfRangeError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
+    epsilon = check_probability("epsilon", epsilon)
     check_count("seed", seed)
     arr = as_spin_array(x)
     rng = _philox(np.random.SeedSequence(seed))

@@ -29,13 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateOverflowError,
-    DivisionNearZeroError,
-    InsufficientContextError,
-    OutOfRangeError,
-)
-from .model import ChannelParams, check_count
+from .errors import CertificateOverflowError, DivisionNearZeroError, InsufficientContextError
+from .model import ChannelParams, check_count, check_tolerance
 from .sequences import as_spin_array
 from .transfer import (
     DecayBound,
@@ -117,9 +112,7 @@ def limit_field(y, tol: float, model: ChannelParams) -> float:
     decay certificate guarantees that any other tail changes it by less than
     C * rho^len(y), which must be below tol (InsufficientContextError otherwise).
     """
-    if not tol > 0.0:
-        raise OutOfRangeError(f"tol must be positive, got {tol}")
-    arr = _certified_context(y, tol, model)
+    arr = _certified_context(y, check_tolerance(tol), model)
     return float(extended_fields(arr, model)[0])
 
 

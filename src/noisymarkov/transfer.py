@@ -57,8 +57,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
-from .model import ChannelParams, DecayBound, channel_model
-from .sequences import FieldTrajectory, SpinSequence, as_spin_array
+from .model import ChannelParams, DecayBound, channel_model, check_tolerance
+from .sequences import FieldTrajectory, as_spin_array, check_spin
 
 __all__ = [
     "log2cosh",
@@ -162,8 +162,7 @@ def decay_rate_bound(params) -> DecayBound:
 
 def required_context(tol: float, model) -> int:
     """Smallest context length L with C * rho^L < tol."""
-    if not tol > 0.0:
-        raise OutOfRangeError(f"tol must be positive, got {tol}")
+    tol = check_tolerance(tol)
     bound = decay_rate_bound(model)
     if bound.rho == 0.0 or bound.C < tol:
         return 1
@@ -266,24 +265,21 @@ def _fixed_point_shift(symbol: int, model: ChannelParams) -> float:
 def backward_fields(y, model: ChannelParams) -> FieldTrajectory:
     """Fields w_i^{(n)} for i = m..n of the word y on window [m, n], scanned right to left.
 
-    The base case is w_n = K*y_n, i.e. the field beyond the horizon is zero.
+    The base case is w_n = K*y_n, i.e. the field beyond the last symbol is zero.
     """
-    start = y.start if isinstance(y, SpinSequence) else 0
     arr = as_spin_array(y)
-    values = model.K * arr + _scan_shifts(arr, model)[1:]
-    return FieldTrajectory(values=values, start=start, horizon=start + len(arr) - 1)
+    return FieldTrajectory(model.K * arr + _scan_shifts(arr, model)[1:])
 
 
 def forward_fields(y, model: ChannelParams) -> FieldTrajectory:
     """Mirror of backward_fields for a left context, scanned left to right.
 
     The recursion w_{j+1} = K*y_{j+1} + A(w_j) starts from w_m = K*y_m, so the
-    returned values equal backward_fields of the reversed word, reversed back.
+    returned values equal backward_fields of the reversed word, reversed back:
+    the scan of the reversed word, read back to front without its last entry.
     """
-    start = y.start if isinstance(y, SpinSequence) else 0
     arr = as_spin_array(y)
-    values = backward_fields(arr[::-1], model).values[::-1]
-    return FieldTrajectory(values=values, start=start, horizon=start)
+    return FieldTrajectory(model.K * arr + _scan_shifts(arr[::-1], model)[:0:-1])
 
 
 def neighbour_shifts(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -301,8 +297,7 @@ def neighbour_shifts(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
 
 def fixed_point_field(symbol: int, model: ChannelParams) -> float:
     """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w)."""
-    if symbol not in (-1, 1):
-        raise OutOfRangeError(f"symbol must be -1 or +1, got {symbol}")
+    symbol = check_spin("symbol", symbol)
     return model.K * symbol + _fixed_point_shift(symbol, model)
 
 
@@ -353,8 +348,7 @@ def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:
     reduces the formula to the one-sided conditional (or to the marginal 1/2
     when both sides are empty).
     """
-    if y0 not in (-1, 1):
-        raise OutOfRangeError(f"y0 must be -1 or +1, got {y0}")
+    y0 = check_spin("y0", y0)
     left_arr = as_spin_array(left, allow_empty=True)
     right_arr = as_spin_array(right, allow_empty=True)
     # the left recursion equals the right recursion run on the reversed context
@@ -373,10 +367,8 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Channel
     tail by C * rho^len for each side, but no certificate is consulted here:
     ``tol`` is only checked to be positive, and short contexts are not refused.
     """
-    if y0 not in (-1, 1):
-        raise OutOfRangeError(f"y0 must be -1 or +1, got {y0}")
-    if not tol > 0.0:
-        raise OutOfRangeError(f"tol must be positive, got {tol}")
+    y0 = check_spin("y0", y0)
+    check_tolerance(tol)
     shift = 0.0
     for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
         if len(context):

@@ -120,6 +120,40 @@ def test_one_decay_certificate_per_cell():
     }
 
 
+def _literal(node: ast.AST):
+    try:
+        return ast.literal_eval(node)
+    except (TypeError, ValueError):
+        return None
+
+
+def _spin_tests(tree: ast.Module) -> set[int]:
+    """Lines of the ``in`` and ``not in (-1, 1)`` comparisons under ``tree``."""
+    return {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) and _literal(right) in ((-1, 1), (1, -1))
+                for op, right in zip(node.ops, node.comparators))
+    }
+
+
+def _unit_interval_tests(tree: ast.Module) -> set[int]:
+    """Lines of the chained comparisons ``0.0 < x < 1.0`` (or with ``<=``) under ``tree``."""
+    return {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and len(node.ops) == 2
+        and _literal(node.left) == 0.0 and _literal(node.comparators[-1]) == 1.0
+    }
+
+
+def test_one_check_per_kind_of_scalar():
+    # a spin symbol is decided beside the spin word, a probability beside the cell
+    spin = {source.name: lines for source in SOURCES if (lines := _spin_tests(_tree(source)))}
+    unit = {source.name: lines for source in SOURCES if (lines := _unit_interval_tests(_tree(source)))}
+    assert set(spin) == {"sequences.py"}, spin
+    assert set(unit) == {"model.py"}, unit
+
+
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
 def test_every_exported_name_resolves(source):
     name = "noisymarkov" if source.stem == "__init__" else f"noisymarkov.{source.stem}"

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from noisymarkov import thermo, transfer
-from noisymarkov.denoise import default_context_length, dude
+from noisymarkov.denoise import (
+    default_context_length,
+    dude,
+    emission_column,
+    emission_inverse,
+    estimate_p_moment,
+    posterior_from_two_sided,
+)
 from noisymarkov.errors import OutOfRangeError
 from noisymarkov.model import ChannelParams, channel_model, validate_params
 from noisymarkov.oracle import code_to_spins, enumerate_cylinder_table
@@ -172,7 +179,8 @@ def test_cell_functions_found():
 
 CELL = validate_params(0.1, 0.2)
 
-#: Calls given a negative seed, a count that is not an integer, or a float seed.
+#: Calls given a negative seed, a count that is not an integer or a float seed, and
+#: calls given a probability, tolerance or spin symbol that is not one.
 BAD_COUNT_CALLS = {
     "generate_dataset-seed": lambda: generate_dataset(CELL, 10, -1),
     "sample_markov-seed": lambda: sample_markov(0.1, 10, -1),
@@ -188,6 +196,22 @@ BAD_COUNT_CALLS = {
     "default_context_length-n": lambda: default_context_length(2.5),
     "code_to_spins-code": lambda: code_to_spins(2.5, 3),
     "generate_dataset-bool-n": lambda: generate_dataset(CELL, True, 0),
+    "sample_markov-str-p": lambda: sample_markov("0.1", 10, 0),
+    "transmit-str-epsilon": lambda: transmit(_WORD, "0.2", 0),
+    "dude-str-epsilon": lambda: dude(_WORD, "0.2", 2),
+    "dude-zero-epsilon": lambda: dude(_WORD, 0.0, 1),
+    "estimate_p_moment-str-epsilon": lambda: estimate_p_moment(_WORD, "0.2"),
+    "required_context-str-tol": lambda: transfer.required_context("1e-6", CELL),
+    "g_function-str-tol": lambda: thermo.g_function(_WORD, "1e-6", CELL),
+    "two_sided_limit_conditional-str-tol":
+        lambda: transfer.two_sided_limit_conditional(1, _WORD, _WORD, "1e-6", CELL),
+    "posterior_from_two_sided-str-q2": lambda: posterior_from_two_sided("ab", 1, CELL),
+    "posterior_from_two_sided-array-y_n":
+        lambda: posterior_from_two_sided([0.5, 0.5], np.array([1, 1]), CELL),
+    "two_sided_conditional-array-y0":
+        lambda: transfer.two_sided_conditional(np.array([1, 1]), _WORD, _WORD, CELL),
+    "emission_inverse-nan-epsilon": lambda: emission_inverse(math.nan),
+    "emission_column-str-epsilon": lambda: emission_column("0.1", 1),
 }
 
 

@@ -54,9 +54,8 @@ def iterate_fixed_point(model, symbol=1, iters=2000):
 
 class TestSpinSequence:
     def test_validation(self):
-        seq = SpinSequence(np.array([1, -1, 1]), start=-1)
+        seq = SpinSequence(np.array([1, -1, 1]))
         assert len(seq) == 3
-        assert seq.end == 1
         with pytest.raises(ValueError):
             SpinSequence(np.array([1, 0, 1]))
         with pytest.raises(ValueError):
@@ -203,11 +202,9 @@ class TestFieldScans:
             assert np.all(np.abs(backward_fields(y, m).values) <= c1)
 
     def test_window_metadata(self):
-        seq = SpinSequence(np.array([1, -1, 1]), start=5)
+        seq = SpinSequence(np.array([1, -1, 1]))
         traj = backward_fields(seq, M_REF)
         assert isinstance(traj, FieldTrajectory)
-        assert traj.start == 5
-        assert traj.horizon == 7
         assert len(traj) == 3
 
     def test_extended_fields_match_long_scan(self, rng):
