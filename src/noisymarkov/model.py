@@ -5,7 +5,8 @@ rate epsilon once, and derives every constant the formulas of the package
 read, the cell's decay certificate included, when it is built. The package
 checks each kind of scalar argument in one place: ``check_probability`` (inside
 (0, 1)), ``check_tolerance`` (positive) and ``check_count`` (counts, lengths,
-seeds) here, and ``sequences.check_spin`` for a symbol.
+seeds) here, ``sequences.check_spin`` for a symbol and ``transfer.check_field``
+for the argument of a field map.
 
 Decay-rate certificate. The naive contraction rate of the field map
 w -> K*y + A(w) of the transfer module is sup|dA/dw| = |1-2p|. When the

@@ -15,6 +15,9 @@ from .errors import MalformedDataError, OutOfRangeError
 
 SPIN_DTYPE = np.int8
 
+#: dtype kinds of the numpy numbers: integers, floats, complex and timedelta (a signed integer).
+NUMERIC_KINDS = frozenset("iufcm")
+
 
 def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
     """Coerce ``y`` (SpinSequence, array or iterable) to a validated int8 array of +-1.
@@ -32,10 +35,10 @@ def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
             out.setflags(write=False)
             return out
         raise MalformedDataError("spin sequence must contain at least one symbol")
-    if not np.issubdtype(arr.dtype, np.number):
+    if arr.dtype.kind not in NUMERIC_KINDS:
         raise MalformedDataError(f"spin symbols must be numeric, got dtype {arr.dtype}")
     # checked before the cast, which warns on values int8 cannot hold
-    if not np.all((arr == 1) | (arr == -1)):
+    if not ((arr == 1) | (arr == -1)).all():
         raise MalformedDataError("spin symbols must all be -1 or +1")
     out = arr.astype(SPIN_DTYPE)
     out.setflags(write=False)

@@ -34,6 +34,7 @@ from .model import ChannelParams, check_count, check_tolerance
 from .sequences import as_spin_array
 from .transfer import (
     DecayBound,
+    _extended_field,
     decay_rate_bound,
     extended_fields,
     log2cosh,
@@ -93,8 +94,8 @@ class ContinuedFractionResult:
     tail_sensitivity: float
 
 
-def _certified_context(y, tol: float, model: ChannelParams) -> np.ndarray:
-    arr = as_spin_array(y)
+def _certified_field(arr: np.ndarray, tol: float, model: ChannelParams) -> float:
+    """limit_field of a word and a tolerance that are already checked."""
     bound = decay_rate_bound(model)
     if bound.rho > 0.0 and bound.C * bound.rho ** len(arr) >= tol:
         raise InsufficientContextError(
@@ -102,7 +103,7 @@ def _certified_context(y, tol: float, model: ChannelParams) -> np.ndarray:
             f"{bound.C * bound.rho ** len(arr):.3e} > tol = {tol:.3e}; "
             f"need at least {required_context(tol, model)} symbols"
         )
-    return arr
+    return _extended_field(arr, model)
 
 
 def limit_field(y, tol: float, model: ChannelParams) -> float:
@@ -112,8 +113,8 @@ def limit_field(y, tol: float, model: ChannelParams) -> float:
     decay certificate guarantees that any other tail changes it by less than
     C * rho^len(y), which must be below tol (InsufficientContextError otherwise).
     """
-    arr = _certified_context(y, check_tolerance(tol), model)
-    return float(extended_fields(arr, model)[0])
+    tol = check_tolerance(tol)
+    return _certified_field(as_spin_array(y), tol, model)
 
 
 def g_function(y, tol: float, model: ChannelParams) -> float:
@@ -126,7 +127,7 @@ def g_function(y, tol: float, model: ChannelParams) -> float:
     arr = as_spin_array(y)
     if len(arr) < 2:
         raise InsufficientContextError("g needs the leading symbol plus a nonempty tail")
-    w1 = limit_field(arr[1:], tol, model)
+    w1 = _certified_field(arr[1:], check_tolerance(tol), model)
     t2p = 1.0 - 2.0 * model.p
     t2e = 1.0 - 2.0 * model.epsilon
     return 0.5 + 0.5 * t2p * t2e * float(arr[0]) * math.tanh(w1)
@@ -167,19 +168,22 @@ def g_continued_fraction_detail(y, depth: int, model: ChannelParams) -> Continue
     t2e = 1.0 - 2.0 * model.epsilon
     four_ee = 4.0 * model.epsilon * (1.0 - model.epsilon)
     q = t2p * arr[:depth].astype(np.float64) * arr[1 : depth + 1].astype(np.float64)
-    a = 1.0 + q
-    b = four_ee * q
+    a = (1.0 + q).tolist()
+    b = (four_ee * q).tolist()
+    b_size = abs(four_ee * t2p)  # |b_i|, the same at every level as q_i = +-(1-2p)
     u = _tail_value(t2p, t2e)
-    min_den = abs(u)
+    size = min_den = abs(u)
     sensitivity = 1.0
     for i in range(depth - 1, -1, -1):
-        if abs(u) < NEAR_ZERO_DENOMINATOR:
+        if size < NEAR_ZERO_DENOMINATOR:
             raise DivisionNearZeroError(
                 f"denominator {u:.3e} below {NEAR_ZERO_DENOMINATOR} at level {i + 1}"
             )
-        sensitivity *= abs(b[i]) / (u * u)
+        sensitivity *= b_size / (u * u)
         u = a[i] - b[i] / u
-        min_den = min(min_den, abs(u))
+        size = abs(u)
+        if size < min_den:
+            min_den = size
     return ContinuedFractionResult(
         value=0.5 * u, depth=depth, min_denominator=min_den, tail_sensitivity=sensitivity
     )
@@ -276,7 +280,7 @@ def variation_estimate(n: int, samples: int, model: ChannelParams, seed: int) ->
         g_pair = []
         for tail in (1, -1):
             # field at position 1 of the prefix continued by tail, tail, ...
-            w1 = float(extended_fields(np.append(prefix[1:], tail), model)[0])
+            w1 = _extended_field(np.append(prefix[1:], tail), model)
             g_pair.append(0.5 + half_tt * float(prefix[0]) * math.tanh(w1))
         worst = max(worst, abs(g_pair[0] - g_pair[1]))
     return worst

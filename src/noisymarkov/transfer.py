@@ -38,6 +38,14 @@ whatever the number of lanes, so lanes only pay on long words: words shorter
 than LANE_CUTOVER (b + L), and cells whose rho rounds to 1 (no certificate),
 are scanned sequentially.
 
+The sequential scan is one scalar walk on Python floats over the symbols'
+``tolist()``, with the step written out inline; it keeps every ratio only for
+the scan, and otherwise returns the last. A query that needs one shift (a
+two-sided conditional, a limit field) walks to it alone and takes one log: by
+the lane layout, entry i < b of a lane-scanned word is lane 0's, so only the
+first b + L symbols are walked, from zero field. Either way the value is the
+scan's bit for bit.
+
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
     Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
@@ -52,12 +60,13 @@ a word of length L on [m, n].
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
-from .model import ChannelParams, DecayBound, channel_model, check_tolerance
+from .model import ChannelParams, DecayBound, channel_model, check_count, check_tolerance
 from .sequences import FieldTrajectory, as_spin_array, check_spin
 
 __all__ = [
@@ -92,9 +101,26 @@ LANE_CUTOVER = 64
 BURN_IN_TOL = 1e-17
 
 
+def check_field(w):
+    """Refuse a field ``w`` that is neither a real scalar nor a float array; returns it unchanged.
+
+    Booleans, strings, None, lists and arrays of any other dtype raise
+    OutOfRangeError. Only the type and the dtype are read, so checking an
+    array costs the same as checking a scalar.
+    """
+    if isinstance(w, float):  # Python and numpy doubles, tested first as the cheapest
+        return w
+    if isinstance(w, np.ndarray):
+        if w.dtype.kind == "f":
+            return w
+    elif isinstance(w, numbers.Real) and not isinstance(w, bool):
+        return w
+    raise OutOfRangeError(f"a field must be a real number or an array of floats, got {w!r}")
+
+
 def log2cosh(x):
     """log(2 cosh(x)), safe against overflow for large |x|."""
-    ax = np.abs(x)
+    ax = np.abs(check_field(x))
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
@@ -123,7 +149,7 @@ def field_shift(w, model: ChannelParams):
     Evaluates the transfer map at u = exp(-2|w|) <= 1 and uses that A is odd;
     |A(w)| <= |J| for all real w. Accepts scalars or arrays.
     """
-    rho = _transfer_ratio(np.exp(-2.0 * np.abs(w)), model.r)
+    rho = _transfer_ratio(np.exp(-2.0 * np.abs(check_field(w))), model.r)
     return np.sign(w) * _shift_from_ratio(rho, model)
 
 
@@ -131,7 +157,7 @@ def field_shift_deriv(w, model: ChannelParams):
     """dA/dw = sinh(2J) / (cosh(2J) + cosh(2w)), evaluated overflow-safely."""
     s2j = math.sinh(2.0 * model.J)
     c2j = math.cosh(2.0 * model.J)
-    u = 2.0 * np.abs(w)
+    u = 2.0 * np.abs(check_field(w))
     eu = np.exp(-u)
     # sinh(2J) / (cosh(2J) + cosh(u)) multiplied through by 2 e^{-u}
     return 2.0 * s2j * eu / (1.0 + eu * eu + 2.0 * c2j * eu)
@@ -140,12 +166,14 @@ def field_shift_deriv(w, model: ChannelParams):
 def log_partition_term(w, model: ChannelParams):
     """Per-site log-partition contribution B(w) = (1/2) log(4 cosh(w+J) cosh(w-J))."""
     J = model.J
+    w = check_field(w)
     return 0.5 * (log2cosh(w + J) + log2cosh(w - J))
 
 
 def log_partition_term_deriv(w, model: ChannelParams):
     """dB/dw = (tanh(w+J) + tanh(w-J)) / 2."""
     J = model.J
+    w = check_field(w)
     return 0.5 * (np.tanh(w + J) + np.tanh(w - J))
 
 
@@ -169,17 +197,34 @@ def required_context(tol: float, model) -> int:
     return max(1, math.floor(math.log(tol / bound.C) / math.log(bound.rho)) + 1)
 
 
-def _sequential_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
-    """The transfer step run one symbol at a time, right to left, from ``shift_init``."""
-    r, ratio = model.r, _transfer_ratio
-    factors = np.where(symbols == 1, model.c, 1.0 / model.c).tolist()
+def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: list | None = None) -> float:
+    """The transfer step run one symbol at a time, right to left, from ``shift_init``, on Python floats.
+
+    Returns the last ratio. ``record``, where given, receives every ratio from
+    the start on, in the order the walk takes them.
+    """
+    r, c = model.r, model.c
+    inv_c = 1.0 / c
     rho = math.exp(-2.0 * shift_init)
-    out = [rho]
-    for factor in reversed(factors):
-        u = factor * rho
-        rho = ratio(u, r) if u <= 1.0 else 1.0 / ratio(1.0 / u, r)
-        out.append(rho)
-    return _shift_from_ratio(np.array(out[::-1]), model)
+    if record is not None:
+        record.append(rho)
+    for symbol in reversed(symbols.tolist()):
+        u = (c if symbol == 1 else inv_c) * rho
+        if u <= 1.0:
+            rho = (r + u) / (1.0 + r * u)
+        else:
+            u = 1.0 / u
+            rho = 1.0 / ((r + u) / (1.0 + r * u))
+        if record is not None:
+            record.append(rho)
+    return rho
+
+
+def _sequential_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
+    """The shifts of every position, walked one symbol at a time from ``shift_init``."""
+    ratios = []
+    _walk(symbols, model, shift_init, ratios)
+    return _shift_from_ratio(np.array(ratios[::-1]), model)
 
 
 def scan_burn_in(n: int, model) -> int | None:
@@ -191,6 +236,7 @@ def scan_burn_in(n: int, model) -> int | None:
     LANE_CUTOVER (b + L), with b = max(LANE_WIDTH, L), or where the cell has no
     certificate because rho rounds to 1.
     """
+    check_count("n", n)
     if n < LANE_CUTOVER * (LANE_WIDTH + 1):  # too short for any L: skip the certificate
         return None
     try:
@@ -248,6 +294,20 @@ def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 
     return np.concatenate([lanes, _sequential_shifts(symbols[n - tail :], model, shift_init)])
 
 
+def _leading_shift(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0, i: int = 0) -> float:
+    """Entry i < LANE_WIDTH of ``_scan_shifts(symbols, model, shift_init)``, bit for bit, alone.
+
+    Where the word is scanned in lanes, entry i lies in lane 0, which starts at
+    zero field at symbol b + L - 1: so only symbols i..b+L-1 are walked. The one
+    log is numpy's, as on the scan's array, since ``math.log`` rounds
+    differently on some ratios.
+    """
+    burn_in = scan_burn_in(len(symbols), model)
+    if burn_in is not None:
+        symbols, shift_init = symbols[: max(LANE_WIDTH, burn_in) + burn_in], 0.0
+    return float(_shift_from_ratio(np.float64(_walk(symbols[i:], model, shift_init)), model))
+
+
 def _fixed_point_shift(symbol: int, model: ChannelParams) -> float:
     """A(w) at the limit field w = K*symbol + A(w) of the constant sequence of ``symbol``.
 
@@ -301,9 +361,9 @@ def fixed_point_field(symbol: int, model: ChannelParams) -> float:
     return model.K * symbol + _fixed_point_shift(symbol, model)
 
 
-def _extended_shifts(arr: np.ndarray, model: ChannelParams) -> np.ndarray:
-    """_scan_shifts of arr extended to the right by repeating its last symbol."""
-    return _scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))
+def _extended_shift(arr: np.ndarray, model: ChannelParams, i: int = 0) -> float:
+    """Entry i of the scan of arr extended to the right by repeating its last symbol."""
+    return _leading_shift(arr, model, _fixed_point_shift(int(arr[-1]), model), i)
 
 
 def extended_fields(y, model: ChannelParams) -> np.ndarray:
@@ -315,7 +375,12 @@ def extended_fields(y, model: ChannelParams) -> np.ndarray:
     the declared extension.
     """
     arr = as_spin_array(y)
-    return model.K * arr + _extended_shifts(arr, model)[1:]
+    return model.K * arr + _scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))[1:]
+
+
+def _extended_field(arr: np.ndarray, model: ChannelParams) -> float:
+    """``extended_fields(arr, model)[0]`` of a checked word, bit for bit, from one walk."""
+    return model.K * float(arr[0]) + _extended_shift(arr, model, 1)
 
 
 def _symbol_prob(y, shift, model: ChannelParams):
@@ -352,7 +417,7 @@ def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:
     left_arr = as_spin_array(left, allow_empty=True)
     right_arr = as_spin_array(right, allow_empty=True)
     # the left recursion equals the right recursion run on the reversed context
-    shift = _scan_shifts(left_arr[::-1], model)[0] + _scan_shifts(right_arr, model)[0]
+    shift = _leading_shift(left_arr[::-1], model) + _leading_shift(right_arr, model)
     return float(_symbol_prob(y0, shift, model))
 
 
@@ -372,5 +437,5 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Channel
     shift = 0.0
     for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
         if len(context):
-            shift += _extended_shifts(context, model)[0]
+            shift += _extended_shift(context, model)
     return float(_symbol_prob(y0, shift, model))

@@ -88,13 +88,14 @@ def test_package_imports_form_no_cycle():
     assert "thermo" not in graph["transfer"]  # the scan kernel sits under the Gibbs layer
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The name of the function or class that ``call`` calls, by name or as an attribute."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
 def _calls_to(node: ast.AST, name: str) -> set[int]:
     """Lines of the calls under ``node`` of a function or class named ``name``."""
-    return {
-        call.lineno for call in ast.walk(node)
-        if isinstance(call, ast.Call)
-        and (call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)) == name
-    }
+    return {call.lineno for call in ast.walk(node) if isinstance(call, ast.Call) and _callee(call) == name}
 
 
 def test_one_decay_certificate_per_cell():
@@ -118,6 +119,21 @@ def test_one_decay_certificate_per_cell():
     assert {name: lines for name, lines in calls.items() if lines} == {
         "model.py": _calls_to(builder, "_decay_bound")
     }
+
+
+#: Scans that compute the shift or field of every position of a word.
+WHOLE_SCANS = {"_scan_shifts", "_extended_shifts", "extended_fields"}
+
+
+def test_one_field_per_limit():
+    # a query that needs one entry walks to it alone (transfer._leading_shift)
+    offenders = [
+        f"{source.name}:{node.lineno} takes entry {_literal(node.slice)} of {_callee(node.value)}"
+        for source in SOURCES for node in ast.walk(_tree(source))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+        and _callee(node.value) in WHOLE_SCANS and isinstance(_literal(node.slice), int)
+    ]
+    assert not offenders, offenders
 
 
 def _literal(node: ast.AST):

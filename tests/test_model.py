@@ -212,7 +212,21 @@ BAD_COUNT_CALLS = {
         lambda: transfer.two_sided_conditional(np.array([1, 1]), _WORD, _WORD, CELL),
     "emission_inverse-nan-epsilon": lambda: emission_inverse(math.nan),
     "emission_column-str-epsilon": lambda: emission_column("0.1", 1),
+    "scan_burn_in-str-n": lambda: transfer.scan_burn_in("5", CELL),
+    "scan_burn_in-None-n": lambda: transfer.scan_burn_in(None, CELL),
 }
+
+#: The field maps, each given a field argument that is neither a real scalar nor a float array.
+FIELD_MAPS = {
+    "log2cosh": transfer.log2cosh,
+    **{name: lambda w, f=getattr(transfer, name): f(w, CELL) for name in (
+        "field_shift", "field_shift_deriv", "log_partition_term", "log_partition_term_deriv")},
+}
+BAD_FIELDS = {"str": "0.5", "None": None, "bool": True, "list": [0.5], "int-array": np.array([1, 2])}
+BAD_COUNT_CALLS.update({
+    f"{name}-{kind}-w": lambda f=f, w=w: f(w)
+    for name, f in FIELD_MAPS.items() for kind, w in BAD_FIELDS.items()
+})
 
 
 @pytest.mark.parametrize("call", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())

@@ -325,6 +325,25 @@ class TestContinuedFraction:
         assert detail.min_denominator > 0.1
         assert detail.tail_sensitivity < 1e-100  # strongly contracting at this point
 
+    @pytest.mark.parametrize("p, eps", [(0.2, 0.1), (0.02, 0.3), (0.7, 0.2), (0.3, 0.8)])
+    def test_detail_equals_plain_recurrence(self, p, eps, rng):
+        # the recurrence written out level by level, as the reference for every field
+        m = channel_model(p, eps)
+        t2p, four_ee = 1.0 - 2.0 * p, 4.0 * eps * (1.0 - eps)
+        for depth in (1, 2, 17, 300):
+            y = random_word(rng, depth + 1)
+            u = thermo._tail_value(t2p, 1.0 - 2.0 * eps)
+            sizes, sensitivity = [abs(u)], 1.0
+            for i in range(depth - 1, -1, -1):
+                q = t2p * float(y[i]) * float(y[i + 1])
+                sensitivity *= abs(four_ee * q) / (u * u)
+                u = (1.0 + q) - four_ee * q / u
+                sizes.append(abs(u))
+            detail = g_continued_fraction_detail(y, depth, m)
+            assert detail.value.hex() == (0.5 * u).hex()
+            assert detail.min_denominator.hex() == min(sizes).hex()
+            assert detail.tail_sensitivity.hex() == sensitivity.hex()
+
     def test_near_zero_denominator_guard(self, rng, monkeypatch):
         # force the tail value onto the preimage of zero to exercise the guard
         y = np.ones(12, dtype=np.int8)

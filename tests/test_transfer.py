@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisymarkov.denoise import forward_backward
+from noisymarkov import transfer
 from noisymarkov.errors import MalformedDataError, OutOfRangeError, TooLongError
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import (
@@ -18,9 +19,12 @@ from noisymarkov.transfer import (
     BURN_IN_TOL,
     LANE_CUTOVER,
     LANE_WIDTH,
+    _extended_field,
     _fixed_point_shift,
+    _leading_shift,
     _scan_shifts,
     _sequential_shifts,
+    _walk,
     backward_fields,
     conditional_prob,
     cylinder_prob,
@@ -263,6 +267,63 @@ class TestLaneScan:
         oracle_minus, oracle_plus = alpha_beta_posteriors(y, p, eps)
         np.testing.assert_allclose(post.q_minus, oracle_minus, rtol=0, atol=1e-10)
         np.testing.assert_allclose(post.q_plus, oracle_plus, rtol=0, atol=1e-10)
+
+
+class TestLeadingShift:
+    """_leading_shift(y, model, init, i) is entry i of _scan_shifts(y, model, init), bit for bit."""
+
+    @staticmethod
+    def starts(model, y):
+        """Every shift_init the package uses or the scan admits: 0, +-|J| and the fixed points."""
+        fixed = {_fixed_point_shift(s, model) for s in ((int(y[-1]),) if len(y) else (1, -1))}
+        return [0.0, abs(model.J), -abs(model.J), *sorted(fixed)]
+
+    def assert_leading(self, y, model):
+        for init in self.starts(model, y):
+            shifts = _scan_shifts(y, model, init)
+            for i in range(min(2, len(y) + 1)):
+                assert _leading_shift(y, model, init, i).hex() == float(shifts[i]).hex(), (len(y), init, i)
+        if len(y):  # the limit field of thermo.limit_field and variation_estimate
+            assert _extended_field(y, model).hex() == float(extended_fields(y, model)[0]).hex()
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (0.45, 1e-300)])
+    def test_lane_length_words(self, p, eps, rng, monkeypatch):
+        model = channel_model(p, eps)
+        burn_in, cut = TestLaneScan.lane_cut(model)
+        walked = []
+        monkeypatch.setattr(transfer, "_walk", lambda symbols, *args: walked.append(len(symbols))
+                            or _walk(symbols, *args))
+        for n in (cut, cut + LANE_WIDTH + 5):
+            y = random_word(rng, n)
+            assert scan_burn_in(n, model) is not None
+            walked.clear()
+            _leading_shift(y, model)
+            assert walked == [max(LANE_WIDTH, burn_in) + burn_in]  # lane 0 alone
+            self.assert_leading(y, model)
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
+    def test_many_short_words(self, p, eps, rng):
+        # enough ratios that a log rounding differently from numpy's shows
+        model = channel_model(p, eps)
+        for n in rng.integers(1, 17, size=1500):
+            y = random_word(rng, int(n))
+            init = _fixed_point_shift(int(y[-1]), model)
+            assert _leading_shift(y, model, init).hex() == float(_scan_shifts(y, model, init)[0]).hex()
+
+    @pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300)])
+    def test_cells_without_certificate(self, p, eps, rng):
+        model = channel_model(p, eps)
+        for n in (3, 64, 70_000):
+            y = random_word(rng, n)
+            assert scan_burn_in(n, model) is None
+            self.assert_leading(y, model)
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (1e-17, 0.2), (1e-300, 1e-300)])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_and_empty_words(self, p, eps, n, rng):
+        model = channel_model(p, eps)
+        for y in (np.ones(n, dtype=np.int8), -np.ones(n, dtype=np.int8), random_word(rng, n)):
+            self.assert_leading(y, model)
 
 
 class TestBruteForceOracle:
