@@ -3,7 +3,8 @@
 Four reconstruction rules are provided:
 
 * ``forward_backward`` + ``map_denoise``: exact per-position MAP with known
-  (p, eps), from the two neighbour shifts of the transfer recursion.
+  (p, eps), from the two neighbour ratios rho = exp(-2A) of the transfer
+  recursion, without leaving ratio form.
 * ``dude``: the channel-inverting context-count denoiser; only eps is known.
 * ``bfp_denoise``: the backward-forward product surrogate for the two-sided
   conditional, in an exact (field-based) and an empirical (context-count) mode.
@@ -21,7 +22,7 @@ maps any (estimated or exact) two-sided output conditional q2 to a posterior
 over the hidden symbol. DUDE, empirical BFP and ``posterior_from_two_sided``
 all apply it through ``_channel_weights``, elementwise and without BLAS, so
 their decisions do not depend on the host; exact BFP applies it in closed
-form on the two neighbour shifts.
+form on the two neighbour ratios.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .model import ChannelParams, check_count, check_probability, validate_params
 from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array, check_spin
-from .transfer import _logistic_pair, neighbour_shifts
+from .transfer import _channel_factors, neighbour_ratios
 
 __all__ = [
     "PosteriorMarginals",
@@ -149,13 +150,26 @@ def emission_column(epsilon: float, y: int) -> np.ndarray:
 def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     """Exact posteriors P[X_i | Y = y].
 
-    The posterior log-odds of X_i are 2 (K*y_i + A(wf_{i-1}) + A(wb_{i+1})),
-    with the neighbour shifts of the transfer recursion; the logistic of them
-    is taken in overflow-safe form.
+    The posterior odds of X_i are t = P(X_i = -1) / P(X_i = +1) =
+    rho_l rho_r c^{y_i}, with c = eps/(1-eps) and the neighbour ratios
+    rho = exp(-2A) of the transfer recursion, so q_plus = 1/(1 + t) and
+    q_minus = 1/(1 + 1/t). Every factor of t is finite and positive, so t is
+    never NaN: where it overflows to inf q_plus is 0, and where it underflows
+    to 0 q_minus is 0. The neighbour ratios are multiplied first, so that t
+    leaves the double range before its last rounding only where |J| > 177;
+    q_plus is then rounded to 0 from below 5.6e-309 (1-eps)/eps.
     """
     arr = as_spin_array(y)
-    left, right = neighbour_shifts(arr, params)
-    q_minus, q_plus = _logistic_pair(2.0 * (params.K * arr + left + right))
+    left, right = neighbour_ratios(arr, params)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        odds = np.multiply(left, right)
+        del left, right
+        odds *= _channel_factors(arr, params)
+        q_plus = odds + 1.0
+        np.divide(1.0, q_plus, out=q_plus)
+        np.divide(1.0, odds, out=odds)
+        odds += 1.0
+        q_minus = np.divide(1.0, odds, out=odds)
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
@@ -397,33 +411,51 @@ def bfp_denoise(
         Qtilde(s | rest) propto cosh(K s + A(w_left)) * cosh(K s + A(w_right)).
 
     ``exact`` mode evaluates the one-sided conditionals from the neighbour
-    shifts of the full observed word (valid in both directions because the
+    ratios of the full observed word (valid in both directions because the
     symmetric chain is reversible); ``empirical`` mode estimates them with
     order-k context counts and passes the first/last k positions through. Its
     left and right contexts come from the same encoder and counter as
     ``dude_detail``, one count per side. The surrogate is then pushed through
     the channel inversion and a per-position argmax; exact mode does both in
-    closed form on the two shifts. It deliberately does not equal the exact
+    closed form on the two ratios, in place on the arrays of the scan, so its
+    memory peak is the scan's. It deliberately does not equal the exact
     two-sided conditional in general.
     """
     _check_crossover(params.epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     if mode == "exact":
-        left, right = neighbour_shifts(arr, params)
-        eps = params.epsilon
+        left, right = neighbour_ratios(arr, params)
         # Each side's conditional of Y_i is (1 + s y tanh A)/2 with s = 1 - 2 eps.
         # Inverting their normalized product through the channel gives entries
         # of Pi^{-1} q2 proportional to sigma(+-2 A_l) sigma(+-2 A_r) - eps (1-eps)
         # tanh(A_l) tanh(A_r), sigma the logistic; they are clamped at zero.
-        l_low, l_high = _logistic_pair(2.0 * left)
-        r_low, r_high = _logistic_pair(2.0 * right)
-        cross = (eps * (1.0 - eps)) * (l_high - l_low) * (r_high - r_low)
-        v_plus = np.maximum(l_high * r_high - cross, 0.0)
-        v_minus = np.maximum(l_low * r_low - cross, 0.0)
-        _apply_emission(v_minus, v_plus, arr, eps)
+        # With rho = exp(-2A), sigma(2A), sigma(-2A) and tanh(A) are 1, rho and
+        # 1 - rho over 1 + rho. Multiplied through by 1 + rho_l, the entries are
+        # h - x and rho_l rho_r h - x, with h = 1/(1 + rho_r) and the cross
+        # term x = eps (1-eps) (1 - rho_l) (1 - rho_r) h. Every factor is finite,
+        # and before the clamp the two entries add up to at least 2 eps (1-eps).
+        v_plus = right + 1.0
+        np.divide(1.0, v_plus, out=v_plus)
+        cross = 1.0 - right
+        cross *= v_plus
+        v_minus = right
+        v_minus *= v_plus
+        v_minus *= left
+        np.subtract(1.0, left, out=left)
+        cross *= left
+        cross *= params.epsilon * (1.0 - params.epsilon)
+        del left
+        v_plus -= cross
+        v_minus -= cross
+        del cross
+        np.maximum(v_plus, 0.0, out=v_plus)
+        np.maximum(v_minus, 0.0, out=v_minus)
+        _apply_emission(v_minus, v_plus, arr, params.epsilon)
         total = v_plus + v_minus
-        marg = PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
+        v_minus /= total
+        v_plus /= total
+        marg = PosteriorMarginals(q_minus=v_minus, q_plus=v_plus)
         return map_denoise(marg), marg
     if mode != "empirical":
         raise OutOfRangeError(f"mode must be 'exact' or 'empirical', got {mode!r}")

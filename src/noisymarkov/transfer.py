@@ -19,7 +19,9 @@ c = eps/(1-eps) = exp(-2K) and u = exp(-2 w_i) = c^{y_i} rho_{i+1}, one step is
 
 which sums positive terms and calls no transcendental function. As A is odd,
 m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
-once K + |J| exceeds about 354. A = -(1/2) log rho is read off afterwards.
+once K + |J| exceeds about 354. Readers of probabilities stay in ratio form;
+A = -(1/2) log rho is read off, by one log on a contiguous array, only where a
+field or a shift is returned.
 
 Long words are scanned in lanes. The cell's decay certificate (C, rho), which
 the model module derives with the couplings (and documents), bounds how far
@@ -29,14 +31,15 @@ C rho^L. Two scans of the same symbols, started from any two shifts in
 limit field. With L the smallest length where that is at
 most BURN_IN_TOL = 1e-17, a scan started at zero field L symbols to the right
 of a position agrees there with the sequential scan to far below the rounding
-of a shift. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
+of a ratio. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
 each lane starts L symbols to its right, and all lanes step together in one
-vectorized loop of b + L steps. The last L + ((n - L) mod b) symbols run
-sequentially from the true start, so the tail is exact. A step of the lane
-loop costs a fixed dozen numpy calls, about as much as 45 sequential symbols
-whatever the number of lanes, so lanes only pay on long words: words shorter
-than LANE_CUTOVER (b + L), and cells whose rho rounds to 1 (no certificate),
-are scanned sequentially.
+vectorized loop of b + L steps, on preallocated buffers. The lanes of a word
+and of its reverse, the two sides of every position, run side by side in the
+same loop. The last L + ((n - L) mod b) symbols run sequentially from the true
+start, so the tail is exact. A step of the lane loop costs a fixed dozen numpy
+calls, about as much as 45 sequential symbols whatever the number of lanes, so
+lanes only pay on long words: words shorter than LANE_CUTOVER (b + L), and
+cells whose rho rounds to 1 (no certificate), are scanned sequentially.
 
 The sequential scan is one scalar walk on Python floats over the symbols'
 ``tolist()``, with the step written out inline; it keeps every ratio only for
@@ -49,12 +52,17 @@ scan's bit for bit.
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
     Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
+                       = ((1-eps) + eps rho^{y_i}) / (1 + rho^{y_i}),   rho = rho_{i+1},
 
 with sigma the logistic function; the two-sided conditional adds the shifts of
 both sides. Cylinder probabilities are the product of these conditionals,
-summed in log space by exact (fsum) accumulation of logarithms in (0, 1], and
-equal the closed form (cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i>m} B(w_i) ) for
-a word of length L on [m, n].
+summed as logarithms in (-inf, 0]: by ``math.fsum``, correctly rounded, where
+the word is scanned sequentially, and by a cascade of vectorized TwoSum levels
+(``_cascade_sum``) where it is scanned in lanes, within u |S| + d n u^2 |S|
+of the exact sum S of its n logs, u = 2^-53 and d = ceil(log2 n): one rounding,
+widened by under 3e-9 of itself at n = 10^6. They equal the closed form
+(cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i>m} B(w_i) ) for a word of length L on
+[m, n].
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ __all__ = [
     "log_partition_term_deriv",
     "backward_fields",
     "forward_fields",
-    "neighbour_shifts",
+    "neighbour_ratios",
     "fixed_point_field",
     "extended_fields",
     "log_cylinder_prob",
@@ -122,14 +130,6 @@ def log2cosh(x):
     """log(2 cosh(x)), safe against overflow for large |x|."""
     ax = np.abs(check_field(x))
     return ax + np.log1p(np.exp(-2.0 * ax))
-
-
-def _logistic_pair(x):
-    """(sigma(-x), sigma(x)) for the logistic sigma, overflow-safe for any real x."""
-    e = np.exp(-np.abs(x))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
-    positive = x >= 0
-    return np.where(positive, small, big), np.where(positive, big, small)
 
 
 def _transfer_ratio(u, r: float):
@@ -220,11 +220,11 @@ def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: 
     return rho
 
 
-def _sequential_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
-    """The shifts of every position, walked one symbol at a time from ``shift_init``."""
+def _sequential_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
+    """The ratios of every position, walked one symbol at a time from ``shift_init``."""
     ratios = []
     _walk(symbols, model, shift_init, ratios)
-    return _shift_from_ratio(np.array(ratios[::-1]), model)
+    return np.array(ratios[::-1])
 
 
 def scan_burn_in(n: int, model) -> int | None:
@@ -246,52 +246,91 @@ def scan_burn_in(n: int, model) -> int | None:
     return burn_in if n >= LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in) else None
 
 
-def _lane_shifts(symbols: np.ndarray, model: ChannelParams, width: int, burn_in: int) -> np.ndarray:
-    """Shifts of the first len(symbols) - burn_in positions, scanned in lanes of ``width``.
+def _channel_factors(symbols: np.ndarray, model: ChannelParams) -> np.ndarray:
+    """c^{y_i} of every symbol, looked up in a table of two entries (faster than a where)."""
+    return np.array([1.0 / model.c, model.c])[(symbols == 1).view(np.uint8)]
 
-    Lane j covers positions [j*width, (j+1)*width) and starts at zero field
-    (rho = 1) ``burn_in`` symbols to its right; all lanes take their steps
-    together, one vectorized step per symbol of a lane.
+
+def _lane_ratios(words: list[np.ndarray], model: ChannelParams, width: int, burn_in: int) -> list[np.ndarray]:
+    """Ratios of the first len(w) - burn_in positions of each of ``words``, scanned in lanes of ``width``.
+
+    The words have one length; each result is a (lanes, width) view whose row j
+    is lane j. Lane j of a word covers positions
+    [j*width, (j+1)*width) and starts at zero field (rho = 1) ``burn_in``
+    symbols to its right; the lanes of all the words sit side by side and take
+    their steps together, one vectorized step per symbol of a lane, on
+    preallocated buffers. Each step reads its factors c^y straight off the
+    factor array of the word, through a strided view.
     """
-    n_lanes = (len(symbols) - burn_in) // width
-    factors = np.where(symbols == 1, model.c, 1.0 / model.c)
-    # row s holds the factor of the s-th step of every lane, right to left
-    steps = sliding_window_view(factors, width + burn_in)[::width][:n_lanes, ::-1].T.copy()
-    r, ratio = model.r, _transfer_ratio
-    rho = np.ones(n_lanes)
-    out = np.empty((width, n_lanes))
+    lanes = (len(words[0]) - burn_in) // width
+    span = width + burn_in
+    # row s of a word's view holds the factor of the s-th step of each of its lanes, right to left
+    rows = [
+        sliding_window_view(_channel_factors(symbols, model), span)[::width][:lanes, ::-1].T
+        for symbols in words
+    ]
+    blocks = [slice(k * lanes, (k + 1) * lanes) for k in range(len(words))]
+    # 0-d arrays, which numpy takes faster than Python floats
+    r, one = np.array(model.r), np.array(1.0)
+    cols = lanes * len(words)
+    rho, u, v = np.ones(cols), np.empty(cols), np.empty(cols)
+    up = np.empty(cols, dtype=bool)
+    # row q of ``out`` holds position q of every lane
+    out = np.empty((width, cols))
     with np.errstate(all="ignore"):
-        for s, factor in enumerate(steps):
-            u = factor * rho
-            # both branches of the sequential step, rounded as there; the unused one may overflow
-            rho = np.where(u <= 1.0, ratio(u, r), 1.0 / ratio(1.0 / u, r))
-            if s >= burn_in:
-                out[s - burn_in] = rho
-    return _shift_from_ratio(out[::-1].T.ravel(), model)
+        for s in range(span):
+            for row, block in zip(rows, blocks):
+                np.multiply(row[s], rho[block], out=u[block])
+            # the sequential step, rounded as there: m(u) for u <= 1, else 1 / m(1/u)
+            np.greater(u, one, out=up)
+            np.divide(one, u, out=v)
+            np.minimum(u, v, out=v)
+            dest = out[width - 1 - (s - burn_in)] if s >= burn_in else rho
+            np.multiply(v, r, out=u)
+            np.add(u, one, out=u)
+            np.add(v, r, out=v)
+            np.divide(v, u, out=dest)
+            np.divide(one, dest, out=u)
+            np.copyto(dest, u, where=up)
+            rho = dest
+    return [out[:, block].T for block in blocks]
+
+
+def _scan_ratios(words: list[np.ndarray], model: ChannelParams, shift_init: float = 0.0) -> list[np.ndarray]:
+    """Right-to-left transfer scans, in ratio form, of words of one length n.
+
+    Entry i < n of a word's scan is rho_i = exp(-2 A(w_i)), for the shift that
+    position i passes to its left neighbor; entry n is exp(-2 ``shift_init``),
+    for the shift of the field beyond the word.
+
+    Long words are scanned in lanes (see the module docstring), with burn-in
+    L = ``scan_burn_in(n, model)`` and lane width b = max(LANE_WIDTH, L); the
+    lanes of every word run in one loop. The last T = L + ((n - L) mod b)
+    symbols run sequentially from ``shift_init``, so the tail is exact. Every
+    other lane of b symbols starts at zero field L symbols to its right. This
+    is sound because two scans of the same symbols from any two shifts in
+    [-|J|, |J|] lie within C rho^L of the limit field after L steps, so within
+    2 C rho^L <= BURN_IN_TOL of each other.
+    """
+    n = len(words[0])
+    burn_in = scan_burn_in(n, model)
+    if burn_in is None:
+        return [_sequential_ratios(symbols, model, shift_init) for symbols in words]
+    width = max(LANE_WIDTH, burn_in)
+    head = n - burn_in - (n - burn_in) % width
+    scans = []
+    for lanes, symbols in zip(_lane_ratios(words, model, width, burn_in), words):
+        ratios = np.empty(n + 1)
+        ratios[:head].reshape(lanes.shape)[...] = lanes
+        ratios[head:] = _sequential_ratios(symbols[head:], model, shift_init)
+        scans.append(ratios)
+    return scans
 
 
 def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0) -> np.ndarray:
-    """Right-to-left transfer scan of a word of n symbols.
-
-    Entry i < n is A(w_i), the shift that position i passes to its left
-    neighbor; entry n is ``shift_init``, the shift of the field beyond the word.
-
-    Long words are scanned in lanes (see the module docstring), with burn-in
-    L = ``scan_burn_in(n, model)`` and lane width b = max(LANE_WIDTH, L). The
-    last T = L + ((n - L) mod b) symbols run sequentially from ``shift_init``,
-    so the tail is exact. Every other lane of b symbols starts at zero field L
-    symbols to its right. This is sound because two scans of the same symbols
-    from any two shifts in [-|J|, |J|] lie within C rho^L of the limit field
-    after L steps, so within 2 C rho^L <= BURN_IN_TOL of each other.
-    """
-    n = len(symbols)
-    burn_in = scan_burn_in(n, model)
-    if burn_in is None:
-        return _sequential_shifts(symbols, model, shift_init)
-    width = max(LANE_WIDTH, burn_in)
-    tail = burn_in + (n - burn_in) % width
-    lanes = _lane_shifts(symbols[: n - tail + burn_in], model, width, burn_in)
-    return np.concatenate([lanes, _sequential_shifts(symbols[n - tail :], model, shift_init)])
+    """The shifts A(w_i) of ``_scan_ratios`` of one word, read off its ratios by one log."""
+    (ratios,) = _scan_ratios([symbols], model, shift_init)
+    return _shift_from_ratio(ratios, model)
 
 
 def _leading_shift(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0, i: int = 0) -> float:
@@ -342,17 +381,18 @@ def forward_fields(y, model: ChannelParams) -> FieldTrajectory:
     return FieldTrajectory(model.K * arr + _scan_shifts(arr[::-1], model)[:0:-1])
 
 
-def neighbour_shifts(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Shifts A(wf_{i-1}) and A(wb_{i+1}) that the two sides of every position put on it.
+def neighbour_ratios(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios exp(-2A) of the shifts A(wf_{i-1}) and A(wb_{i+1}) that the two sides of every position put on it.
 
     wf are the forward and wb the backward fields of the whole word; an absent
-    side (left of the first, right of the last position) contributes zero.
-    Given y, the hidden spin X_i has log-odds 2 (K*y_i + A(wf_{i-1}) + A(wb_{i+1})).
+    side (left of the first, right of the last position) contributes zero
+    shift, ratio 1. Given y, the hidden spin X_i has odds
+    P(X_i = -1) / P(X_i = +1) = c^{y_i} rho_l rho_r. The word and its reverse
+    are scanned in one lane loop.
     """
     arr = as_spin_array(y)
-    left = _scan_shifts(arr[::-1], model)[::-1]
-    right = _scan_shifts(arr, model)
-    return left[:-1], right[1:]
+    right, left = _scan_ratios([arr, arr[::-1]], model)
+    return left[:0:-1], right[1:]
 
 
 def fixed_point_field(symbol: int, model: ChannelParams) -> float:
@@ -383,17 +423,77 @@ def _extended_field(arr: np.ndarray, model: ChannelParams) -> float:
     return model.K * float(arr[0]) + _extended_shift(arr, model, 1)
 
 
-def _symbol_prob(y, shift, model: ChannelParams):
-    """Q(y | rest) when the rest of the word puts the field ``shift`` on the hidden spin of y."""
-    low, high = _logistic_pair(2.0 * y * shift)
+def _symbol_prob(y: float, shift: float, model: ChannelParams) -> float:
+    """Q(y | rest) when the rest of the word puts the field ``shift`` on the hidden spin of y.
+
+    On Python floats, with the one exp numpy's, taken on an ``np.float64``.
+    """
+    x = 2.0 * y * shift
+    e = float(np.exp(np.float64(-abs(x))))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    high, low = (big, small) if x >= 0 else (small, big)
     return (1.0 - model.epsilon) * high + model.epsilon * low
 
 
+def _cascade_sum(terms: np.ndarray) -> float:
+    """The sum of ``terms`` by a cascade of vectorized TwoSum levels, after Ogita, Rump & Oishi (2005).
+
+    Each level adds the first half of the terms to the second elementwise,
+    s = a + b, and keeps the rounding error of each sum exactly by TwoSum,
+    e = (a - (s - z)) + (b - z) with z = s - a; an odd term out is carried.
+    So the terms' sum equals the last s plus the carried terms plus every e,
+    exactly. Each level's errors are added by numpy's sum, and the last s, the
+    carried terms and those level sums are added by ``math.fsum``. With
+    u = 2^-53 and d = ceil(log2 n) levels, every error obeys |e| <= u |s| and a
+    level's |s| add up to at most (1 + u)^d sum |x_i|, so
+
+        |result - sum x_i| <= u |sum x_i| + d n u^2 sum |x_i|.
+
+    Where the terms share a sign, as logs of probabilities do, that is one
+    rounding of the exact sum, widened by a relative d n u, under 3e-9 for
+    n <= 10^6.
+    """
+    parts = []
+    while len(terms) > 1:
+        if len(terms) % 2:
+            parts.append(float(terms[-1]))
+            terms = terms[:-1]
+        half = len(terms) // 2
+        a, b = terms[:half], terms[half:]
+        s = a + b
+        z = s - a
+        e = s - z
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
+        parts.append(float(e.sum()))
+        terms = s
+    return math.fsum([*terms.tolist(), *parts])
+
+
 def log_cylinder_prob(y, model: ChannelParams) -> float:
-    """log Q(y_m^n), assembled in log space so long words do not underflow."""
+    """log Q(y_m^n), assembled in log space so long words do not underflow.
+
+    With rho the ratio of the shift the right of position i puts on it,
+    Q(y_i | y_{i+1}^n) = ((1 - eps) + eps rho^{y_i}) / (1 + rho^{y_i}). The logs
+    are summed by ``math.fsum`` where the word is scanned sequentially, and by
+    ``_cascade_sum`` where it is scanned in lanes.
+    """
     arr = as_spin_array(y)
-    conditionals = _symbol_prob(arr, _scan_shifts(arr, model)[1:], model)
-    return math.fsum(np.log(conditionals))
+    (ratios,) = _scan_ratios([arr], model)
+    rho = ratios[1:]
+    z = 1.0 / rho
+    np.copyto(z, rho, where=arr == 1)
+    del ratios, rho
+    logs = model.epsilon * z
+    logs += 1.0 - model.epsilon
+    z += 1.0
+    logs /= z
+    del z
+    np.log(logs, out=logs)
+    if scan_burn_in(len(arr), model) is None:
+        return math.fsum(logs.tolist())
+    return _cascade_sum(logs)
 
 
 def cylinder_prob(y, model: ChannelParams) -> float:
@@ -418,7 +518,7 @@ def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:
     right_arr = as_spin_array(right, allow_empty=True)
     # the left recursion equals the right recursion run on the reversed context
     shift = _leading_shift(left_arr[::-1], model) + _leading_shift(right_arr, model)
-    return float(_symbol_prob(y0, shift, model))
+    return _symbol_prob(y0, shift, model)
 
 
 def two_sided_limit_conditional(y0: int, left, right, tol: float, model: ChannelParams) -> float:
@@ -438,4 +538,4 @@ def two_sided_limit_conditional(y0: int, left, right, tol: float, model: Channel
     for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
         if len(context):
             shift += _extended_shift(context, model)
-    return float(_symbol_prob(y0, shift, model))
+    return _symbol_prob(y0, shift, model)

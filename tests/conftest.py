@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noisymarkov.transfer import field_shift, field_shift_deriv
+from noisymarkov.transfer import _scan_shifts, _shift_from_ratio, _walk, field_shift, field_shift_deriv
 
 #: The (p, epsilon) grid used by cross-checking properties throughout the suite.
 PARAM_GRID = [(p, e) for p in (0.1, 0.2, 0.3, 0.45) for e in (0.05, 0.2, 0.35, 0.45)]
@@ -16,6 +16,18 @@ def random_word(rng: np.random.Generator, length: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def walked_ratios(symbols, model, shift_init: float = 0.0) -> np.ndarray:
+    """The ratio exp(-2A) of every position of ``symbols``, from one sequential ``_walk``, in position order."""
+    record = []
+    _walk(symbols, model, shift_init, record)
+    return np.array(record[::-1])
+
+
+def walked_shifts(symbols, model, shift_init: float = 0.0) -> np.ndarray:
+    """The shifts of ``walked_ratios``, read off by the package's one log on a contiguous array."""
+    return _shift_from_ratio(walked_ratios(symbols, model, shift_init), model)
 
 
 def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +71,59 @@ def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarr
     post_m = np.array(alpha_m) * np.array(beta_m)
     tot = post_p + post_m
     return post_m / tot, post_p / tot
+
+
+def logistic_pair(x) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma(-x), sigma(x)) for the logistic sigma, overflow-safe for any real x."""
+    e = np.exp(-np.abs(x))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    positive = x >= 0
+    return np.where(positive, small, big), np.where(positive, big, small)
+
+
+def neighbour_shifts(y, model) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts A(wf_{i-1}) and A(wb_{i+1}) of every position, each side's scan logged on its own."""
+    left = _scan_shifts(y[::-1], model)[::-1]
+    right = _scan_shifts(y, model)
+    return left[:-1], right[1:]
+
+
+def shift_space_posteriors(y, model) -> tuple[np.ndarray, np.ndarray]:
+    """(q_minus, q_plus) as the logistic of the posterior log-odds 2 (K y_i + A_l + A_r).
+
+    The shift-space ``forward_backward`` that the ratio form replaced, kept as
+    the oracle its drift is measured against.
+    """
+    left, right = neighbour_shifts(y, model)
+    return logistic_pair(2.0 * (model.K * y + left + right))
+
+
+def shift_space_bfp(y, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xhat, q_minus, q_plus) of exact BFP by its closed form on the two shifts.
+
+    The shift-space exact ``bfp_denoise`` that the ratio form replaced: the
+    entries of Pi^{-1} q2 are sigma(+-2 A_l) sigma(+-2 A_r) - eps (1-eps)
+    tanh(A_l) tanh(A_r), clamped at zero, weighted by the channel and
+    normalized; ties go to +1.
+    """
+    left, right = neighbour_shifts(y, model)
+    eps = model.epsilon
+    l_low, l_high = logistic_pair(2.0 * left)
+    r_low, r_high = logistic_pair(2.0 * right)
+    cross = (eps * (1.0 - eps)) * (l_high - l_low) * (r_high - r_low)
+    v_plus = np.maximum(l_high * r_high - cross, 0.0)
+    v_minus = np.maximum(l_low * r_low - cross, 0.0)
+    plus = y == 1
+    v_plus *= np.where(plus, 1.0 - eps, eps)
+    v_minus *= np.where(plus, eps, 1.0 - eps)
+    total = v_plus + v_minus
+    return np.where(v_plus >= v_minus, 1, -1), v_minus / total, v_plus / total
+
+
+def shift_space_log_cylinder_prob(y, model) -> float:
+    """log Q(y) as the fsum of log((1-eps) sigma(2 y_i A_i) + eps sigma(-2 y_i A_i)), A_i the right shift."""
+    low, high = logistic_pair(2.0 * y * _scan_shifts(y, model)[1:])
+    return math.fsum(np.log((1.0 - model.epsilon) * high + model.epsilon * low))
 
 
 def matrix_route_posteriors(q2, y, eps: float) -> tuple[np.ndarray, int]:

@@ -38,7 +38,7 @@ from noisymarkov.errors import (
 from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import code_to_spins
 from noisymarkov.simulate import generate_dataset
-from noisymarkov.transfer import neighbour_shifts, two_sided_conditional
+from noisymarkov.transfer import neighbour_ratios, two_sided_conditional
 
 import noisymarkov.denoise as denoise_module
 from conftest import alpha_beta_posteriors, matrix_route_posteriors, random_word
@@ -356,11 +356,12 @@ class TestBfp:
         # reference: the product of the one-sided conditionals
         # (1-eps) sigma(+-2A) + eps sigma(-+2A), inverted through the channel as a matrix
         y = random_word(rng, 4000)
-        left, right = neighbour_shifts(y, channel_model(p, eps))
+        left, right = neighbour_ratios(y, channel_model(p, eps))
 
-        def one_sided(shift):
-            up = 1.0 / (1.0 + np.exp(-2.0 * shift))
-            down = 1.0 / (1.0 + np.exp(2.0 * shift))
+        def one_sided(ratio):
+            # sigma(2A) and sigma(-2A) with ratio = exp(-2A)
+            up = 1.0 / (1.0 + ratio)
+            down = 1.0 / (1.0 + 1.0 / ratio)
             return (1 - eps) * down + eps * up, (1 - eps) * up + eps * down
 
         (l_minus, l_plus), (r_minus, r_plus) = one_sided(left), one_sided(right)

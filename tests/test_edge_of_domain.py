@@ -30,7 +30,6 @@ from noisymarkov.thermo import bowen_gibbs_certificate, g_function
 from noisymarkov.transfer import (
     _fixed_point_shift,
     _scan_shifts,
-    _sequential_shifts,
     backward_fields,
     cylinder_prob,
     decay_rate_bound,
@@ -41,7 +40,7 @@ from noisymarkov.transfer import (
     two_sided_conditional,
 )
 
-from conftest import alpha_beta_posteriors
+from conftest import alpha_beta_posteriors, walked_shifts
 
 #: Below this the oracle's own terms go subnormal and lose their relative accuracy.
 ORACLE_FLOOR = 1e-290
@@ -126,7 +125,28 @@ def test_lane_scan_where_factors_overflow(p, eps, rng):
             warnings.simplefilter("error")
             lanes = _scan_shifts(y, model, init)
         assert np.all(np.isfinite(lanes))
-        np.testing.assert_array_equal(lanes, _sequential_shifts(y, model, init))
+        np.testing.assert_array_equal(lanes, walked_shifts(y, model, init))
+
+
+@pytest.mark.parametrize(
+    "p, eps, n", [(0.1, 1e-308, LANE_WORD), (0.45, 1e-300, LANE_WORD), (1e-300, 1e-300, 3), (1e-300, 1e-300, 200)]
+)
+def test_ratio_readers_stay_in_range(p, eps, n, rng):
+    # c^{y_i} rho_l rho_r leaves the double range here; the readers must round it, not warn or give NaN
+    params = validate_params(p, eps)
+    words = [rng.choice(np.array([-1, 1], dtype=np.int8), size=n), np.ones(n, dtype=np.int8)]
+    if n == LANE_WORD:
+        assert scan_burn_in(n, params) is not None
+    for y in words:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = forward_backward(y, params)
+            xhat, marg = bfp_denoise(y, params, mode="exact")
+            log_q = log_cylinder_prob(y, params)
+        for q in (post.q_minus, post.q_plus, marg.q_minus, marg.q_plus):
+            assert np.all((q >= 0.0) & (q <= 1.0))  # false for NaN
+        assert math.isfinite(log_q) and log_q <= 0.0
+        assert np.isin(xhat.symbols, (-1, 1)).all()
 
 
 @pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300), (1.0 - 1e-12, 0.2)])
@@ -137,7 +157,7 @@ def test_lane_scan_falls_back_without_certificate(p, eps, rng):
         warnings.simplefilter("error")
         assert scan_burn_in(len(y), model) is None
         shifts = _scan_shifts(y, model)
-    np.testing.assert_array_equal(shifts, _sequential_shifts(y, model, 0.0))
+    np.testing.assert_array_equal(shifts, walked_shifts(y, model, 0.0))
 
 
 def _outcome(query):

@@ -22,8 +22,8 @@ from noisymarkov.transfer import (
     _extended_field,
     _fixed_point_shift,
     _leading_shift,
+    _scan_ratios,
     _scan_shifts,
-    _sequential_shifts,
     _walk,
     backward_fields,
     conditional_prob,
@@ -42,7 +42,7 @@ from noisymarkov.transfer import (
     two_sided_limit_conditional,
 )
 
-from conftest import PARAM_GRID, alpha_beta_posteriors, random_word
+from conftest import PARAM_GRID, alpha_beta_posteriors, random_word, walked_ratios, walked_shifts
 
 M_REF = channel_model(0.2, 0.1)
 P_REF = validate_params(0.2, 0.1)
@@ -255,9 +255,19 @@ class TestLaneScan:
         for n in (cut - 1, cut, cut + 3 * LANE_WIDTH + 777):
             y = random_word(rng, n)
             init = 0.0 if start == "zero" else _fixed_point_shift(int(y[-1]), model)
-            lanes = _scan_shifts(y, model, init)
-            assert lanes.shape == (n + 1,)
-            np.testing.assert_array_equal(lanes, _sequential_shifts(y, model, init))
+            # both sides in one loop, as neighbour_ratios scans them: each equals its own walk
+            for word, lanes in zip((y, y[::-1]), _scan_ratios([y, y[::-1]], model, init)):
+                assert lanes.shape == (n + 1,)
+                np.testing.assert_array_equal(lanes, walked_ratios(word, model, init))
+            np.testing.assert_array_equal(_scan_shifts(y, model, init), walked_shifts(y, model, init))
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
+    def test_forward_fields_mirror_backward_fields(self, p, eps, rng):
+        # numpy's log rounds some ratios differently on a reversed view: every log is taken contiguous
+        model = channel_model(p, eps)
+        y = random_word(rng, self.lane_cut(model)[1] + 777)
+        mirrored = backward_fields(y[::-1], model).values[::-1]
+        np.testing.assert_array_equal(forward_fields(y, model).values, mirrored)
 
     def test_forward_backward_on_lanes_matches_alpha_beta(self, rng):
         p, eps = 0.1, 0.2
