@@ -37,11 +37,12 @@ import numpy as np
 from .errors import (
     InsufficientContextError,
     LengthMismatchError,
+    MalformedDataError,
     OutOfRangeError,
     SingularChannelError,
 )
 from .model import ChannelParams, check_count, check_probability, validate_params
-from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array, check_spin
+from .sequences import SPIN_DTYPE, SpinSequence, _made_word, as_spin_array, check_spin
 from .transfer import _channel_factors, neighbour_ratios
 
 __all__ = [
@@ -86,6 +87,8 @@ class PosteriorMarginals:
         qp = np.asarray(self.q_plus, dtype=np.float64)
         if qm.shape != qp.shape:
             raise LengthMismatchError("q_minus and q_plus must have equal shapes")
+        if qm.ndim != 1 or not len(qm):
+            raise MalformedDataError(f"posteriors must be one-dimensional and nonempty, got shape {qm.shape}")
         object.__setattr__(self, "q_minus", qm)
         object.__setattr__(self, "q_plus", qp)
 
@@ -159,12 +162,12 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     leaves the double range before its last rounding only where |J| > 177;
     q_plus is then rounded to 0 from below 5.6e-309 (1-eps)/eps.
     """
-    arr = as_spin_array(y)
-    left, right = neighbour_ratios(arr, params)
+    word = SpinSequence(y)
+    left, right = neighbour_ratios(word, params)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         odds = np.multiply(left, right)
         del left, right
-        odds *= _channel_factors(arr, params)
+        odds *= _channel_factors(word.symbols, params)
         q_plus = odds + 1.0
         np.divide(1.0, q_plus, out=q_plus)
         np.divide(1.0, odds, out=odds)
@@ -392,7 +395,7 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     decided[occurring] = decisions
     xhat = arr.copy()
     xhat[k : n - k] = decided.take(pairs)
-    return DudeResult(xhat=SpinSequence(xhat), k=k, n_clamped=n_clamped, y=arr)
+    return DudeResult(xhat=_made_word(xhat), k=k, n_clamped=n_clamped, y=arr)
 
 
 def dude(y, epsilon: float, k: int | None = None) -> SpinSequence:
@@ -422,10 +425,11 @@ def bfp_denoise(
     two-sided conditional in general.
     """
     _check_crossover(params.epsilon)
-    arr = as_spin_array(y)
+    word = SpinSequence(y)
+    arr = word.symbols
     n = len(arr)
     if mode == "exact":
-        left, right = neighbour_ratios(arr, params)
+        left, right = neighbour_ratios(word, params)
         # Each side's conditional of Y_i is (1 + s y tanh A)/2 with s = 1 - 2 eps.
         # Inverting their normalized product through the channel gives entries
         # of Pi^{-1} q2 proportional to sigma(+-2 A_l) sigma(+-2 A_r) - eps (1-eps)
@@ -474,7 +478,7 @@ def bfp_denoise(
     total = v_minus + v_plus
     xhat = arr.copy()
     xhat[k : n - k] = _decide(v_minus[k : n - k], v_plus[k : n - k])
-    return SpinSequence(xhat), PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
+    return _made_word(xhat), PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
 
 
 def estimate_p_moment(y, epsilon: float) -> float:
@@ -500,8 +504,10 @@ def gibbs_params(y, epsilon: float) -> ChannelParams:
 
 def gibbs_detail(y, epsilon: float) -> tuple[SpinSequence, ChannelParams]:
     """Gibbs-modeling surrogate and the cell it decoded at: moment-matched p, then the exact MAP pass."""
-    params = gibbs_params(y, epsilon)
-    return map_denoise(forward_backward(y, params)), params
+    _check_crossover(epsilon)  # refused before the word, as gibbs_params refuses it
+    word = SpinSequence(y)
+    params = gibbs_params(word, epsilon)
+    return map_denoise(forward_backward(word, params)), params
 
 
 def gibbs_denoise(y, epsilon: float) -> SpinSequence:
@@ -511,7 +517,7 @@ def gibbs_denoise(y, epsilon: float) -> SpinSequence:
 
 def map_denoise(post: PosteriorMarginals) -> SpinSequence:
     """Per-position argmax of the posterior; exact ties break toward +1."""
-    return SpinSequence(_decide(post.q_minus, post.q_plus))
+    return _made_word(_decide(post.q_minus, post.q_plus))
 
 
 def bit_error_rate(xhat, x) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, TooLongError
 from .model import ChannelParams, check_count
-from .sequences import as_spin_array
+from .sequences import SpinSequence, as_spin_array
 
 #: Hard budget on the hidden-configuration enumeration, 2^22 configurations.
 MAX_BRUTE_FORCE_LENGTH = 22
@@ -56,15 +56,15 @@ def _config_weights(length: int, p: float) -> np.ndarray:
 
 def brute_force_cylinder(y, params: ChannelParams) -> float:
     """Cylinder probability by direct enumeration of all hidden configurations."""
-    arr = as_spin_array(y)
-    length = len(arr)
+    word = SpinSequence(y)
+    length = len(word)
     if length > MAX_BRUTE_FORCE_LENGTH:
         raise TooLongError(
             f"word of length {length} exceeds the enumeration budget of {MAX_BRUTE_FORCE_LENGTH}"
         )
     p, eps = params.p, params.epsilon
     configs = np.arange(1 << length, dtype=np.uint32)
-    mismatches = np.bitwise_count(configs ^ np.uint32(spin_word_code(arr)))
+    mismatches = np.bitwise_count(configs ^ np.uint32(spin_word_code(word)))
     emission = np.power(eps, mismatches, dtype=np.float64) * np.power(1.0 - eps, length - mismatches)
     return float(np.sum(_config_weights(length, p) * emission))
 

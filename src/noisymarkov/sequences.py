@@ -1,7 +1,9 @@
 """Spin-valued sequences over {-1, +1} and auxiliary field trajectories.
 
 This module decides what a spin is, for the whole package: ``as_spin_array``
-checks a word of symbols and ``check_spin`` a single symbol.
+checks a word of symbols and ``check_spin`` a single symbol. A ``SpinSequence``
+is a checked word, which it and ``as_spin_array`` take without a scan; words the
+package makes itself are wrapped by ``_made_word``, also without one.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ def check_spin(name: str, value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpinSequence:
-    """A finite word over {-1, +1}."""
+    """A finite word over {-1, +1}, checked once when it is built; a SpinSequence is taken as it is."""
 
     symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", as_spin_array(np.asarray(self.symbols)))
+        object.__setattr__(self, "symbols", as_spin_array(self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -71,6 +73,14 @@ class SpinSequence:
         if not isinstance(other, SpinSequence):
             return NotImplemented
         return np.array_equal(self.symbols, other.symbols)
+
+
+def _made_word(symbols: np.ndarray) -> SpinSequence:
+    """A SpinSequence of an int8 array of +-1 that the package built, frozen in place and not scanned."""
+    symbols.setflags(write=False)
+    word = object.__new__(SpinSequence)
+    object.__setattr__(word, "symbols", symbols)
+    return word
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import LengthMismatchError, MalformedDataError, OutOfRangeError
 from .model import ChannelParams, check_count, check_probability
-from .sequences import SPIN_DTYPE, SpinSequence, as_spin_array
+from .sequences import SPIN_DTYPE, SpinSequence, _made_word, as_spin_array
 
 GENERATOR_NAME = "philox4x64"
 
@@ -64,12 +64,10 @@ def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 
 
 def _sample_markov_with(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    x0 = 1 if rng.random() < 0.5 else -1
-    if n == 1:
-        return np.array([x0], dtype=SPIN_DTYPE)
-    steps = np.where(rng.random(n - 1) < p, -1, 1).astype(SPIN_DTYPE)
+    # the words are allocated before the draws' temporaries, so they do not pin the heap above them
     out = np.empty(n, dtype=SPIN_DTYPE)
-    out[0] = x0
+    out[0] = x0 = 1 if rng.random() < 0.5 else -1
+    steps = np.where(rng.random(n - 1) < p, -1, 1).astype(SPIN_DTYPE)
     np.cumprod(steps, out=out[1:], dtype=SPIN_DTYPE)
     out[1:] *= x0
     return out
@@ -81,24 +79,25 @@ def sample_markov(p: float, n: int, seed: int) -> SpinSequence:
     check_count("seed", seed)
     p = check_probability("p", p)
     rng = _philox(np.random.SeedSequence(seed))
-    return SpinSequence(_sample_markov_with(rng, p, n))
+    return _made_word(_sample_markov_with(rng, p, n))
 
 
 def _transmit_with(rng: np.random.Generator, x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    z = np.where(rng.random(len(x)) < epsilon, -1, 1).astype(SPIN_DTYPE)
-    return z, (x * z).astype(SPIN_DTYPE)
+    z = np.empty(len(x), dtype=SPIN_DTYPE)
+    y = np.empty(len(x), dtype=SPIN_DTYPE)
+    z[:] = np.where(rng.random(len(x)) < epsilon, -1, 1)
+    np.multiply(x, z, out=y)
+    return z, y
 
 
 def transmit(x, epsilon: float, seed: int) -> SimulatedPath:
     """Push a hidden sequence through the memoryless channel: P(z = -1) = epsilon."""
     epsilon = check_probability("epsilon", epsilon)
     check_count("seed", seed)
-    arr = as_spin_array(x)
+    word = SpinSequence(x)
     rng = _philox(np.random.SeedSequence(seed))
-    z, y = _transmit_with(rng, arr, epsilon)
-    return SimulatedPath(
-        x=SpinSequence(arr), z=SpinSequence(z), y=SpinSequence(y), seed=seed
-    )
+    z, y = _transmit_with(rng, word.symbols, epsilon)
+    return SimulatedPath(x=word, z=_made_word(z), y=_made_word(y), seed=seed)
 
 
 def generate_dataset(params: ChannelParams, n: int, seed: int) -> SimulatedPath:
@@ -108,9 +107,7 @@ def generate_dataset(params: ChannelParams, n: int, seed: int) -> SimulatedPath:
     source_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     x = _sample_markov_with(_philox(source_seq), params.p, n)
     z, y = _transmit_with(_philox(noise_seq), x, params.epsilon)
-    return SimulatedPath(
-        x=SpinSequence(x), z=SpinSequence(z), y=SpinSequence(y), seed=seed
-    )
+    return SimulatedPath(x=_made_word(x), z=_made_word(z), y=_made_word(y), seed=seed)
 
 
 def save_spins(path: str | Path, y) -> None:
@@ -140,7 +137,7 @@ def load_spins(path: str | Path) -> SpinSequence:
     if len(payload) < expected:
         raise MalformedDataError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-    return SpinSequence(np.where(bits == 1, -1, 1).astype(SPIN_DTYPE))
+    return _made_word(np.where(bits == 1, -1, 1).astype(SPIN_DTYPE))
 
 
 #: The four row tails ``,x,z,y\n`` with y = x * z, indexed by 2 * (x > 0) + (z > 0).
@@ -244,9 +241,9 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
     x = 2 * x_plus.view(SPIN_DTYPE) - 1
     z = 2 * z_plus.view(SPIN_DTYPE) - 1
     return SimulatedPath(
-        x=SpinSequence(x),
-        z=SpinSequence(z),
-        y=SpinSequence(x * z),
+        x=_made_word(x),
+        z=_made_word(z),
+        y=_made_word(x * z),
         seed=seed,
         generator=meta.get("generator", (GENERATOR_NAME, 0))[0],
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CertificateOverflowError, DivisionNearZeroError, InsufficientContextError
 from .model import ChannelParams, check_count, check_tolerance
-from .sequences import as_spin_array
+from .sequences import SpinSequence, as_spin_array
 from .transfer import (
     DecayBound,
     _extended_field,
@@ -252,11 +252,10 @@ def bowen_gibbs_ratio(y, model: ChannelParams) -> float:
     space, so the ratio stays well-defined for words far longer than the
     underflow threshold of a raw probability.
     """
-    arr = as_spin_array(y)
-    n1 = len(arr)
-    fields = extended_fields(arr, model)
+    word = SpinSequence(y)
+    fields = extended_fields(word, model)
     birkhoff = math.fsum(log_partition_term(fields, model))
-    log_ratio = log_cylinder_prob(arr, model) - (birkhoff - n1 * math.log(model.lam))
+    log_ratio = log_cylinder_prob(word, model) - (birkhoff - len(word) * math.log(model.lam))
     return math.exp(log_ratio)
 
 

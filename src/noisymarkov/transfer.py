@@ -502,8 +502,9 @@ def cylinder_prob(y, model: ChannelParams) -> float:
 
 
 def conditional_prob(y0: int, future, model: ChannelParams) -> float:
-    """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context."""
-    return two_sided_conditional(y0, [], as_spin_array(future), model)
+    """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context, of shift 0."""
+    arr = as_spin_array(future)
+    return _symbol_prob(check_spin("y0", y0), _leading_shift(arr, model), model)
 
 
 def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:

@@ -122,11 +122,13 @@ def test_one_decay_certificate_per_cell():
 
 
 #: Scans that compute the shift or field of every position of a word.
-WHOLE_SCANS = {"_scan_shifts", "_extended_shifts", "extended_fields"}
+WHOLE_SCANS = {"_scan_shifts", "_sequential_ratios", "extended_fields"}
 
 
 def test_one_field_per_limit():
     # a query that needs one entry walks to it alone (transfer._leading_shift)
+    defined = {node.name for source in SOURCES for node in ast.walk(_tree(source)) if isinstance(node, ast.FunctionDef)}
+    assert WHOLE_SCANS <= defined, WHOLE_SCANS - defined
     offenders = [
         f"{source.name}:{node.lineno} takes entry {_literal(node.slice)} of {_callee(node.value)}"
         for source in SOURCES for node in ast.walk(_tree(source))

@@ -92,6 +92,12 @@ class TestSpinSequence:
     def test_allow_empty(self):
         assert len(as_spin_array([], allow_empty=True)) == 0
 
+    def test_wraps_a_spin_sequence(self):
+        seq = SpinSequence([1, -1])
+        again = SpinSequence(seq)
+        assert again == seq
+        assert again.symbols is seq.symbols
+
 
 class TestFieldFunctions:
     def test_odd_at_zero(self):
