@@ -133,6 +133,8 @@ def load_spins(path: str | Path) -> SpinSequence:
         if version != _FORMAT_VERSION:
             raise MalformedDataError(f"unsupported format version {version} in {path}")
         payload = fh.read()
+    if n == 0:
+        raise MalformedDataError(f"empty spin sequence in {path}: the header gives n=0")
     expected = (n + 7) // 8
     if len(payload) < expected:
         raise MalformedDataError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
@@ -216,6 +218,8 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
     if "n" not in meta:
         raise MalformedDataError(f"{path}: no '# n=' line before the header row")
     n = _meta_int(path, meta, "n")
+    if n < 1:
+        raise MalformedDataError(f"{path}, line {meta['n'][1]}: a path holds at least one row; got n={n}")
     seed = _meta_int(path, meta, "seed") if "seed" in meta else 0
 
     body = np.frombuffer(data, dtype=np.uint8)[pos:]
@@ -238,12 +242,6 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
         )
     if len(ends) != n:
         raise MalformedDataError(f"{path}, line {meta['n'][1]}: n={n}, but the file holds {len(ends)} rows")
-    x = 2 * x_plus.view(SPIN_DTYPE) - 1
-    z = 2 * z_plus.view(SPIN_DTYPE) - 1
-    return SimulatedPath(
-        x=_made_word(x),
-        z=_made_word(z),
-        y=_made_word(x * z),
-        seed=seed,
-        generator=meta.get("generator", (GENERATOR_NAME, 0))[0],
-    )
+    x, z = 2 * x_plus.view(SPIN_DTYPE) - 1, 2 * z_plus.view(SPIN_DTYPE) - 1
+    generator = meta.get("generator", (GENERATOR_NAME, 0))[0]
+    return SimulatedPath(x=_made_word(x), z=_made_word(z), y=_made_word(x * z), seed=seed, generator=generator)

@@ -173,8 +173,14 @@ class TestPathFiles:
 
     @pytest.mark.parametrize(
         "raw",
-        [b"SPN\x01", b"XXX" + bytes(5), b"SPN\x02" + bytes(4), b"SPN\x01" + (100).to_bytes(4, "little") + bytes(2)],
-        ids=["truncated-header", "bad-magic", "bad-version", "truncated-payload"],
+        [
+            b"SPN\x01",
+            b"XXX" + bytes(5),
+            b"SPN\x02" + bytes(4),
+            b"SPN\x01" + (100).to_bytes(4, "little") + bytes(2),
+            b"SPN\x01" + bytes(4),
+        ],
+        ids=["truncated-header", "bad-magic", "bad-version", "truncated-payload", "empty"],
     )
     def test_malformed_packed_file_is_package_error(self, tmp_path, raw):
         target = tmp_path / "bad.bin"
@@ -199,11 +205,13 @@ class TestPathFiles:
             (lambda ls: [*ls[:6], ls[6].replace(b"+", b""), *ls[7:]], 7),
             (lambda ls: [*ls[:6], ls[6][:-2] + (b"+1" if ls[6].endswith(b"-1") else b"-1"), *ls[7:]], 7),
             (lambda ls: [*ls[:9], b"4" + ls[8][1:]], 4),
+            (lambda ls: [*ls[:3], b"# n=0", ls[4]], 4),
+            (lambda ls: [*ls[:3], b"# n=-1", ls[4]], 4),
         ],
         ids=[
             "three-fields", "non-integer", "seed-not-integer", "non-ascii-byte", "x-out-of-int8",
             "n-above-row-count", "no-header-row", "index-not-counting", "index-leading-zero",
-            "blank-line", "crlf", "unsigned", "y-not-x-times-z", "row-past-n",
+            "blank-line", "crlf", "unsigned", "y-not-x-times-z", "row-past-n", "empty", "n-negative",
         ],
     )
     def test_malformed_csv_row_is_package_error(self, tmp_path, edit, line):
@@ -292,5 +300,12 @@ def test_edited_path_file_loads_or_raises_package_error(tmp_path_factory, kind, 
             loaded = load(target)
         except NoisyMarkovError:
             return
-    # both constructors validate: spins of +-1, at least one, y = x * z
+    # what loads is a checked word: read-only int8 spins of +-1, at least one, and y = x * z
     assert isinstance(loaded, SimulatedPath if kind == "csv" else SpinSequence)
+    words = [loaded.x, loaded.z, loaded.y] if kind == "csv" else [loaded]
+    for word in words:
+        arr = word.symbols
+        assert len(arr) >= 1 and arr.dtype == np.int8 and not arr.flags.writeable
+        assert np.all((arr == 1) | (arr == -1))
+    if kind == "csv":
+        assert np.array_equal(loaded.y.symbols, loaded.x.symbols * loaded.z.symbols)
