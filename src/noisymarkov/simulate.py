@@ -8,7 +8,7 @@ with every path so runs are self-describing.
 File formats
 ------------
 Packed binary (``save_spins``/``load_spins``): an 8-byte header
-``magic b"SPN" | version u8 | length u32 little-endian`` followed by
+``magic b"SPN" | version u8 | length u32 little-endian`` (N >= 1) followed by
 ``ceil(N/8)`` bytes from ``numpy.packbits`` with the mapping +1 -> 0,
 -1 -> 1 and the first symbol in the most significant bit of the first byte.
 
@@ -16,7 +16,7 @@ CSV (``save_path_csv``/``load_path_csv``): ASCII with LF line endings.
 ``# key=value`` lines (schema, seed, generator, n) come first and only there,
 then the header row ``i,x,z,y``, then one row ``{i},{x:+d},{z:+d},{y:+d}`` per
 symbol: i runs 0..n-1 in decimal without leading zeros, x and z are written
-``+1`` or ``-1``, y = x * z, and n equals the ``# n=`` line. The loader refuses
+``+1`` or ``-1``, y = x * z, and n >= 1 equals the ``# n=`` line. The loader refuses
 any other form (a blank line, CRLF, an unsigned ``1``, a missing header row)
 with ``MalformedDataError`` naming the file and the offending line.
 """
