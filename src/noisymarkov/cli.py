@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .denoise import (
+    MAX_CONTEXT_LENGTH,
     BerReport,
     bfp_denoise,
     bit_error_rate,
@@ -334,6 +335,8 @@ def cmd_bench(cfg: Settings) -> int:
     if min(k_list) < 1:
         raise ConfigError(f"dude context lengths must be >= 1, got k={min(k_list)}")
     max_k = max(k_list)
+    if max_k > MAX_CONTEXT_LENGTH:
+        raise ConfigError(f"dude context lengths must be <= {MAX_CONTEXT_LENGTH}, got k={max_k}")
     if "dude" in algorithms and n <= 2 * max_k + 1:
         raise ConfigError(f"bench with dude contexts up to k={max_k} needs n >= {2 * max_k + 2}")
     out_dir = Path(cfg.get("out", "bench-out"))

@@ -69,10 +69,13 @@ __all__ = [
 #: Entries of Pi^{-1} q2 below this are flagged before being clamped to zero.
 NEGATIVE_FLAG_THRESHOLD = -1e-12
 
-#: Context counts use a direct-address table of 2^(bits+1) entries while it
+#: Window counts use a direct-address table of 2^width entries while it
 #: has at most COUNT_TABLE_MAX entries (32 MiB of int64); past it a sort
 #: replaces the table.
 COUNT_TABLE_MAX = 1 << 22
+
+#: Largest context length: a (2k+1)-symbol window fits the 57 bits of ``_window_codes``.
+MAX_CONTEXT_LENGTH = 28
 
 
 @dataclass(frozen=True)
@@ -260,10 +263,12 @@ def default_context_length(n: int) -> int:
 
 
 def _check_context(n: int, k: int | None) -> int:
-    """The context length to use for a word of n symbols (default if k is None)."""
+    """The context length, at most MAX_CONTEXT_LENGTH, for a word of n symbols (default if k is None)."""
     if k is None:
         k = default_context_length(n)
     check_count("k", k, 1)
+    if k > MAX_CONTEXT_LENGTH:
+        raise OutOfRangeError(f"context length k must be at most {MAX_CONTEXT_LENGTH}, got {k}")
     if n <= 2 * k + 1:
         raise InsufficientContextError(
             f"need n >= {2 * k + 2} symbols for context length k={k}, got {n}"
@@ -271,65 +276,53 @@ def _check_context(n: int, k: int | None) -> int:
     return k
 
 
-def _context_codes(bits: np.ndarray, k: int) -> np.ndarray:
-    """Codes of every k-symbol window: entry j codes symbols j..j+k-1, bit t for symbol j+t.
+def _window_codes(plus: np.ndarray, width: int) -> np.ndarray:
+    """Code of every ``width``-symbol window, width <= 57: bit t of entry j is 1 if symbol j + t is +1.
 
-    ``bits`` is 1 for +1 and 0 for -1. The context left of position i >= k is
-    entry i-k and the context right of position i <= n-1-k is entry i+1; a
-    two-sided code of 2k <= 24 bits fits int64.
+    ``plus`` is true for +1. Packed eight symbols to a byte, low bit first,
+    the eight bytes from byte b on, read as one little-endian uint64, hold
+    symbols 8b..8b+63; shifted right by s = 0..7 and masked, that is the code
+    of window 8b+s, whole while s + width <= 64: two passes over n codes.
     """
-    windows = np.zeros(len(bits) - k + 1, dtype=np.int64)
-    for t in range(k):
-        windows |= bits[t : t + len(windows)] << t
-    return windows
+    padded = np.append(np.packbits(plus, bitorder="little"), np.zeros(7, dtype=np.uint8))
+    words = np.ndarray((len(padded) - 7, 1), dtype="<u8", buffer=padded, strides=(1, 0))
+    codes = words >> np.arange(8, dtype=np.uint64)
+    codes &= (1 << width) - 1
+    return codes.reshape(-1)[: len(plus) - width + 1].view(np.int64)
 
 
-def _centre_counts(codes: np.ndarray, centres: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair codes of every position and the count table they address.
+def _centre_counts(codes: np.ndarray, width: int, bit: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pair codes of every window, the count table they address, and the centre's bit in them.
 
-    ``codes`` holds context codes below 2^bits and ``centres`` is 1 for +1.
-    Each (context, centre) pair is coded as ``code << 1 | centre`` and all
-    pairs are counted with one bincount into a table addressed by that code,
-    so m(c, -1) and m(c, +1) sit at ``pair & ~1`` and ``pair | 1``. The table
-    has 2^(bits+1) entries; past COUNT_TABLE_MAX entries one sort first
-    renumbers the contexts that occur as 0, 1, 2, ... Each position counts
+    ``codes`` are ``_window_codes`` of ``width`` symbols, and bit ``bit`` of
+    each is its centre, the rest its context. While the table of 2^width
+    entries has at most COUNT_TABLE_MAX entries, the codes are the pair codes
+    and are counted with one bincount, so m(c, -1) and m(c, +1) sit at the
+    code with the centre's bit cleared and set. Past it one sort renumbers the
+    contexts that occur as 0, 1, 2, ..., each pair is coded as
+    ``context << 1 | centre`` and the centre's bit is 0. Each window counts
     itself, so every pair code in ``pairs`` has a nonzero count.
     """
-    size = 2 << bits
-    if size > COUNT_TABLE_MAX:
-        uniq, codes = np.unique(codes, return_inverse=True)
-        size = 2 * len(uniq)
-    pairs = codes << 1
-    pairs |= centres
-    return pairs, np.bincount(pairs, minlength=size)
+    if 1 << width <= COUNT_TABLE_MAX:
+        return codes, np.bincount(codes, minlength=1 << width), bit
+    uniq, pairs = np.unique(codes & ~(1 << bit), return_inverse=True)
+    pairs <<= 1
+    pairs |= (codes >> bit) & 1
+    return pairs, np.bincount(pairs, minlength=2 * len(uniq)), 0
 
 
-def _centre_conditionals(pairs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)) at each pair code of ``table``.
+def _centre_conditionals(pairs: np.ndarray, table: np.ndarray, bit: int) -> np.ndarray:
+    """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)) at each pair code of ``table``, centre at ``bit``.
 
     Each row is the empirical P(centre | context) of the pair's context.
     """
-    m_minus = table[pairs & ~1]
-    m_plus = table[pairs | 1]
+    m_minus = table[pairs & ~(1 << bit)]
+    m_plus = table[pairs | 1 << bit]
     total = m_minus + m_plus
     rows = np.empty((len(total), 2))
     np.divide(m_minus, total, out=rows[:, 0])
     np.divide(m_plus, total, out=rows[:, 1])
     return rows
-
-
-def _two_sided_pairs(plus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_centre_counts`` of the (left context, right context, centre) pairs of positions k..n-1-k.
-
-    ``plus`` is 1 for +1. The left context is coded low and the right context
-    high; the window codes are freed before counting.
-    """
-    windows = _context_codes(plus, k)
-    m = len(plus) - 2 * k
-    codes = windows[k + 1 : k + 1 + m] << k
-    codes |= windows[:m]
-    del windows
-    return _centre_counts(codes, plus[k : k + m], 2 * k)
 
 
 @dataclass(frozen=True)
@@ -351,7 +344,8 @@ class DudeResult:
 
         Counted again from ``y`` on the first read, then kept; read-only.
         """
-        q2 = _centre_conditionals(*_two_sided_pairs((self.y == 1).astype(np.int64), self.k))
+        width = 2 * self.k + 1
+        q2 = _centre_conditionals(*_centre_counts(_window_codes(self.y == 1, width), width, self.k))
         q2.setflags(write=False)
         return q2
 
@@ -359,8 +353,9 @@ class DudeResult:
 def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     """Two-pass context-count denoiser with diagnostics.
 
-    Pass one codes the (left context, right context, centre) pair of every
-    interior position once and counts the pairs with one bincount (see
+    Pass one codes the (2k+1)-window of every interior position once, its
+    pair code: left context low, centre at bit k, right context high. The
+    pairs are counted with one bincount (see
     _centre_counts for the direct-address table and its sort cut-over). The
     decision at a position depends only on its pair, so pass two runs once per
     pair code that occurs: it estimates the two-sided conditional
@@ -371,20 +366,21 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     contain the position itself, so every count total is >= 1 and no
     smoothing is needed. The first and last k positions are passed through
     unchanged. ``q2`` is left to the result, which builds it when read.
+    k is at most MAX_CONTEXT_LENGTH = 28, or OutOfRangeError is raised.
     """
     epsilon = _check_crossover(epsilon)
     arr = as_spin_array(y)
     n = len(arr)
     k = _check_context(n, k)
-    pairs, table = _two_sided_pairs((arr == 1).astype(np.int64), k)
+    pairs, table, bit = _centre_counts(_window_codes(arr == 1, 2 * k + 1), 2 * k + 1, k)
     size = len(table)
     occurring = np.flatnonzero(table != 0)  # a bool mask takes numpy's fast nonzero path
     counts = table[occurring]
-    rows = _centre_conditionals(occurring, table)
+    rows = _centre_conditionals(occurring, table, bit)
     # the table, rows and weights are freed before the decision table is built
     del table
     v_minus, v_plus, flagged = _channel_weights(
-        rows[:, 0], rows[:, 1], 2 * (occurring & 1) - 1, epsilon
+        rows[:, 0], rows[:, 1], 2 * ((occurring >> bit) & 1) - 1, epsilon
     )
     del rows
     n_clamped = int(counts[flagged].sum())
@@ -416,9 +412,10 @@ def bfp_denoise(
     ``exact`` mode evaluates the one-sided conditionals from the neighbour
     ratios of the full observed word (valid in both directions because the
     symmetric chain is reversible); ``empirical`` mode estimates them with
-    order-k context counts and passes the first/last k positions through. Its
-    left and right contexts come from the same encoder and counter as
-    ``dude_detail``, one count per side. The surrogate is then pushed through
+    order-k context counts and passes the first/last k positions through. It
+    counts the (k+1)-windows of ``dude_detail``'s encoder once, reads the left
+    conditional with the centre at bit k and the right one at bit 0, and
+    gathers both rows per position; k <= 28. The surrogate is then pushed through
     the channel inversion and a per-position argmax; exact mode does both in
     closed form on the two ratios, in place on the arrays of the scan, so its
     memory peak is the scan's. It deliberately does not equal the exact
@@ -465,15 +462,20 @@ def bfp_denoise(
         raise OutOfRangeError(f"mode must be 'exact' or 'empirical', got {mode!r}")
     k = _check_context(n, k)
     m = n - 2 * k
-    plus = (arr == 1).astype(np.int64)
-    windows = _context_codes(plus, k)
-    # one-sided conditionals counted over every position with a full context
-    q_left = _centre_conditionals(*_centre_counts(windows[: n - k], plus[k:], k))[:m]
-    q_right = _centre_conditionals(*_centre_counts(windows[1:], plus[: n - k], k))[k : k + m]
-    prod = q_left * q_right
-    # boundary positions: passthrough estimate, channel-only posterior
-    q2 = np.full((n, 2), 0.5)
-    np.divide(prod, prod.sum(axis=1, keepdims=True), out=q2[k : n - k])
+    codes = _window_codes(arr == 1, k + 1)
+    left = _centre_counts(codes, k + 1, k)
+    # a direct-address table (its pair codes are the codes) holds both sides' counts
+    right = (codes, left[1], 0) if left[0] is codes else _centre_counts(codes, k + 1, 0)
+    # one row per table entry; those of contexts that never occur are 0/0 and never read
+    with np.errstate(invalid="ignore"):
+        q_left, q_right = (_centre_conditionals(np.arange(len(t)), t, bit) for _, t, bit in (left, right))
+    q2 = np.full((n, 2), 0.5)  # boundary positions: passthrough estimate, channel-only posterior
+    prod = q2[k : n - k]
+    # window j holds the left context of position j + k and the right context of position j
+    q_left.take(left[0][:m], axis=0, out=prod)
+    prod *= q_right[right[0][k : k + m]]
+    del codes, left, right, q_left, q_right
+    prod /= (prod[:, 0] + prod[:, 1])[:, None]
     v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
     total = v_minus + v_plus
     xhat = arr.copy()

@@ -139,7 +139,7 @@ def load_spins(path: str | Path) -> SpinSequence:
     if len(payload) < expected:
         raise MalformedDataError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-    return _made_word(np.where(bits == 1, -1, 1).astype(SPIN_DTYPE))
+    return _made_word(1 - 2 * bits.view(SPIN_DTYPE))
 
 
 #: The four row tails ``,x,z,y\n`` with y = x * z, indexed by 2 * (x > 0) + (z > 0).

@@ -191,6 +191,12 @@ class TestBench:
         assert cli.main(["bench", "--n", "100", "--k", "0", "--out", str(tmp_path / "b")]) == 2
         assert "k=0" in capsys.readouterr().err
 
+    def test_k_past_the_window_coder_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--n", "100", "--k", "1,29", "--out", str(out)]) == 2
+        assert "k=29" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_algorithm_is_config_error(self, tmp_path):
         grid = tmp_path / "cfg.txt"
         grid.write_text("algorithms=quantum\n")

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisymarkov.denoise import (
@@ -27,6 +30,7 @@ from noisymarkov.denoise import (
     posterior_from_two_sided,
     _centre_counts,
     _channel_weights,
+    _window_codes,
 )
 from noisymarkov.errors import (
     InsufficientContextError,
@@ -202,9 +206,9 @@ class TestDude:
         with pytest.raises(OutOfRangeError):
             default_context_length(0)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 11, None])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 11, 28, None])
     def test_q2_equals_window_recount(self, k):
-        # k <= 4 counts with the direct-address table, k = 11 through the sort;
+        # k <= 4 counts with the direct-address table, k = 11 and 28 through the sort;
         # past eps = 1/2 the inversion flags and clamps the other entry
         y = _count_word(k)
         n = len(y)
@@ -221,6 +225,21 @@ class TestDude:
             assert np.array_equal(result.xhat.symbols, np.concatenate(
                 [y[:k_used], interior, y[n - k_used :]]))
             assert result.n_clamped == flagged
+
+    def test_longest_context_keeps_every_window_apart(self):
+        # 2k + 1 = 57 symbols fill the window coder. A two-sided code of more
+        # symbols no longer fits, and both denoisers refuse it: at k = 40 the
+        # int64 code of the earlier encoder merged distinct windows of this word
+        y = np.ones(400, dtype=np.int8)
+        y[[150, 151, 300]] = -1
+        m_minus, m_plus = _context_counts(y, 57, 28)
+        tot = m_minus + m_plus
+        assert np.array_equal(dude_detail(y, 0.2, 28).q2, np.stack([m_minus / tot, m_plus / tot], axis=1))
+        for k in (29, 40):
+            with pytest.raises(OutOfRangeError, match="at most 28"):
+                dude_detail(y, 0.2, k)
+            with pytest.raises(OutOfRangeError, match="at most 28"):
+                bfp_denoise(y, P_REF, mode="empirical", k=k)
 
     def test_q2_is_read_only_and_built_once(self):
         result = dude_detail(_count_word(3), 0.2, 3)
@@ -280,8 +299,8 @@ class TestDude:
         codes = sliding_window_view(plus, 9) @ (1 << np.arange(9))
 
         def counts():
-            pairs, table = _centre_counts(codes, plus[4 : 4 + len(codes)], 9)
-            return table[pairs & ~1], table[pairs | 1]
+            pairs, table, bit = _centre_counts(codes, 9, 4)
+            return table[pairs & ~(1 << bit)], table[pairs | (1 << bit)]
 
         direct, detail = counts(), dude_detail(y, 0.2, 4)
         monkeypatch.setattr(denoise_module, "COUNT_TABLE_MAX", 0)
@@ -339,7 +358,41 @@ class TestDude:
         assert ber_dude < ber_raw
 
 
+class TestWindowCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(1, 57),
+        length=st.sampled_from(["w", "w+1", "8m-1", "8m", "8m+1"]),
+        extra_bytes=st.integers(0, 3),
+        density=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sliding_window_oracle(self, width, length, extra_bytes, density, seed):
+        # words of every length class around the eight-symbol bytes, the
+        # window's own width included; all-+1 words set every masked bit
+        m = (width + 1) // 8 + 1 + extra_bytes
+        n = {"w": width, "w+1": width + 1, "8m-1": 8 * m - 1, "8m": 8 * m, "8m+1": 8 * m + 1}[length]
+        plus = np.random.default_rng(seed).random(n) < density
+        codes = _window_codes(plus, width)
+        assert codes.dtype == np.int64
+        oracle = sliding_window_view(plus.astype(np.int64), width) @ (1 << np.arange(width))
+        assert np.array_equal(codes, oracle)
+
+
 class TestBfp:
+    def test_empirical_memory_peak(self):
+        # the (k+1)-window codes, the (n, 2) estimate and the channel weights
+        # of 10^6 symbols: about 55 MiB, where two n-sized gathers per side
+        # and their tables kept alive read 116 MiB
+        y = generate_dataset(P_REF, 1_000_000, 3).y
+        tracemalloc.start()
+        try:
+            bfp_denoise(y, P_REF, mode="empirical")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):
             bfp_denoise(np.ones(10, dtype=np.int8), validate_params(0.2, 0.5))
@@ -420,8 +473,10 @@ class TestBfp:
         with pytest.raises(NoisyMarkovError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="empirical", k=0)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, None])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 22, 28, None])
     def test_empirical_posteriors_equal_window_recount(self, k):
+        # k <= 4 counts both sides from one direct-address table, k = 22 and 28
+        # each side through the sort
         y = _count_word(k)
         n = len(y)
         k_used = _default_k(n) if k is None else k
