@@ -314,8 +314,13 @@ def _centre_counts(codes: np.ndarray, width: int, bit: int) -> tuple[np.ndarray,
 def _centre_conditionals(pairs: np.ndarray, table: np.ndarray, bit: int) -> np.ndarray:
     """Rows (m(c, -1), m(c, +1)) / (m(c, -1) + m(c, +1)) at each pair code of ``table``, centre at ``bit``.
 
-    Each row is the empirical P(centre | context) of the pair's context.
+    Each row is the empirical P(centre | context) of the pair's context. A
+    table shorter than ``pairs`` has its rows computed once per entry and
+    gathered; those of contexts that never occur are 0/0 and never read.
     """
+    if len(table) < len(pairs):
+        with np.errstate(invalid="ignore"):
+            return _centre_conditionals(np.arange(len(table)), table, bit)[pairs]
     m_minus = table[pairs & ~(1 << bit)]
     m_plus = table[pairs | 1 << bit]
     total = m_minus + m_plus
@@ -466,16 +471,13 @@ def bfp_denoise(
     left = _centre_counts(codes, k + 1, k)
     # a direct-address table (its pair codes are the codes) holds both sides' counts
     right = (codes, left[1], 0) if left[0] is codes else _centre_counts(codes, k + 1, 0)
-    # one row per table entry; those of contexts that never occur are 0/0 and never read
-    with np.errstate(invalid="ignore"):
-        q_left, q_right = (_centre_conditionals(np.arange(len(t)), t, bit) for _, t, bit in (left, right))
-    q2 = np.full((n, 2), 0.5)  # boundary positions: passthrough estimate, channel-only posterior
-    prod = q2[k : n - k]
     # window j holds the left context of position j + k and the right context of position j
-    q_left.take(left[0][:m], axis=0, out=prod)
-    prod *= q_right[right[0][k : k + m]]
-    del codes, left, right, q_left, q_right
-    prod /= (prod[:, 0] + prod[:, 1])[:, None]
+    prod = _centre_conditionals(left[0][:m], *left[1:])
+    prod *= _centre_conditionals(right[0][k : k + m], *right[1:])
+    del codes, left, right
+    q2 = np.full((n, 2), 0.5)  # boundary positions: passthrough estimate, channel-only posterior
+    np.divide(prod, (prod[:, 0] + prod[:, 1])[:, None], out=q2[k : n - k])
+    del prod
     v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
     total = v_minus + v_plus
     xhat = arr.copy()

@@ -475,8 +475,9 @@ class TestBfp:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 22, 28, None])
     def test_empirical_posteriors_equal_window_recount(self, k):
-        # k <= 4 counts both sides from one direct-address table, k = 22 and 28
-        # each side through the sort
+        # k <= 4 counts both sides in one direct-address table, shorter than the
+        # word, and gathers rows computed per table entry; k = 22 and 28 sort
+        # each side into a table longer than the word and divide per position
         y = _count_word(k)
         n = len(y)
         k_used = _default_k(n) if k is None else k
