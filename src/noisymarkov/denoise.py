@@ -320,7 +320,7 @@ def _centre_conditionals(pairs: np.ndarray, table: np.ndarray, bit: int) -> np.n
     """
     if len(table) < len(pairs):
         with np.errstate(invalid="ignore"):
-            return _centre_conditionals(np.arange(len(table)), table, bit)[pairs]
+            return _centre_conditionals(np.arange(len(table)), table, bit).take(pairs, axis=0)
     m_minus = table[pairs & ~(1 << bit)]
     m_plus = table[pairs | 1 << bit]
     total = m_minus + m_plus
