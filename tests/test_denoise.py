@@ -228,8 +228,8 @@ class TestDude:
 
     def test_longest_context_keeps_every_window_apart(self):
         # 2k + 1 = 57 symbols fill the window coder. A two-sided code of more
-        # symbols no longer fits, and both denoisers refuse it: at k = 40 the
-        # int64 code of the earlier encoder merged distinct windows of this word
+        # symbols would not fit its int64, and distinct windows of this word
+        # would merge unseen, so both denoisers refuse it
         y = np.ones(400, dtype=np.int8)
         y[[150, 151, 300]] = -1
         m_minus, m_plus = _context_counts(y, 57, 28)
@@ -382,8 +382,7 @@ class TestWindowCodes:
 class TestBfp:
     def test_empirical_memory_peak(self):
         # the (k+1)-window codes, the (n, 2) estimate and the channel weights
-        # of 10^6 symbols: about 55 MiB, where two n-sized gathers per side
-        # and their tables kept alive read 116 MiB
+        # of 10^6 symbols come to about 55 MiB
         y = generate_dataset(P_REF, 1_000_000, 3).y
         tracemalloc.start()
         try:
