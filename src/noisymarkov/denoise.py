@@ -479,10 +479,13 @@ def bfp_denoise(
     np.divide(prod, (prod[:, 0] + prod[:, 1])[:, None], out=q2[k : n - k])
     del prod
     v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
+    del q2
     total = v_minus + v_plus
     xhat = arr.copy()
     xhat[k : n - k] = _decide(v_minus[k : n - k], v_plus[k : n - k])
-    return _made_word(xhat), PosteriorMarginals(q_minus=v_minus / total, q_plus=v_plus / total)
+    v_minus /= total
+    v_plus /= total
+    return _made_word(xhat), PosteriorMarginals(q_minus=v_minus, q_plus=v_plus)
 
 
 def estimate_p_moment(y, epsilon: float) -> float:

@@ -19,6 +19,11 @@ symbol: i runs 0..n-1 in decimal without leading zeros, x and z are written
 ``+1`` or ``-1``, y = x * z, and n >= 1 equals the ``# n=`` line. The loader refuses
 any other form (a blank line, CRLF, an unsigned ``1``, a missing header row)
 with ``MalformedDataError`` naming the file and the offending line.
+
+Rows whose index has d digits are all d + 10 bytes wide, so ``_encode_rows``
+fills each run of them by broadcasting, and ``load_path_csv`` reads the signs
+off the same layout and loads the file only if encoding them again gives its
+rows byte for byte.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ def _sample_markov_with(rng: np.random.Generator, p: float, n: int) -> np.ndarra
     # the words are allocated before the draws' temporaries, so they do not pin the heap above them
     out = np.empty(n, dtype=SPIN_DTYPE)
     out[0] = x0 = 1 if rng.random() < 0.5 else -1
-    steps = np.where(rng.random(n - 1) < p, -1, 1).astype(SPIN_DTYPE)
+    steps = 1 - 2 * (rng.random(n - 1) < p).view(SPIN_DTYPE)
     np.cumprod(steps, out=out[1:], dtype=SPIN_DTYPE)
     out[1:] *= x0
     return out
@@ -85,7 +90,7 @@ def sample_markov(p: float, n: int, seed: int) -> SpinSequence:
 def _transmit_with(rng: np.random.Generator, x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     z = np.empty(len(x), dtype=SPIN_DTYPE)
     y = np.empty(len(x), dtype=SPIN_DTYPE)
-    z[:] = np.where(rng.random(len(x)) < epsilon, -1, 1)
+    np.subtract(1, 2 * (rng.random(len(x)) < epsilon).view(SPIN_DTYPE), out=z)
     np.multiply(x, z, out=y)
     return z, y
 
@@ -115,10 +120,9 @@ def save_spins(path: str | Path, y) -> None:
     arr = as_spin_array(y)
     if len(arr) > 0xFFFFFFFF:
         raise OutOfRangeError("packed format stores the length as u32")
-    bits = (arr == -1).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(arr)))
-        fh.write(np.packbits(bits).tobytes())
+        fh.write(np.packbits(arr == -1).tobytes())
 
 
 def load_spins(path: str | Path) -> SpinSequence:
@@ -142,37 +146,56 @@ def load_spins(path: str | Path) -> SpinSequence:
     return _made_word(1 - 2 * bits.view(SPIN_DTYPE))
 
 
-#: The four row tails ``,x,z,y\n`` with y = x * z, indexed by 2 * (x > 0) + (z > 0).
-_ROW_TAILS = np.frombuffer(b",-1,-1,+1\n,-1,+1,-1\n,+1,-1,-1\n,+1,+1,+1\n", dtype=np.uint8).reshape(4, 10)
-
 _CSV_HEADER_ROW = b"i,x,z,y"
 
 
-def _encode_rows(x_plus: np.ndarray, z_plus: np.ndarray) -> np.ndarray:
-    """The CSV rows ``{i},{x:+d},{z:+d},{y:+d}``, i = 0..n-1, each ending in LF, as one uint8 array.
+def _row_views(buf: np.ndarray, n: int):
+    """Yield (first row, d, rows) for each run of the rows i < n whose index has d digits:
+    ``rows`` is the run's (count, d + 10) view on ``buf``, cut short where ``buf`` ends."""
+    lo, d, at = 0, 1, 0
+    while lo < n:
+        hi, width = min(n, 10**d), d + 10
+        rows = min(hi - lo, max(len(buf) - at, 0) // width)
+        yield lo, d, buf[at : at + rows * width].reshape(rows, width)
+        lo, d, at = hi, d + 1, at + (hi - lo) * width
+
+
+def _digits(lo: int, hi: int, d: int) -> np.ndarray:
+    """The ASCII decimal digits of lo..hi-1, zero-padded to d columns."""
+    return ((np.arange(lo, hi)[:, None] // 10 ** np.arange(d - 1, -1, -1)) % 10 + 48).astype(np.uint8)
+
+
+def _encode_rows(x_plus: np.ndarray, z_plus: np.ndarray) -> bytearray:
+    """The CSV rows ``{i},{x:+d},{z:+d},{y:+d}``, i = 0..n-1, each ending in LF.
 
     ``x_plus`` and ``z_plus`` are boolean arrays, true where the spin is +1.
-    Rows whose index has d digits all have width d + 10, so each such group is
-    filled as one (rows, d + 10) block: digit columns by division, the tail
-    from ``_ROW_TAILS``.
+    A row whose index has d digits ends in its low s = min(3, d - 1) digits
+    and the tail ``,+1,+1,+1``, which repeat every 10^s rows: one template of
+    10^s rows is broadcast over each run of d-digit rows, seen as blocks of
+    10^s rows, and the high d - s digits, one per block, over the blocks.
+    Then the three sign columns are written: ``-`` (45) or ``+`` (43) as
+    45 - 2 x_plus, 45 - 2 z_plus and 43 + 2 (x_plus ^ z_plus).
     """
-    codes = 2 * x_plus.view(np.uint8) + z_plus.view(np.uint8)
-    n = len(codes)
-    groups = []  # (first index, end index, digits)
-    lo, d = 0, 1
-    while lo < n:
-        groups.append((lo, min(n, 10**d), d))
-        lo, d = 10**d, d + 1
-    out = np.empty(sum((hi - lo) * (d + 10) for lo, hi, d in groups), dtype=np.uint8)
-    at = 0
-    for lo, hi, d in groups:
-        rows = out[at:at + (hi - lo) * (d + 10)].reshape(hi - lo, d + 10)
-        at += rows.size
-        q = np.arange(lo, hi)
-        for j in range(d - 1, -1, -1):
-            q, digit = np.divmod(q, 10)
-            rows[:, j] = digit + 48
-        rows[:, d:] = _ROW_TAILS[codes[lo:hi]]
+    n = len(x_plus)
+    x8, z8 = x_plus.view(np.uint8), z_plus.view(np.uint8)
+    # 11 bytes a row, and one more for each digit of its index past the first
+    out = bytearray(11 * n + sum(n - 10**d for d in range(1, len(str(n)))))
+    for lo, d, rows in _row_views(np.frombuffer(out, dtype=np.uint8), n):
+        s, hi = min(3, d - 1), lo + len(rows)
+        template = np.empty((10**s, d + 10), dtype=np.uint8)
+        template[:, d - s : d] = _digits(0, 10**s, s)
+        template[:, d:] = np.frombuffer(b",+1,+1,+1\n", dtype=np.uint8)
+        full = len(rows) // 10**s * 10**s
+        blocks = rows[:full].reshape(-1, 10**s, d + 10)
+        blocks[:] = template
+        rows[full:] = template[: hi - lo - full]
+        high = _digits(lo // 10**s, -(-hi // 10**s), d - s)  # one row per block, the partial one last
+        for j in range(d - s):  # a column at a time, so that numpy's inner loop runs along a block
+            blocks[:, :, j] = high[: len(blocks), j, None]
+            rows[full:, j] = high[len(blocks) :, j]
+        rows[:, d + 1] = 45 - 2 * x8[lo:hi]
+        rows[:, d + 4] = 45 - 2 * z8[lo:hi]
+        rows[:, d + 7] = 43 + 2 * (x8[lo:hi] ^ z8[lo:hi])
     return out
 
 
@@ -223,25 +246,27 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
     seed = _meta_int(path, meta, "seed") if "seed" in meta else 0
 
     body = np.frombuffer(data, dtype=np.uint8)[pos:]
-    ends = np.flatnonzero(body == ord("\n"))
-    # A row's x and z signs sit 8 and 5 bytes before its newline. On a short
-    # line this reads some other byte, and the comparison below refuses it.
-    x_plus = body[np.maximum(ends - 8, 0)] == ord("+")
-    z_plus = body[np.maximum(ends - 5, 0)] == ord("+")
+    m = data.count(b"\n", pos)
+    # read the signs where m well-formed rows hold them; on a malformed row the comparison below refuses what it reads
+    x_plus, z_plus = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    for lo, d, rows in _row_views(body, m):
+        np.equal(rows[:, d + 1], 43, out=x_plus[lo : lo + len(rows)])
+        np.equal(rows[:, d + 4], 43, out=z_plus[lo : lo + len(rows)])
     expected = _encode_rows(x_plus, z_plus)
-    common = min(len(expected), len(body))
-    differs = np.flatnonzero(expected[:common] != body[:common])
-    if differs.size or len(expected) != len(body):
-        first = int(differs[0]) if differs.size else common
-        row = int(np.searchsorted(ends, first))
-        start = int(ends[row - 1]) + 1 if row else 0
-        got = bytes(body[start:start + 80]).partition(b"\n")[0]
+    if expected != memoryview(data)[pos:]:
+        # the rows before the first differing byte are well formed, so counting them gives its row
+        common = min(len(expected), len(body))
+        differs = np.frombuffer(expected, dtype=np.uint8)[:common] != body[:common]
+        first = pos + (int(differs.argmax()) if differs.any() else common)
+        row = data.count(b"\n", pos, first)
+        start = data.rfind(b"\n", pos - 1, first) + 1
+        got = data[start : start + 80].partition(b"\n")[0]
         raise MalformedDataError(
             f"{path}, line {lineno + 1 + row}: expected the row '{row},x,z,y' with x, z, y = x * z "
             f"each written +1 or -1; got {got!r}"
         )
-    if len(ends) != n:
-        raise MalformedDataError(f"{path}, line {meta['n'][1]}: n={n}, but the file holds {len(ends)} rows")
+    if m != n:
+        raise MalformedDataError(f"{path}, line {meta['n'][1]}: n={n}, but the file holds {m} rows")
     x, z = 2 * x_plus.view(SPIN_DTYPE) - 1, 2 * z_plus.view(SPIN_DTYPE) - 1
     generator = meta.get("generator", (GENERATOR_NAME, 0))[0]
     return SimulatedPath(x=_made_word(x), z=_made_word(z), y=_made_word(x * z), seed=seed, generator=generator)

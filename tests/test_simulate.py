@@ -32,6 +32,14 @@ P_REF = validate_params(0.2, 0.1)
 # regression digests of the packed symbols at (p=0.2, eps=0.1, n=100, seed=7)
 DATASET_DIGEST_X = "948b32461519bcda8c1bcdb1c574a32e961f4bb864016bce8f92c7c67ac551f6"
 DATASET_DIGEST_Y = "34f2564d3f7f7e41e5a689c96409135fde3dbb3edad6a7da80eb6a9e9aa43427"
+# the same digests of x, z and y at (p=0.2, eps=0.1, n=10^6, seed=19)
+LONG_DATASET_DIGESTS = {
+    "x": "c5dd73946caa616b435b52aa54ab49e05380bdcc4a3dda03af8f4f90ef24ee98",
+    "z": "2e5f7e583758eedb956a7d955104ffb23e2b1f49226cd7349f9a2acfd24326e1",
+    "y": "710a15f041f975adf4cee958a3b06173c86d63597a2d74677b574cd94f683994",
+}
+# SHA-256 of save_path_csv's file for (p=0.2, eps=0.1, n=10^6, seed=8), equal to reference_path_csv's bytes
+LONG_CSV_DIGEST = "44d64a53ef1a9df6e327e9d5b60a9ad5911b065a68f1fe119dab842a6444dd5e"
 
 
 def packed_digest(seq) -> str:
@@ -103,6 +111,10 @@ class TestGenerateDataset:
         assert packed_digest(sim.y) == DATASET_DIGEST_Y
         assert sim.generator == GENERATOR_NAME
         assert sim.seed == 7
+
+    def test_long_regression_digest(self):
+        sim = generate_dataset(P_REF, 1_000_000, seed=19)
+        assert {name: packed_digest(getattr(sim, name)) for name in "xzy"} == LONG_DATASET_DIGESTS
 
     def test_substreams_differ(self):
         # source and noise must come from distinct spawned streams
@@ -230,8 +242,35 @@ class TestPathFiles:
         with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 9:")):
             load_path_csv(target)
 
+    @pytest.mark.parametrize(
+        "row, edit",
+        [
+            (999, lambda row: row.replace(b"+1", b"1", 1)),
+            (1000, lambda row: b"1001" + row[4:]),
+            (1234, lambda row: row[:-2] + (b"+1" if row.endswith(b"-1") else b"-1")),
+        ],
+        ids=["unsigned", "index-not-counting", "y-not-x-times-z"],
+    )
+    def test_malformed_row_deep_in_the_file_names_its_line(self, tmp_path, row, edit):
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 1500, seed=3))
+        lines = target.read_bytes().splitlines()
+        line = row + 6  # four '# key=value' lines and the header row come first
+        assert lines[line - 1].startswith(b"%d," % row)
+        lines[line - 1] = edit(lines[line - 1])
+        target.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line {line}:")):
+            load_path_csv(target)
+
+    def test_long_csv_digest(self, tmp_path):
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 1_000_000, seed=8))
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == LONG_CSV_DIGEST
+
     @pytest.mark.parametrize("seed", [5, 2024])
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 100_003])
+    @pytest.mark.parametrize(
+        "n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 10_000, 10_001, 12_345, 100_003]
+    )
     def test_csv_writer_matches_reference_and_reads_back(self, tmp_path, n, seed):
         sim = generate_dataset(P_REF, n, seed=seed)
         target = tmp_path / "path.csv"
