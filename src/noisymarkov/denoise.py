@@ -421,7 +421,8 @@ def bfp_denoise(
     counts the (k+1)-windows of ``dude_detail``'s encoder once, reads the left
     conditional with the centre at bit k and the right one at bit 0, and
     gathers both rows per position; k <= 28. The surrogate is then pushed through
-    the channel inversion and a per-position argmax; exact mode does both in
+    the channel inversion and a per-position argmax, in blocks of 2^16
+    positions so that the temporaries stay small; exact mode does both in
     closed form on the two ratios, in place on the arrays of the scan, so its
     memory peak is the scan's. It deliberately does not equal the exact
     two-sided conditional in general.
@@ -466,26 +467,29 @@ def bfp_denoise(
     if mode != "empirical":
         raise OutOfRangeError(f"mode must be 'exact' or 'empirical', got {mode!r}")
     k = _check_context(n, k)
-    m = n - 2 * k
     codes = _window_codes(arr == 1, k + 1)
     left = _centre_counts(codes, k + 1, k)
     # a direct-address table (its pair codes are the codes) holds both sides' counts
     right = (codes, left[1], 0) if left[0] is codes else _centre_counts(codes, k + 1, 0)
-    # window j holds the left context of position j + k and the right context of position j
-    prod = _centre_conditionals(left[0][:m], *left[1:])
-    prod *= _centre_conditionals(right[0][k : k + m], *right[1:])
-    del codes, left, right
-    q2 = np.full((n, 2), 0.5)  # boundary positions: passthrough estimate, channel-only posterior
-    np.divide(prod, (prod[:, 0] + prod[:, 1])[:, None], out=q2[k : n - k])
-    del prod
-    v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr, params.epsilon)
-    del q2
-    total = v_minus + v_plus
+    del codes
     xhat = arr.copy()
-    xhat[k : n - k] = _decide(v_minus[k : n - k], v_plus[k : n - k])
-    v_minus /= total
-    v_plus /= total
-    return _made_word(xhat), PosteriorMarginals(q_minus=v_minus, q_plus=v_plus)
+    q_minus, q_plus = np.empty(n), np.empty(n)
+    for lo in range(0, n, 1 << 16):
+        hi = min(lo + (1 << 16), n)
+        first = max(lo, k)
+        last = max(first, min(hi, n - k))  # the block's interior positions are [first, last)
+        inner = slice(first - lo, last - lo)
+        q2 = np.full((hi - lo, 2), 0.5)  # boundary positions: passthrough estimate, channel-only posterior
+        # window j holds the left context of position j + k and the right context of position j
+        prod = _centre_conditionals(left[0][first - k : last - k], *left[1:])
+        prod *= _centre_conditionals(right[0][first:last], *right[1:])
+        np.divide(prod, (prod[:, 0] + prod[:, 1])[:, None], out=q2[inner])
+        v_minus, v_plus, _ = _channel_weights(q2[:, 0], q2[:, 1], arr[lo:hi], params.epsilon)
+        xhat[first:last] = _decide(v_minus[inner], v_plus[inner])
+        total = v_minus + v_plus
+        np.divide(v_minus, total, out=q_minus[lo:hi])
+        np.divide(v_plus, total, out=q_plus[lo:hi])
+    return _made_word(xhat), PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
 def estimate_p_moment(y, epsilon: float) -> float:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 from .errors import OutOfRangeError
@@ -47,7 +48,8 @@ class ChannelParams:
     """One validated cell: source flip probability p and channel crossover epsilon.
 
     Building it derives the constants below, once; only (p, epsilon) enter
-    repr, equality and hash.
+    repr, equality and hash. p or epsilon at or below 1/sys.float_info.max is
+    refused, as (1 - v)/v overflows there and J or K would be infinite.
 
     J = (1/2) log((1-p)/p)            source coupling, tanh(J) = 1 - 2p
     K = (1/2) log((1-eps)/eps)        field coupling, tanh(K) = 1 - 2 eps
@@ -70,6 +72,8 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         p, eps = check_probability("p", self.p), check_probability("epsilon", self.epsilon)
+        if min(p, eps) <= 1.0 / sys.float_info.max:
+            raise OutOfRangeError(f"p and epsilon must exceed 1/sys.float_info.max, got ({p!r}, {eps!r})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "epsilon", eps)
         J = 0.5 * math.log((1.0 - p) / p)

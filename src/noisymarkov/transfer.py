@@ -15,13 +15,19 @@ log-weight that neighbor releases:
 The scan runs on the ratio rho = exp(-2A). With r = p/(1-p) = exp(-2J),
 c = eps/(1-eps) = exp(-2K) and u = exp(-2 w_i) = c^{y_i} rho_{i+1}, one step is
 
-    rho_i = m(u) = (r + u) / (1 + r*u),
+    rho_i = m(u) = (r + u) / (1 + r*u).
 
-which sums positive terms and calls no transcendental function. As A is odd,
-m(1/u) = 1/m(u); for u > 1 the step is taken in that form, since u overflows
-once K + |J| exceeds about 354. Readers of probabilities stay in ratio form;
-A = -(1/2) log rho is read off, by one log on a contiguous array, only where a
-field or a shift is returned.
+The step is written once, ``_transfer_step``, without a branch on u: as
+m(u) = 1/(r + (1 - r^2)/(u + r)) = s + (1 - s^2)/(u + s) with s = 1/r, it is
+
+    t = a + b / (u + a),    rho_i = 1/t where r <= 1, t where r > 1,
+
+with a = min(r, 1/r) and b = 1 - a^2. Every term is positive, so nothing
+cancels and no transcendental function is called, and a u overflowed to inf
+gives m(inf) = 1/r. The cell picks its form once; the walk, the lanes and
+``field_shift`` all take this one step, so they round alike. Readers of
+probabilities stay in ratio form; A = -(1/2) log rho is read off, by one log
+on a contiguous array, only where a field or a shift is returned.
 
 Long words are scanned in lanes. The cell's decay certificate (C, rho), which
 the model module derives with the couplings (and documents), bounds how far
@@ -33,21 +39,21 @@ most BURN_IN_TOL = 1e-17, a scan started at zero field L symbols to the right
 of a position agrees there with the sequential scan to far below the rounding
 of a ratio. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
 each lane starts L symbols to its right, and all lanes step together in one
-vectorized loop of b + L steps, on preallocated buffers. The lanes of a word
-and of its reverse, the two sides of every position, run side by side in the
-same loop. The last L + ((n - L) mod b) symbols run sequentially from the true
-start, so the tail is exact. A step of the lane loop costs a fixed dozen numpy
-calls, about as much as 45 sequential symbols whatever the number of lanes, so
-lanes only pay on long words: words shorter than LANE_CUTOVER (b + L), and
-cells whose rho rounds to 1 (no certificate), are scanned sequentially.
+vectorized loop of b + L steps. The lanes of a word and of its reverse, the
+two sides of every position, run side by side in the same loop. The last
+L + ((n - L) mod b) symbols run sequentially from the true start, so the tail
+is exact. A step of the lane loop on a word and its reverse makes a fixed 7
+numpy calls where r <= 1 and 6 where r > 1 (a multiply by c^y per word, the
+step's operations and a copy into the output), so lanes only pay on long
+words: words shorter than LANE_CUTOVER (b + L), and cells whose rho rounds to
+1 (no certificate), are scanned sequentially.
 
 The sequential scan is one scalar walk on Python floats over the symbols'
-``tolist()``, with the step written out inline; it keeps every ratio only for
-the scan, and otherwise returns the last. A query that needs one shift (a
-two-sided conditional, a limit field) walks to it alone and takes one log: by
-the lane layout, entry i < b of a lane-scanned word is lane 0's, so only the
-first b + L symbols are walked, from zero field. Either way the value is the
-scan's bit for bit.
+``tolist()``; it keeps every ratio only for the scan, and otherwise returns
+the last. A query that needs one shift (a two-sided conditional, a limit
+field) walks to it alone and takes one log: by the lane layout, entry i < b of
+a lane-scanned word is lane 0's, so only the first b + L symbols are walked,
+from zero field. Either way the value is the scan's bit for bit.
 
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
@@ -132,9 +138,14 @@ def log2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
-def _transfer_ratio(u, r: float):
-    """The transfer map m(u) = (r + u) / (1 + r*u): exp(-2 A(w)) from u = exp(-2w), for u <= 1."""
-    return (r + u) / (1.0 + r * u)
+def _transfer_step(model: ChannelParams):
+    """The cell's transfer map u = exp(-2w) -> m(u) = exp(-2 A(w)), in the branch-free form, on floats or arrays."""
+    r = model.r
+    a = min(r, 1.0 / r)
+    b = 1.0 - a * a
+    if r <= 1.0:
+        return lambda u: 1.0 / (a + b / (u + a))
+    return lambda u: a + b / (u + a)
 
 
 def _shift_from_ratio(rho, model: ChannelParams):
@@ -146,10 +157,10 @@ def _shift_from_ratio(rho, model: ChannelParams):
 def field_shift(w, model: ChannelParams):
     """Field A(w) passed to the left neighbor when a spin feeling field w is summed out.
 
-    Evaluates the transfer map at u = exp(-2|w|) <= 1 and uses that A is odd;
+    Evaluates the transfer step at u = exp(-2|w|) <= 1 and uses that A is odd;
     |A(w)| <= |J| for all real w. Accepts scalars or arrays.
     """
-    rho = _transfer_ratio(np.exp(-2.0 * np.abs(check_field(w))), model.r)
+    rho = _transfer_step(model)(np.exp(-2.0 * np.abs(check_field(w))))
     return np.sign(w) * _shift_from_ratio(rho, model)
 
 
@@ -203,18 +214,14 @@ def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: 
     Returns the last ratio. ``record``, where given, receives every ratio from
     the start on, in the order the walk takes them.
     """
-    r, c = model.r, model.c
+    c = model.c
     inv_c = 1.0 / c
+    step = _transfer_step(model)
     rho = math.exp(-2.0 * shift_init)
     if record is not None:
         record.append(rho)
     for symbol in reversed(symbols.tolist()):
-        u = (c if symbol == 1 else inv_c) * rho
-        if u <= 1.0:
-            rho = (r + u) / (1.0 + r * u)
-        else:
-            u = 1.0 / u
-            rho = 1.0 / ((r + u) / (1.0 + r * u))
+        rho = step((c if symbol == 1 else inv_c) * rho)
         if record is not None:
             record.append(rho)
     return rho
@@ -255,45 +262,28 @@ def _lane_ratios(words: list[np.ndarray], model: ChannelParams, width: int, burn
     """Ratios of the first len(w) - burn_in positions of each of ``words``, scanned in lanes of ``width``.
 
     The words have one length; each result is a (lanes, width) view whose row j
-    is lane j. Lane j of a word covers positions
-    [j*width, (j+1)*width) and starts at zero field (rho = 1) ``burn_in``
-    symbols to its right; the lanes of all the words sit side by side and take
-    their steps together, one vectorized step per symbol of a lane, on
-    preallocated buffers. Each step reads its factors c^y straight off the
-    factor array of the word, through a strided view.
+    is lane j. Lane j of a word covers positions [j*width, (j+1)*width) and
+    starts at zero field (rho = 1) ``burn_in`` symbols to its right; the lanes
+    of all the words take their steps together, one vectorized step per symbol
+    of a lane. Each step reads its factors c^y straight off the factor array
+    of each word, through a strided view.
     """
     lanes = (len(words[0]) - burn_in) // width
     span = width + burn_in
     # row s of a word's view holds the factor of the s-th step of each of its lanes, right to left
-    rows = [
-        sliding_window_view(_channel_factors(symbols, model), span)[::width][:lanes, ::-1].T
-        for symbols in words
-    ]
-    blocks = [slice(k * lanes, (k + 1) * lanes) for k in range(len(words))]
-    # 0-d arrays, which numpy takes faster than Python floats
-    r, one = np.array(model.r), np.array(1.0)
-    cols = lanes * len(words)
-    rho, u, v = np.ones(cols), np.empty(cols), np.empty(cols)
-    up = np.empty(cols, dtype=bool)
-    # row q of ``out`` holds position q of every lane
-    out = np.empty((width, cols))
+    rows = [sliding_window_view(_channel_factors(symbols, model), span)[::width][:lanes, ::-1].T for symbols in words]
+    step = _transfer_step(model)
+    rho, u = np.ones((len(words), lanes)), np.empty((len(words), lanes))
+    # out[q] holds position q of every lane
+    out = np.empty((width, *rho.shape))
     with np.errstate(all="ignore"):
         for s in range(span):
-            for row, block in zip(rows, blocks):
-                np.multiply(row[s], rho[block], out=u[block])
-            # the sequential step, rounded as there: m(u) for u <= 1, else 1 / m(1/u)
-            np.greater(u, one, out=up)
-            np.divide(one, u, out=v)
-            np.minimum(u, v, out=v)
-            dest = out[width - 1 - (s - burn_in)] if s >= burn_in else rho
-            np.multiply(v, r, out=u)
-            np.add(u, one, out=u)
-            np.add(v, r, out=v)
-            np.divide(v, u, out=dest)
-            np.divide(one, dest, out=u)
-            np.copyto(dest, u, where=up)
-            rho = dest
-    return [out[:, block].T for block in blocks]
+            for k, row in enumerate(rows):
+                np.multiply(row[s], rho[k], out=u[k])
+            rho = step(u)
+            if s >= burn_in:
+                out[width - 1 - (s - burn_in)] = rho
+    return [out[:, k].T for k in range(len(words))]
 
 
 def _scan_ratios(words: list[np.ndarray], model: ChannelParams, shift_init: float = 0.0) -> list[np.ndarray]:

@@ -381,9 +381,9 @@ class TestWindowCodes:
 
 class TestBfp:
     def test_empirical_memory_peak(self):
-        # the (k+1)-window codes, the (n, 2) estimate and the channel weights
-        # of 10^6 symbols come to about 47 MiB: the estimate is freed once the
-        # weights are built, and the posteriors are the weights divided in place
+        # the (k+1)-window codes and the two posteriors of 10^6 symbols come to
+        # 24 MiB, and the per-position stage runs in blocks of 2^16 positions,
+        # whose temporaries add a few MiB: about 29.5 MiB in all
         y = generate_dataset(P_REF, 1_000_000, 3).y
         tracemalloc.start()
         try:
@@ -391,7 +391,7 @@ class TestBfp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 52 * 2**20
+        assert peak <= 36 * 2**20
 
     def test_singular_channel(self):
         with pytest.raises(SingularChannelError):
@@ -478,7 +478,17 @@ class TestBfp:
         # k <= 4 counts both sides in one direct-address table, shorter than the
         # word, and gathers rows computed per table entry; k = 22 and 28 sort
         # each side into a table longer than the word and divide per position
-        y = _count_word(k)
+        self.assert_empirical_equals_recount(_count_word(k), k)
+
+    @pytest.mark.parametrize("k, n", [(3, 2**16 + 3), (10, 2**16 + 25), (1, 2**17 + 1)])
+    def test_empirical_blocks_equal_window_recount(self, k, n):
+        # the per-position stage runs in blocks of 2^16 positions: a last block
+        # of boundary positions only, one cut inside the right boundary, and two cuts
+        y = generate_dataset(validate_params(0.1, 0.2), n, k).y.symbols
+        self.assert_empirical_equals_recount(y, k)
+
+    @staticmethod
+    def assert_empirical_equals_recount(y, k):
         n = len(y)
         k_used = _default_k(n) if k is None else k
         m = n - 2 * k_used

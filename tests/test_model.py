@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ class TestValidateParams:
             validate_params(bad, 0.1)
         with pytest.raises(OutOfRangeError):
             validate_params(0.2, bad)
+
+    @pytest.mark.parametrize("tiny", [5e-309, 5e-324, 1.0 / sys.float_info.max])
+    def test_cells_whose_couplings_overflow_are_refused(self, tiny):
+        # at or below 1/sys.float_info.max, (1 - v)/v overflows and J or K is infinite
+        with pytest.raises(OutOfRangeError):
+            validate_params(tiny, 0.2)
+        with pytest.raises(OutOfRangeError):
+            validate_params(0.2, tiny)
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 1e-308), (6e-309, 6e-309)])
+    def test_smallest_cells_are_accepted(self, p, eps):
+        params = validate_params(p, eps)
+        assert all(math.isfinite(v) for v in (params.J, params.K, params.cJ, params.lam, params.r, params.c))
 
     def test_non_real_rejected(self):
         with pytest.raises(OutOfRangeError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,10 @@ from conftest import PARAM_GRID, alpha_beta_posteriors, random_word, walked_rati
 
 M_REF = channel_model(0.2, 0.1)
 P_REF = validate_params(0.2, 0.1)
+
+
+#: Source flip rates at which the transfer step is checked: both edges, both sides of 1/2, and 1/2 itself.
+STEP_PROBABILITIES = [1e-300, 1e-17, 0.02, 0.1, 0.45, 0.5, 0.55, 0.9, 1.0 - 1e-12]
 
 
 def iterate_fixed_point(model, symbol=1, iters=2000):
@@ -170,6 +175,37 @@ class TestFieldFunctions:
         assert float(field_shift_deriv(-1e300, M_REF)) == 0.0
 
 
+class TestTransferStep:
+    """One step of the walk against m(u) = (r + u) / (1 + r*u) in exact rational arithmetic, from the float r and u."""
+
+    @staticmethod
+    def worst_ulps(p, us):
+        """Largest distance of the walk's step from the exact m(u), in units in the last place of m(u)."""
+        # at eps = 1/2, c = 1 exactly, so the walk steps from u = rho = exp(-2 shift_init) itself
+        model = channel_model(p, 0.5)
+        assert model.c == 1.0
+        r = Fraction(model.r)
+        symbol = np.array([1], dtype=np.int8)
+        worst = Fraction(0)
+        for shift_init in -0.5 * np.log(us):
+            u = math.exp(-2.0 * shift_init)
+            got = _walk(symbol, model, shift_init)
+            exact = 1 / r if u == math.inf else (r + Fraction(u)) / (1 + r * Fraction(u))
+            worst = max(worst, abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+        return worst
+
+    @pytest.mark.parametrize("p", STEP_PROBABILITIES)
+    def test_within_two_ulp_over_the_whole_range(self, p, rng):
+        us = np.append(10.0 ** rng.uniform(-300, 300, size=400), math.inf)
+        assert self.worst_ulps(p, us) <= 2
+
+    @pytest.mark.parametrize("p", STEP_PROBABILITIES)
+    def test_within_four_ulp_near_one(self, p, rng):
+        # near u = 1 no term of the step dominates, so each of its roundings counts:
+        # 2.8 ulp seen over 2*10^5 draws (3.3 for the two-branch form it replaced)
+        assert self.worst_ulps(p, 10.0 ** rng.uniform(-4, 4, size=400)) <= 4
+
+
 class TestFieldScans:
     def test_single_symbol_base_case(self):
         assert backward_fields([1], M_REF).values[0] == pytest.approx(M_REF.K)
@@ -232,8 +268,9 @@ class TestFieldScans:
                 assert w == pytest.approx(model.K * sym + float(field_shift(w, model)), abs=1e-14)
 
 
-#: The four default bench cells and a long-memory cell whose burn-in nears LANE_WIDTH.
-LANE_CELLS = [(0.05, 0.2), (0.1, 0.2), (0.15, 0.2), (0.2, 0.2), (0.02, 0.3)]
+#: The four default bench cells, a long-memory cell whose burn-in nears LANE_WIDTH,
+#: and two cells with p > 1/2, where r > 1.
+LANE_CELLS = [(0.05, 0.2), (0.1, 0.2), (0.15, 0.2), (0.2, 0.2), (0.02, 0.3), (0.9, 0.2), (0.98, 0.3)]
 
 
 class TestLaneScan:
