@@ -159,23 +159,37 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     The posterior odds of X_i are t = P(X_i = -1) / P(X_i = +1) =
     rho_l rho_r c^{y_i}, with c = eps/(1-eps) and the neighbour ratios
     rho = exp(-2A) of the transfer recursion, so q_plus = 1/(1 + t) and
-    q_minus = 1/(1 + 1/t). Every factor of t is finite and positive, so t is
-    never NaN: where it overflows to inf q_plus is 0, and where it underflows
-    to 0 q_minus is 0. The neighbour ratios are multiplied first, so that t
-    leaves the double range before its last rounding only where |J| > 177;
-    q_plus is then rounded to 0 from below 5.6e-309 (1-eps)/eps.
+    q_minus = 1/(1 + 1/t), formed in place in the arrays of the two scans.
+    Every factor of t is finite and positive, so t is never NaN. Each ratio
+    lies in [a, 1/a], a = min(r, 1/r), so only in cells where g a^2 nears the
+    smallest normal double, g = min(c, 1/c), can t or 1/t overflow, flushing a
+    posterior to 0. There a flushed posterior is rebuilt as 1/t or t from the
+    three factors, the two largest multiplied first, so that only its last
+    rounding leaves the normal range.
     """
     word = SpinSequence(y)
     left, right = neighbour_ratios(word, params)
+    factors = _channel_factors(word.symbols, params)
+    a = min(params.r, 1.0 / params.r)
+    flush = a * a * min(params.c, 1.0 / params.c) < 4.0 * np.finfo(float).tiny
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        odds = np.multiply(left, right)
-        del left, right
-        odds *= _channel_factors(word.symbols, params)
-        q_plus = odds + 1.0
-        np.divide(1.0, q_plus, out=q_plus)
-        np.divide(1.0, odds, out=odds)
+        # the odds overwrite the right scan, unless the ratios must outlive them
+        odds = np.multiply(left, right, out=None if flush else right)
+        odds *= factors
+        if flush:
+            edge = np.flatnonzero(~(odds >= np.finfo(float).tiny) | (odds == np.inf))
+            sides = left[edge], right[edge], factors[edge]
+        del factors
+        q_minus = np.divide(1.0, odds, out=left[::-1])
+        q_minus += 1.0
+        np.divide(1.0, q_minus, out=q_minus)
         odds += 1.0
-        q_minus = np.divide(1.0, odds, out=odds)
+        q_plus = np.divide(1.0, odds, out=odds)
+        if flush:
+            for q, factor_of in ((q_plus, np.reciprocal), (q_minus, np.positive)):
+                lost = q[edge] == 0.0
+                low, mid, high = np.sort([factor_of(side[lost]) for side in sides], axis=0)
+                q[edge[lost]] = high * mid * low
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 

@@ -3,7 +3,8 @@
 This module decides what a spin is, for the whole package: ``as_spin_array``
 checks a word of symbols and ``check_spin`` a single symbol. A ``SpinSequence``
 is a checked word, which it and ``as_spin_array`` take without a scan; words the
-package makes itself are wrapped by ``_made_word``, also without one.
+package makes itself are wrapped by ``_made_word``, also without one, and fields
+it makes by ``_made_fields``, without the copy a FieldTrajectory otherwise takes.
 """
 
 from __future__ import annotations
@@ -96,3 +97,11 @@ class FieldTrajectory:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _made_fields(values: np.ndarray) -> FieldTrajectory:
+    """A FieldTrajectory of a float64 array that the package built, frozen in place and not copied."""
+    values.setflags(write=False)
+    fields = object.__new__(FieldTrajectory)
+    object.__setattr__(fields, "values", values)
+    return fields

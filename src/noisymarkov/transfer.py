@@ -29,31 +29,31 @@ gives m(inf) = 1/r. The cell picks its form once; the walk, the lanes and
 probabilities stay in ratio form; A = -(1/2) log rho is read off, by one log
 on a contiguous array, only where a field or a shift is returned.
 
-Long words are scanned in lanes. The cell's decay certificate (C, rho), which
-the model module derives with the couplings (and documents), bounds how far
-a field scanned from any start lies from the limit field after L symbols:
-C rho^L. Two scans of the same symbols, started from any two shifts in
-[-|J|, |J|], therefore differ by at most 2 C rho^L after L steps, through the
-limit field. With L the smallest length where that is at
-most BURN_IN_TOL = 1e-17, a scan started at zero field L symbols to the right
-of a position agrees there with the sequential scan to far below the rounding
-of a ratio. So the word is cut into lanes of b = max(LANE_WIDTH, L) symbols;
-each lane starts L symbols to its right, and all lanes step together in one
-vectorized loop of b + L steps. The lanes of a word and of its reverse, the
-two sides of every position, run side by side in the same loop. The last
-L + ((n - L) mod b) symbols run sequentially from the true start, so the tail
-is exact. A step of the lane loop on a word and its reverse makes a fixed 7
-numpy calls where r <= 1 and 6 where r > 1 (a multiply by c^y per word, the
-step's operations and a copy into the output), so lanes only pay on long
-words: words shorter than LANE_CUTOVER (b + L), and cells whose rho rounds to
-1 (no certificate), are scanned sequentially.
+Long words are scanned in lanes of b = LANE_WIDTH symbols, made exact by
+coupling (Propp & Wilson 1996). The last n mod b symbols are walked from the
+true start. A first round starts every other lane at ratio 1 at its right
+edge; each later round restarts it from the value its right neighbour left at
+their shared edge, and runs until every lane, at the end of a block of steps,
+equals the values it held: the step is deterministic, so from there on it
+repeats them. By induction from the exact last lane, every lane then holds the
+sequential scan's values: the lanes equal the walk bit for bit. The lanes of
+a word and of its reverse, the two sides of every position, step together in
+place on one small block of factors copied in from the word, and their ratios
+are copied out a tile of lanes at a time. A step of the lane loop makes 5
+numpy calls where r <= 1 and 4 where r > 1, so lanes only pay on long words:
+words shorter than LANE_CUTOVER (b + L), where L is the burn-in that the
+cell's decay certificate (C, rho), derived and documented by the model
+module, gives for 2 C rho^L <= BURN_IN_TOL, and cells whose rho rounds to 1
+(no certificate), are scanned sequentially. L also bounds the rounds, past
+which the word is walked.
 
 The sequential scan is one scalar walk on Python floats over the symbols'
 ``tolist()``; it keeps every ratio only for the scan, and otherwise returns
 the last. A query that needs one shift (a two-sided conditional, a limit
-field) walks to it alone and takes one log: by the lane layout, entry i < b of
-a lane-scanned word is lane 0's, so only the first b + L symbols are walked,
-from zero field. Either way the value is the scan's bit for bit.
+field) walks to it alone and takes one log: on a word scanned in lanes, two
+walks over the first b + L symbols, from ratios 0 and inf, give the scan's
+value wherever they end equal, as the step is monotone; otherwise the whole
+word is walked. Either way the value is the scan's bit for bit.
 
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
@@ -77,11 +77,10 @@ import math
 import numbers
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError
 from .model import ChannelParams, DecayBound, channel_model, check_count, check_tolerance
-from .sequences import FieldTrajectory, as_spin_array, check_spin
+from .sequences import FieldTrajectory, _made_fields, as_spin_array, check_spin
 
 __all__ = [
     "log2cosh",
@@ -105,13 +104,20 @@ __all__ = [
     "required_context",
 ]
 
-#: Width b of a lane of the lane scan; lanes widen to L where the burn-in L exceeds it.
+#: Width b of a lane of the lane scan.
 LANE_WIDTH = 1024
 
-#: Lanes run on words of at least LANE_CUTOVER (b + L) symbols; the two scans break even near 56 (b + L).
+#: Steps of the lane loop between two checks for coupling (LANE_WIDTH is a multiple), and lanes per tile of its copies.
+LANE_BLOCK = 128
+LANE_TILE = 128
+
+#: Symbols per block of the table lookup of c^y on long words.
+FACTOR_BLOCK = 1 << 16
+
+#: Lanes run on words of at least LANE_CUTOVER (b + L) symbols (exact lanes break even below 20 (b + L)).
 LANE_CUTOVER = 64
 
-#: Bound on 2 C rho^L, the gap left between a lane and the sequential scan after its burn-in.
+#: Bound on 2 C rho^L that sets the burn-in L, which gates the lanes.
 BURN_IN_TOL = 1e-17
 
 
@@ -138,20 +144,22 @@ def log2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
-def _transfer_step(model: ChannelParams):
-    """The cell's transfer map u = exp(-2w) -> m(u) = exp(-2 A(w)), in the branch-free form, on floats or arrays."""
+def _transfer_step(model: ChannelParams) -> tuple[float, float, bool]:
+    """The cell's transfer map u = exp(-2w) -> m(u) = exp(-2 A(w)) in the branch-free form, as (a, b, invert).
+
+    m(u) = 1/t where ``invert`` (r <= 1) and t otherwise, with t = a + b/(u + a).
+    """
     r = model.r
     a = min(r, 1.0 / r)
-    b = 1.0 - a * a
-    if r <= 1.0:
-        return lambda u: 1.0 / (a + b / (u + a))
-    return lambda u: a + b / (u + a)
+    return a, 1.0 - a * a, r <= 1.0
 
 
-def _shift_from_ratio(rho, model: ChannelParams):
-    """A = -(1/2) log rho, clamped to the interval |A| <= |J| that it obeys exactly."""
+def _shift_from_ratio(rho, model: ChannelParams, out=None):
+    """A = -(1/2) log rho, clamped to the interval |A| <= |J| that it obeys exactly; in place on ``out`` where given."""
     bound = abs(model.J)
-    return np.minimum(np.maximum(-0.5 * np.log(rho), -bound), bound)
+    shift = np.log(rho, out=out)
+    shift *= -0.5
+    return np.minimum(np.maximum(shift, -bound, out=out), bound, out=out)
 
 
 def field_shift(w, model: ChannelParams):
@@ -160,8 +168,9 @@ def field_shift(w, model: ChannelParams):
     Evaluates the transfer step at u = exp(-2|w|) <= 1 and uses that A is odd;
     |A(w)| <= |J| for all real w. Accepts scalars or arrays.
     """
-    rho = _transfer_step(model)(np.exp(-2.0 * np.abs(check_field(w))))
-    return np.sign(w) * _shift_from_ratio(rho, model)
+    a, b, invert = _transfer_step(model)
+    t = a + b / (np.exp(-2.0 * np.abs(check_field(w))) + a)
+    return np.sign(w) * _shift_from_ratio(1.0 / t if invert else t, model)
 
 
 def field_shift_deriv(w, model: ChannelParams):
@@ -212,18 +221,22 @@ def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: 
     """The transfer step run one symbol at a time, right to left, from ``shift_init``, on Python floats.
 
     Returns the last ratio. ``record``, where given, receives every ratio from
-    the start on, in the order the walk takes them.
+    the start on, in the order the walk takes them. The step is written out in
+    the loop, in the form ``_transfer_step`` picks, with the operations of the
+    lane loop in the same order.
     """
-    c = model.c
-    inv_c = 1.0 / c
-    step = _transfer_step(model)
+    a, b, invert = _transfer_step(model)
+    c, inv_c = model.c, 1.0 / model.c
     rho = math.exp(-2.0 * shift_init)
     if record is not None:
         record.append(rho)
-    for symbol in reversed(symbols.tolist()):
-        rho = step((c if symbol == 1 else inv_c) * rho)
-        if record is not None:
-            record.append(rho)
+    right_to_left = reversed(symbols.tolist())
+    if invert:
+        ratios = [rho := 1.0 / (a + b / ((c if y == 1 else inv_c) * rho + a)) for y in right_to_left]
+    else:
+        ratios = [rho := a + b / ((c if y == 1 else inv_c) * rho + a) for y in right_to_left]
+    if record is not None:
+        record.extend(ratios)
     return rho
 
 
@@ -235,11 +248,12 @@ def _sequential_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: fl
 
 
 def scan_burn_in(n: int, model) -> int | None:
-    """Burn-in L of the lane scan of a word of n symbols, or None where the scan runs sequentially.
+    """Burn-in L of the cell where a word of n symbols is scanned in lanes, or None where it is walked.
 
     ``model`` is the cell, as ``decay_rate_bound`` takes it. L is the smallest
     length with 2 C rho^L <= BURN_IN_TOL for the decay certificate (C, rho) of
-    the cell. The sequential loop runs where the word is shorter than
+    the cell. L gates the lanes and bounds their rounds, but no longer sets
+    where they start. The sequential loop runs where the word is shorter than
     LANE_CUTOVER (b + L), with b = max(LANE_WIDTH, L), or where the cell has no
     certificate because rho rounds to 1.
     """
@@ -254,86 +268,115 @@ def scan_burn_in(n: int, model) -> int | None:
 
 
 def _channel_factors(symbols: np.ndarray, model: ChannelParams) -> np.ndarray:
-    """c^{y_i} of every symbol, looked up in a table of two entries (faster than a where)."""
-    return np.array([1.0 / model.c, model.c])[(symbols == 1).view(np.uint8)]
+    """c^{y_i} of every symbol, looked up by ``take`` in a table of two entries, FACTOR_BLOCK symbols at a time.
 
-
-def _lane_ratios(words: list[np.ndarray], model: ChannelParams, width: int, burn_in: int) -> list[np.ndarray]:
-    """Ratios of the first len(w) - burn_in positions of each of ``words``, scanned in lanes of ``width``.
-
-    The words have one length; each result is a (lanes, width) view whose row j
-    is lane j. Lane j of a word covers positions [j*width, (j+1)*width) and
-    starts at zero field (rho = 1) ``burn_in`` symbols to its right; the lanes
-    of all the words take their steps together, one vectorized step per symbol
-    of a lane. Each step reads its factors c^y straight off the factor array
-    of each word, through a strided view.
+    Faster than a where or a fancy index, and its index array stays small.
     """
-    lanes = (len(words[0]) - burn_in) // width
-    span = width + burn_in
-    # row s of a word's view holds the factor of the s-th step of each of its lanes, right to left
-    rows = [sliding_window_view(_channel_factors(symbols, model), span)[::width][:lanes, ::-1].T for symbols in words]
-    step = _transfer_step(model)
-    rho, u = np.ones((len(words), lanes)), np.empty((len(words), lanes))
-    # out[q] holds position q of every lane
-    out = np.empty((width, *rho.shape))
+    table = np.array([1.0 / model.c, model.c])
+    factors = np.empty(len(symbols))
+    for lo in range(0, len(symbols), FACTOR_BLOCK):
+        block = slice(lo, lo + FACTOR_BLOCK)
+        table.take((symbols[block] == 1).astype(np.intp), out=factors[block], mode="clip")
+    return factors
+
+
+def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: ChannelParams, rounds: int) -> bool:
+    """Fill entries [0, lanes*b) of each scan, b = LANE_WIDTH, by lanes made exact by coupling, in ``rounds`` at most.
+
+    ``factors[k]`` holds c^y of word k, and ``scans[k]`` its scan, exact from
+    lanes*b on. Lane j covers positions [j*b, (j+1)*b); the rounds are those
+    of the module docstring, checked every LANE_BLOCK steps. The lanes of all
+    the words step together, in place, on one (LANE_BLOCK, words, lanes)
+    block, copied in and out LANE_TILE lanes at a time. Returns whether the
+    last round ended with every lane met.
+    """
+    width, block = LANE_WIDTH, min(LANE_BLOCK, LANE_WIDTH)
+    lanes = (len(scans[0]) - 1) // width
+    # row j of a view is lane j, from its left edge to its right
+    fv = [f[: lanes * width].reshape(lanes, width) for f in factors]
+    rv = [r[: lanes * width].reshape(lanes, width) for r in scans]
+    buf = np.empty((block, len(scans), lanes))
+    rho = np.ones((len(scans), lanes))
+    rho[:, -1] = [r[lanes * width] for r in scans]
+    a, b, invert = _transfer_step(model)
     with np.errstate(all="ignore"):
-        for s in range(span):
-            for k, row in enumerate(rows):
-                np.multiply(row[s], rho[k], out=u[k])
-            rho = step(u)
-            if s >= burn_in:
-                out[width - 1 - (s - burn_in)] = rho
-    return [out[:, k].T for k in range(len(words))]
+        for round_no in range(rounds):
+            if round_no:
+                for k, r in enumerate(scans):
+                    rho[k] = r[width::width]
+            for end in range(width, 0, -block):
+                cols = slice(end - block, end)
+                for lo in range(0, lanes, LANE_TILE):
+                    tile = slice(lo, lo + LANE_TILE)
+                    for k, f in enumerate(fv):
+                        buf[:, k, tile] = f[tile, cols][:, ::-1].T
+                prev = rho
+                for row in buf:
+                    np.multiply(row, prev, out=row)
+                    np.add(row, a, out=row)
+                    np.divide(b, row, out=row)
+                    np.add(row, a, out=row)
+                    if invert:
+                        np.divide(1.0, row, out=row)
+                    prev = row
+                met = round_no > 0 and all(np.array_equal(prev[k], r[:, end - block]) for k, r in enumerate(rv))
+                for lo in range(0, lanes, LANE_TILE):
+                    tile = slice(lo, lo + LANE_TILE)
+                    for k, r in enumerate(rv):
+                        r[tile, cols] = buf[::-1, k, tile].T
+                if met:
+                    return True
+                rho[...] = prev
+    return False
 
 
-def _scan_ratios(words: list[np.ndarray], model: ChannelParams, shift_init: float = 0.0) -> list[np.ndarray]:
-    """Right-to-left transfer scans, in ratio form, of words of one length n.
+def _scan_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0,
+                 reverse: bool = False) -> list[np.ndarray]:
+    """Right-to-left transfer scans, in ratio form, of a word of n symbols and, with ``reverse``, of its reverse.
 
     Entry i < n of a word's scan is rho_i = exp(-2 A(w_i)), for the shift that
     position i passes to its left neighbor; entry n is exp(-2 ``shift_init``),
     for the shift of the field beyond the word.
 
-    Long words are scanned in lanes (see the module docstring), with burn-in
-    L = ``scan_burn_in(n, model)`` and lane width b = max(LANE_WIDTH, L); the
-    lanes of every word run in one loop. The last T = L + ((n - L) mod b)
-    symbols run sequentially from ``shift_init``, so the tail is exact. Every
-    other lane of b symbols starts at zero field L symbols to its right. This
-    is sound because two scans of the same symbols from any two shifts in
-    [-|J|, |J|] lie within C rho^L of the limit field after L steps, so within
-    2 C rho^L <= BURN_IN_TOL of each other.
+    Where ``scan_burn_in(n, model)`` gives a burn-in L, the word runs in lanes
+    (``_lane_ratios``, in at most 2 + 2L/b rounds) and the reverse's factors
+    are a view of the word's; the sequential walk is the fallback. Either way
+    every entry is the walk's.
     """
-    n = len(words[0])
+    words = [symbols, symbols[::-1]] if reverse else [symbols]
+    n = len(symbols)
     burn_in = scan_burn_in(n, model)
-    if burn_in is None:
-        return [_sequential_ratios(symbols, model, shift_init) for symbols in words]
-    width = max(LANE_WIDTH, burn_in)
-    head = n - burn_in - (n - burn_in) % width
-    scans = []
-    for lanes, symbols in zip(_lane_ratios(words, model, width, burn_in), words):
-        ratios = np.empty(n + 1)
-        ratios[:head].reshape(lanes.shape)[...] = lanes
-        ratios[head:] = _sequential_ratios(symbols[head:], model, shift_init)
-        scans.append(ratios)
-    return scans
+    if burn_in is not None:
+        head = n - n % LANE_WIDTH
+        scans = [np.empty(n + 1) for _ in words]
+        for scan, word in zip(scans, words):
+            scan[head:] = _sequential_ratios(word[head:], model, shift_init)
+        factors = _channel_factors(symbols, model)
+        sides = [factors, factors[::-1]] if reverse else [factors]
+        if _lane_ratios(sides, scans, model, 2 + 2 * burn_in // LANE_WIDTH):
+            return scans
+    return [_sequential_ratios(word, model, shift_init) for word in words]
 
 
 def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0) -> np.ndarray:
     """The shifts A(w_i) of ``_scan_ratios`` of one word, read off its ratios by one log."""
-    (ratios,) = _scan_ratios([symbols], model, shift_init)
-    return _shift_from_ratio(ratios, model)
+    (ratios,) = _scan_ratios(symbols, model, shift_init)
+    return _shift_from_ratio(ratios, model, out=ratios)
 
 
 def _leading_shift(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0, i: int = 0) -> float:
-    """Entry i < LANE_WIDTH of ``_scan_shifts(symbols, model, shift_init)``, bit for bit, alone.
+    """Entry i of ``_scan_shifts(symbols, model, shift_init)``, bit for bit, alone.
 
-    Where the word is scanned in lanes, entry i lies in lane 0, which starts at
-    zero field at symbol b + L - 1: so only symbols i..b+L-1 are walked. The one
-    log is numpy's, as on the scan's array, since ``math.log`` rounds
-    differently on some ratios.
+    On a word scanned in lanes, two walks over symbols i..b+L-1 from ratios 0
+    and inf give the entry where they end equal (see the module docstring);
+    otherwise the whole word is walked. The one log is numpy's, as on the
+    scan's array, since ``math.log`` rounds differently on some ratios.
     """
     burn_in = scan_burn_in(len(symbols), model)
     if burn_in is not None:
-        symbols, shift_init = symbols[: max(LANE_WIDTH, burn_in) + burn_in], 0.0
+        low, high = (_walk(symbols[i : LANE_WIDTH + burn_in], model, start) for start in (math.inf, -math.inf))
+        if low == high:
+            return float(_shift_from_ratio(np.float64(low), model))
     return float(_shift_from_ratio(np.float64(_walk(symbols[i:], model, shift_init)), model))
 
 
@@ -351,13 +394,19 @@ def _fixed_point_shift(symbol: int, model: ChannelParams) -> float:
     return shift if f <= 1.0 else -shift
 
 
+def _plus_fields(shifts: np.ndarray, arr: np.ndarray, model: ChannelParams) -> np.ndarray:
+    """The fields K*y_i + A_i of the word ``arr``, added in place on the shifts its scan put on it."""
+    shifts += model.K * arr
+    return shifts
+
+
 def backward_fields(y, model: ChannelParams) -> FieldTrajectory:
     """Fields w_i^{(n)} for i = m..n of the word y on window [m, n], scanned right to left.
 
     The base case is w_n = K*y_n, i.e. the field beyond the last symbol is zero.
     """
     arr = as_spin_array(y)
-    return FieldTrajectory(model.K * arr + _scan_shifts(arr, model)[1:])
+    return _made_fields(_plus_fields(_scan_shifts(arr, model)[1:], arr, model))
 
 
 def forward_fields(y, model: ChannelParams) -> FieldTrajectory:
@@ -368,7 +417,7 @@ def forward_fields(y, model: ChannelParams) -> FieldTrajectory:
     the scan of the reversed word, read back to front without its last entry.
     """
     arr = as_spin_array(y)
-    return FieldTrajectory(model.K * arr + _scan_shifts(arr[::-1], model)[:0:-1])
+    return _made_fields(_plus_fields(_scan_shifts(arr[::-1], model)[:0:-1], arr, model))
 
 
 def neighbour_ratios(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +430,7 @@ def neighbour_ratios(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     are scanned in one lane loop.
     """
     arr = as_spin_array(y)
-    right, left = _scan_ratios([arr, arr[::-1]], model)
+    right, left = _scan_ratios(arr, model, reverse=True)
     return left[:0:-1], right[1:]
 
 
@@ -405,7 +454,7 @@ def extended_fields(y, model: ChannelParams) -> np.ndarray:
     the declared extension.
     """
     arr = as_spin_array(y)
-    return model.K * arr + _scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))[1:]
+    return _plus_fields(_scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))[1:], arr, model)
 
 
 def _extended_field(arr: np.ndarray, model: ChannelParams) -> float:
@@ -470,7 +519,7 @@ def log_cylinder_prob(y, model: ChannelParams) -> float:
     ``_cascade_sum`` where it is scanned in lanes.
     """
     arr = as_spin_array(y)
-    (ratios,) = _scan_ratios([arr], model)
+    (ratios,) = _scan_ratios(arr, model)
     rho = ratios[1:]
     z = 1.0 / rho
     np.copyto(z, rho, where=arr == 1)

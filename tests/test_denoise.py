@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,24 @@ class TestForwardBackward:
     def test_rows_normalized(self, rng):
         post = forward_backward(random_word(rng, 200), P_REF)
         np.testing.assert_allclose(post.q_plus + post.q_minus, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed, side", [(0, "q_plus"), (1, "q_minus")])
+    def test_small_posteriors_do_not_flush(self, seed, side):
+        # at |J| > 177 the odds t = rho_l rho_r c^y leave the double range; a posterior of
+        # subnormal size stays within one subnormal step of its value from the same three floats
+        params = validate_params(1e-300, 0.2)
+        y = generate_dataset(params, 70_000, seed).y
+        q = getattr(forward_backward(y, params), side)
+        left, right = neighbour_ratios(y, params)
+        factors = np.where(y.symbols == 1, params.c, 1.0 / params.c)
+        log2_t = np.log2(left) + np.log2(right) + np.log2(factors)
+        log2_q = -log2_t if side == "q_plus" else log2_t  # where the posterior is tiny
+        subnormal = np.flatnonzero((log2_q > -1073) & (log2_q < -1023))
+        assert subnormal.size >= 10
+        for i in subnormal.tolist():
+            t = Fraction(float(left[i])) * Fraction(float(right[i])) * Fraction(float(factors[i]))
+            exact = 1 / (1 + t) if side == "q_plus" else t / (1 + t)
+            assert abs(Fraction(float(q[i])) - exact) <= Fraction(2) ** -1074, (i, float(q[i]), float(exact))
 
 
 class TestPosteriorFromTwoSided:

@@ -15,6 +15,7 @@ from noisymarkov.oracle import (
     spin_word_code,
 )
 from noisymarkov.sequences import FieldTrajectory, SpinSequence, as_spin_array
+from noisymarkov.simulate import generate_dataset
 from noisymarkov.thermo import decay_rate_bound
 from noisymarkov.transfer import (
     BURN_IN_TOL,
@@ -25,6 +26,7 @@ from noisymarkov.transfer import (
     _leading_shift,
     _scan_ratios,
     _scan_shifts,
+    _sequential_ratios,
     _walk,
     backward_fields,
     conditional_prob,
@@ -272,6 +274,10 @@ class TestFieldScans:
 #: and two cells with p > 1/2, where r > 1.
 LANE_CELLS = [(0.05, 0.2), (0.1, 0.2), (0.15, 0.2), (0.2, 0.2), (0.02, 0.3), (0.9, 0.2), (0.98, 0.3)]
 
+#: Words at eps = 0.45, (p, n, seed) of generate_dataset, where lanes started a certified
+#: burn-in away from their first entry differed from the walk by an ulp at 1 to 3 entries.
+LANE_MISS_WORDS = [(0.7, 72_201, 2), (0.3, 72_201, 10), (0.45, 200_000, 0)]
+
 
 class TestLaneScan:
     @staticmethod
@@ -299,10 +305,31 @@ class TestLaneScan:
             y = random_word(rng, n)
             init = 0.0 if start == "zero" else _fixed_point_shift(int(y[-1]), model)
             # both sides in one loop, as neighbour_ratios scans them: each equals its own walk
-            for word, lanes in zip((y, y[::-1]), _scan_ratios([y, y[::-1]], model, init)):
+            for word, lanes in zip((y, y[::-1]), _scan_ratios(y, model, init, reverse=True)):
                 assert lanes.shape == (n + 1,)
                 np.testing.assert_array_equal(lanes, walked_ratios(word, model, init))
             np.testing.assert_array_equal(_scan_shifts(y, model, init), walked_shifts(y, model, init))
+
+    @pytest.mark.parametrize("p, n, seed", LANE_MISS_WORDS)
+    def test_lanes_match_the_sequential_scan_at_high_noise(self, p, n, seed):
+        params = validate_params(p, 0.45)
+        y = generate_dataset(params, n, seed).y.symbols
+        assert scan_burn_in(n, params) is not None
+        for word, lanes in zip((y, y[::-1]), _scan_ratios(y, params, reverse=True)):
+            np.testing.assert_array_equal(lanes, walked_ratios(word, params))
+
+    def test_narrow_lanes_meet_after_rounds(self, rng, monkeypatch):
+        # lanes of 16 symbols at a cell whose lanes meet after about 250 steps take many rounds
+        monkeypatch.setattr(transfer, "LANE_WIDTH", 16)
+        model = channel_model(0.02, 0.3)
+        y = random_word(rng, self.lane_cut(model)[1] + 777)
+        assert scan_burn_in(len(y), model) is not None
+        walked = []
+        monkeypatch.setattr(transfer, "_sequential_ratios", lambda symbols, *args: walked.append(len(symbols))
+                            or _sequential_ratios(symbols, *args))
+        for word, lanes in zip((y, y[::-1]), _scan_ratios(y, model, reverse=True)):
+            np.testing.assert_array_equal(lanes, walked_ratios(word, model))
+        assert max(walked) < 16  # the tails alone: the lanes did not fall back to the walk
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
     def test_forward_fields_mirror_backward_fields(self, p, eps, rng):
@@ -340,18 +367,12 @@ class TestLeadingShift:
             assert _extended_field(y, model).hex() == float(extended_fields(y, model)[0]).hex()
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (0.45, 1e-300)])
-    def test_lane_length_words(self, p, eps, rng, monkeypatch):
+    def test_lane_length_words(self, p, eps, rng):
         model = channel_model(p, eps)
-        burn_in, cut = TestLaneScan.lane_cut(model)
-        walked = []
-        monkeypatch.setattr(transfer, "_walk", lambda symbols, *args: walked.append(len(symbols))
-                            or _walk(symbols, *args))
+        _, cut = TestLaneScan.lane_cut(model)
         for n in (cut, cut + LANE_WIDTH + 5):
             y = random_word(rng, n)
             assert scan_burn_in(n, model) is not None
-            walked.clear()
-            _leading_shift(y, model)
-            assert walked == [max(LANE_WIDTH, burn_in) + burn_in]  # lane 0 alone
             self.assert_leading(y, model)
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
