@@ -133,11 +133,23 @@ class Settings:
         return items
 
     def get_grid(self, key: str, default: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        """The (p, eps) cells to run.
+
+        --p or --eps narrows the grid to the one cell (p, eps), taking the
+        other coordinate from its flag or else the file, and is refused
+        without it. Without either flag the file's grid runs, else the one
+        cell of the file's p and eps, else ``default``.
+        """
+        flags = [f"--{name}" for name in ("p", "eps") if getattr(self.args, name) is not None]
         raw = self.file_values.get(key)
-        if raw is None:
-            # a grid may be narrowed to a single cell with --p/--eps
+        if flags or raw is None:
             if self.get("p") is not None and self.get("eps") is not None:
+                # the cell replaces the file's grid, so the header does not record that grid
+                self.file_values.pop(key, None)
                 return [(self.get_float("p"), self.get_float("eps"))]
+            if flags:
+                other = "--eps" if flags == ["--p"] else "--p"
+                raise ConfigError(f"{flags[0]} narrows the grid to one cell and needs {other} as well")
             return default
         cells: list[tuple[float, float]] = []
         for token in raw.split():
@@ -298,7 +310,7 @@ def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], alg
                       ber=bit_error_rate(xhat, path.x), runtime_s=runtime_s, extra=extra)
         )
 
-    # the lane-scan burn-in the exact field scans used; None where they ran sequentially
+    # the certified burn-in L that lets the exact scans run in lanes and caps their rounds; None where they walk
     burn_in = scan_burn_in(n, params)
     if "bf" in algorithms:
         xhat, elapsed = _timed(lambda: map_denoise(forward_backward(path.y, params)))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,8 +42,8 @@ from .errors import (
     SingularChannelError,
 )
 from .model import ChannelParams, check_count, check_probability, validate_params
-from .sequences import SPIN_DTYPE, SpinSequence, _made_word, as_spin_array, check_spin
-from .transfer import _channel_factors, neighbour_ratios
+from .sequences import SPIN_DTYPE, SpinSequence, _by_spin, _made_word, as_spin_array, check_spin
+from .transfer import neighbour_ratios
 
 __all__ = [
     "PosteriorMarginals",
@@ -114,18 +114,7 @@ class BerReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "noisymarkov-ber-v1",
-            "algorithm": self.algorithm,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "n": self.n,
-            "seed": self.seed,
-            "ber": self.ber,
-            "runtime_s": self.runtime_s,
-            "generator": self.generator,
-            "extra": self.extra,
-        }
+        return {"schema": "noisymarkov-ber-v1", **asdict(self)}
 
 
 def _check_crossover(epsilon) -> float:
@@ -169,7 +158,7 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     """
     word = SpinSequence(y)
     left, right = neighbour_ratios(word, params)
-    factors = _channel_factors(word.symbols, params)
+    factors = _by_spin(word.symbols, 1.0 / params.c, params.c)
     a = min(params.r, 1.0 / params.r)
     flush = a * a * min(params.c, 1.0 / params.c) < 4.0 * np.finfo(float).tiny
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -193,18 +182,6 @@ def forward_backward(y, params: ChannelParams) -> PosteriorMarginals:
     return PosteriorMarginals(q_minus=q_minus, q_plus=q_plus)
 
 
-def _apply_emission(v_minus: np.ndarray, v_plus: np.ndarray, y: np.ndarray, epsilon: float) -> None:
-    """Multiply v_minus and v_plus in place by pi_{y_i}(-1) and pi_{y_i}(+1).
-
-    pi is looked up by the observed symbol in the rows of the emission matrix,
-    which is faster than a where.
-    """
-    observed_plus = (y == 1).astype(np.intp)
-    pi = emission_matrix(epsilon)
-    v_minus *= pi[0].take(observed_plus)
-    v_plus *= pi[1].take(observed_plus)
-
-
 def _decide(v_minus: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
     """Per-position argmax over (-1, +1) of unnormalized weights, as spins; exact ties go to +1."""
     return 2 * (v_plus >= v_minus).view(SPIN_DTYPE) - 1
@@ -217,7 +194,8 @@ def _channel_weights(
 
     ``q_minus`` and ``q_plus`` hold P(Y_i = -1 | rest) and P(Y_i = +1 | rest);
     ``y`` holds the observed symbols. Returns v = pi_{y_i} (.) max(Pi^{-1} q2, 0)
-    as (v_minus, v_plus), whose normalization is the posterior of X_i and whose
+    as (v_minus, v_plus), with pi_y = (P(y | -1), P(y | +1)) looked up by
+    symbol, whose normalization is the posterior of X_i and whose
     argmax, ``_decide``, is the decision of DUDE and empirical BFP; and the
     mask of the entries with a component of Pi^{-1} q2 below
     NEGATIVE_FLAG_THRESHOLD before the clamp, as empirical estimates need not
@@ -235,7 +213,8 @@ def _channel_weights(
     flagged |= u_plus < NEGATIVE_FLAG_THRESHOLD
     np.maximum(u_minus, 0.0, out=u_minus)
     np.maximum(u_plus, 0.0, out=u_plus)
-    _apply_emission(u_minus, u_plus, y, epsilon)
+    u_minus *= _by_spin(y, 1.0 - epsilon, epsilon)
+    u_plus *= _by_spin(y, epsilon, 1.0 - epsilon)
     return u_minus, u_plus, flagged
 
 
@@ -472,7 +451,8 @@ def bfp_denoise(
         del cross
         np.maximum(v_plus, 0.0, out=v_plus)
         np.maximum(v_minus, 0.0, out=v_minus)
-        _apply_emission(v_minus, v_plus, arr, params.epsilon)
+        v_minus *= _by_spin(arr, 1.0 - params.epsilon, params.epsilon)
+        v_plus *= _by_spin(arr, params.epsilon, 1.0 - params.epsilon)
         total = v_plus + v_minus
         v_minus /= total
         v_plus /= total

@@ -5,6 +5,8 @@ checks a word of symbols and ``check_spin`` a single symbol. A ``SpinSequence``
 is a checked word, which it and ``as_spin_array`` take without a scan; words the
 package makes itself are wrapped by ``_made_word``, also without one, and fields
 it makes by ``_made_fields``, without the copy a FieldTrajectory otherwise takes.
+``_by_spin`` reads a per-symbol quantity, such as the channel's c^y or its
+emission column P(y | x), off a table of its two values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ SPIN_DTYPE = np.int8
 
 #: dtype kinds of the numpy numbers: integers, floats, complex and timedelta (a signed integer).
 NUMERIC_KINDS = frozenset("iufcm")
+
+#: Symbols per block of the table lookup of ``_by_spin``.
+FACTOR_BLOCK = 1 << 16
 
 
 def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
@@ -56,6 +61,21 @@ def check_spin(name: str, value) -> int:
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or value not in (-1, 1):
         raise OutOfRangeError(f"{name} must be -1 or +1, got {value!r}")
     return int(value)
+
+
+def _by_spin(symbols: np.ndarray, at_minus: float, at_plus: float) -> np.ndarray:
+    """``at_minus`` at every -1 and ``at_plus`` at every +1 of ``symbols``, as a float array.
+
+    Looked up by ``take`` in a table of the two values, FACTOR_BLOCK symbols
+    at a time: faster than a where or a fancy index, and its index array
+    stays small.
+    """
+    table = np.array([at_minus, at_plus])
+    values = np.empty(len(symbols))
+    for lo in range(0, len(symbols), FACTOR_BLOCK):
+        block = slice(lo, lo + FACTOR_BLOCK)
+        table.take((symbols[block] == 1).astype(np.intp), out=values[block], mode="clip")
+    return values
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,15 +58,17 @@ word is walked. Either way the value is the scan's bit for bit.
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
     Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
-                       = ((1-eps) + eps rho^{y_i}) / (1 + rho^{y_i}),   rho = rho_{i+1},
+                       = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho),   rho = rho_{i+1},
 
-with sigma the logistic function; the two-sided conditional adds the shifts of
-both sides. Cylinder probabilities are the product of these conditionals,
-summed as logarithms in (-inf, 0]: by ``math.fsum``, correctly rounded, where
-the word is scanned sequentially, and by a cascade of vectorized TwoSum levels
-(``_cascade_sum``) where it is scanned in lanes, within u |S| + d n u^2 |S|
-of the exact sum S of its n logs, u = 2^-53 and d = ceil(log2 n): one rounding,
-widened by under 3e-9 of itself at n = 10^6. They equal the closed form
+with sigma the logistic function and P(y | x) the channel's emission column;
+the two-sided conditional adds the shifts of both sides. Cylinder
+probabilities are the product of these conditionals, summed as logarithms in
+(-inf, 0]: by ``math.fsum``, correctly rounded, where ``scan_burn_in`` gives no
+burn-in for the word, and otherwise by a cascade of vectorized TwoSum levels
+(``_cascade_sum``), also where the lanes ran out of rounds and the word was
+walked, within u |S| + d n u^2 |S| of the exact sum S of its n logs,
+u = 2^-53 and d = ceil(log2 n): one rounding, widened by under 3e-9 of
+itself at n = 10^6. They equal the closed form
 (cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i>m} B(w_i) ) for a word of length L on
 [m, n].
 """
@@ -80,7 +82,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .model import ChannelParams, DecayBound, channel_model, check_count, check_tolerance
-from .sequences import FieldTrajectory, _made_fields, as_spin_array, check_spin
+from .sequences import FieldTrajectory, _by_spin, _made_fields, as_spin_array, check_spin
 
 __all__ = [
     "log2cosh",
@@ -109,10 +111,6 @@ LANE_WIDTH = 1024
 
 #: Steps of the lane loop between two checks for coupling (LANE_WIDTH is a multiple), and lanes per tile of its copies.
 LANE_BLOCK = 128
-LANE_TILE = 128
-
-#: Symbols per block of the table lookup of c^y on long words.
-FACTOR_BLOCK = 1 << 16
 
 #: Lanes run on words of at least LANE_CUTOVER (b + L) symbols (exact lanes break even below 20 (b + L)).
 LANE_CUTOVER = 64
@@ -267,19 +265,6 @@ def scan_burn_in(n: int, model) -> int | None:
     return burn_in if n >= LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in) else None
 
 
-def _channel_factors(symbols: np.ndarray, model: ChannelParams) -> np.ndarray:
-    """c^{y_i} of every symbol, looked up by ``take`` in a table of two entries, FACTOR_BLOCK symbols at a time.
-
-    Faster than a where or a fancy index, and its index array stays small.
-    """
-    table = np.array([1.0 / model.c, model.c])
-    factors = np.empty(len(symbols))
-    for lo in range(0, len(symbols), FACTOR_BLOCK):
-        block = slice(lo, lo + FACTOR_BLOCK)
-        table.take((symbols[block] == 1).astype(np.intp), out=factors[block], mode="clip")
-    return factors
-
-
 def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: ChannelParams, rounds: int) -> bool:
     """Fill entries [0, lanes*b) of each scan, b = LANE_WIDTH, by lanes made exact by coupling, in ``rounds`` at most.
 
@@ -287,7 +272,7 @@ def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: Chan
     lanes*b on. Lane j covers positions [j*b, (j+1)*b); the rounds are those
     of the module docstring, checked every LANE_BLOCK steps. The lanes of all
     the words step together, in place, on one (LANE_BLOCK, words, lanes)
-    block, copied in and out LANE_TILE lanes at a time. Returns whether the
+    block, copied in and out LANE_BLOCK lanes at a time. Returns whether the
     last round ended with every lane met.
     """
     width, block = LANE_WIDTH, min(LANE_BLOCK, LANE_WIDTH)
@@ -306,8 +291,8 @@ def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: Chan
                     rho[k] = r[width::width]
             for end in range(width, 0, -block):
                 cols = slice(end - block, end)
-                for lo in range(0, lanes, LANE_TILE):
-                    tile = slice(lo, lo + LANE_TILE)
+                for lo in range(0, lanes, block):
+                    tile = slice(lo, lo + block)
                     for k, f in enumerate(fv):
                         buf[:, k, tile] = f[tile, cols][:, ::-1].T
                 prev = rho
@@ -320,8 +305,8 @@ def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: Chan
                         np.divide(1.0, row, out=row)
                     prev = row
                 met = round_no > 0 and all(np.array_equal(prev[k], r[:, end - block]) for k, r in enumerate(rv))
-                for lo in range(0, lanes, LANE_TILE):
-                    tile = slice(lo, lo + LANE_TILE)
+                for lo in range(0, lanes, block):
+                    tile = slice(lo, lo + block)
                     for k, r in enumerate(rv):
                         r[tile, cols] = buf[::-1, k, tile].T
                 if met:
@@ -351,7 +336,7 @@ def _scan_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float = 
         scans = [np.empty(n + 1) for _ in words]
         for scan, word in zip(scans, words):
             scan[head:] = _sequential_ratios(word[head:], model, shift_init)
-        factors = _channel_factors(symbols, model)
+        factors = _by_spin(symbols, 1.0 / model.c, model.c)
         sides = [factors, factors[::-1]] if reverse else [factors]
         if _lane_ratios(sides, scans, model, 2 + 2 * burn_in // LANE_WIDTH):
             return scans
@@ -514,21 +499,23 @@ def log_cylinder_prob(y, model: ChannelParams) -> float:
     """log Q(y_m^n), assembled in log space so long words do not underflow.
 
     With rho the ratio of the shift the right of position i puts on it,
-    Q(y_i | y_{i+1}^n) = ((1 - eps) + eps rho^{y_i}) / (1 + rho^{y_i}). The logs
-    are summed by ``math.fsum`` where the word is scanned sequentially, and by
-    ``_cascade_sum`` where it is scanned in lanes.
+    Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho), formed in
+    place with the emission column looked up by symbol. The logs are summed by
+    ``math.fsum`` where ``scan_burn_in`` gives no burn-in for the word (it is
+    too short for lanes, or the cell has no certificate), and by
+    ``_cascade_sum`` otherwise, also where the lanes ran out of rounds and the
+    word was walked.
     """
     arr = as_spin_array(y)
+    eps = model.epsilon
     (ratios,) = _scan_ratios(arr, model)
     rho = ratios[1:]
-    z = 1.0 / rho
-    np.copyto(z, rho, where=arr == 1)
+    logs = _by_spin(arr, 1.0 - eps, eps)
+    logs *= rho
+    logs += _by_spin(arr, eps, 1.0 - eps)
+    rho += 1.0
+    logs /= rho
     del ratios, rho
-    logs = model.epsilon * z
-    logs += 1.0 - model.epsilon
-    z += 1.0
-    logs /= z
-    del z
     np.log(logs, out=logs)
     if scan_burn_in(len(arr), model) is None:
         return math.fsum(logs.tolist())

@@ -258,6 +258,34 @@ class TestConfigFile:
         assert code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_flags_narrow_the_file_grid(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=0.1:0.2 0.2:0.2\nsamples=8\n")
+        out = tmp_path / "decay.csv"
+        assert cli.main(["decay", "--grid-file", str(cfg), "--p", "0.3", "--eps", "0.1",
+                         "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert [(float(r[header.index("p")]), float(r[header.index("eps")])) for r in rows] == [(0.3, 0.1)]
+        assert (meta["p"], meta["eps"]) == ("0.3", "0.1")
+        assert "grid" not in meta  # the header records the cell that ran, not the file's grid
+
+    def test_a_flag_takes_the_other_coordinate_from_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=0.1:0.2 0.2:0.2\neps=0.25\nalgorithms=bf\n")
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--grid-file", str(cfg), "--p", "0.3", "--n", "2000", "--seed", "0",
+                         "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "ber.jsonl").read_text().splitlines()]
+        assert [(r["p"], r["epsilon"]) for r in records] == [(0.3, 0.25)]
+
+    @pytest.mark.parametrize("command", ["bench", "decay"])
+    @pytest.mark.parametrize("flag", ["--p", "--eps"])
+    def test_lone_flag_is_config_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        assert cli.main([command, flag, "0.2", "--n", "2000", "--out", str(out)]) == 2
+        assert "narrows the grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bench", "decay"])
     def test_out_of_range_grid_cell_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.txt"

@@ -1,0 +1,92 @@
+"""Pinned outputs of the readers of the transfer scan's ratios.
+
+``forward_backward`` (SHA-256 of q_minus and q_plus), exact ``bfp_denoise``
+(SHA-256 of xhat, q_minus and q_plus) and ``log_cylinder_prob`` (its float
+hex) run at four cells on two seeded words each: a walked word of 5 000
+symbols and a lane word of 200 000 symbols. The cell (1e-300, 0.2) has no
+decay certificate, so both of its words are walked. The results are compared
+with ``tests/data/reader_digests.json``.
+
+numpy picks its ``exp`` and ``log`` kernels by CPU feature, so another host or
+numpy version may round some float differently; the data file records the
+numpy version the digests were written with. A change that moves an output
+writes the file again, by running this module as a script
+(``PYTHONPATH=src python tests/test_reader_digests.py``), and states the
+drift in its change notes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from noisymarkov.denoise import bfp_denoise, forward_backward
+from noisymarkov.model import validate_params
+from noisymarkov.simulate import generate_dataset
+from noisymarkov.transfer import log_cylinder_prob
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "reader_digests.json"
+
+CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-300, 0.2))
+
+#: Name of each pinned word, and its length and seed.
+WORDS = {"walked": (5_000, 3), "lanes": (200_000, 4)}
+
+
+def _sha256(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance between two doubles of one sign in units in the last place."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str]:
+    """Digests of every pinned reader on the word named ``word`` at ``cell``."""
+    params = validate_params(*cell)
+    y = generate_dataset(params, *WORDS[word]).y
+    post = forward_backward(y, params)
+    xhat, marg = bfp_denoise(y, params, mode="exact")
+    return {
+        "forward_backward q_minus": _sha256(post.q_minus),
+        "forward_backward q_plus": _sha256(post.q_plus),
+        "bfp xhat": _sha256(xhat.symbols),
+        "bfp q_minus": _sha256(marg.q_minus),
+        "bfp q_plus": _sha256(marg.q_plus),
+        "log_cylinder_prob": float(log_cylinder_prob(y, params)).hex(),
+    }
+
+
+def _key(cell: tuple[float, float]) -> str:
+    return f"{cell[0]!r}:{cell[1]!r}"
+
+
+@pytest.mark.parametrize("word", sorted(WORDS))
+@pytest.mark.parametrize("cell", CELLS, ids=_key)
+def test_reader_outputs_are_pinned(cell, word):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    want = pinned["cells"][_key(cell)][word]
+    got = reader_digests(cell, word)
+    assert got.keys() == want.keys()
+    moved = sorted(name for name in want if got[name] != want[name])
+    log_q = "log_cylinder_prob"
+    drift = _ulps(float.fromhex(got[log_q]), float.fromhex(want[log_q]))
+    assert not moved, (
+        f"outputs moved on the {word} word at {cell} (log Q by {drift} ulp; "
+        f"digests written with numpy {pinned['numpy']}, running numpy {np.__version__}): {moved}"
+    )
+
+
+def write_digests() -> None:
+    """Write ``DIGESTS`` from the current code."""
+    cells = {_key(cell): {word: reader_digests(cell, word) for word in sorted(WORDS)} for cell in CELLS}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "cells": cells}, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_digests()
