@@ -35,7 +35,7 @@ from .denoise import (
 from .errors import DivisionNearZeroError, NoisyMarkovError, OutOfRangeError
 from .model import ChannelParams, check_count, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
-from .simulate import GENERATOR_NAME, generate_dataset, save_path_csv, save_spins
+from .simulate import GENERATOR_NAME, _overwrite, generate_dataset, save_path_csv, save_spins
 from .thermo import g_continued_fraction_detail, g_function, variation_estimate
 from .transfer import cylinder_prob, decay_rate_bound, required_context, scan_burn_in
 
@@ -78,15 +78,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _csv_lines(meta: dict, header: list[str], rows):
+    yield f"# schema={SCHEMA_VERSION}\n"
+    for key in sorted(meta):
+        yield f"# {key}={meta[key]}\n"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(str(v) for v in row) + "\n"
+
+
 def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _overwrite(path, (line.encode() for line in _csv_lines(meta, header, rows)))
 
 
 class Settings:
@@ -137,8 +140,9 @@ class Settings:
 
         --p or --eps narrows the grid to the one cell (p, eps), taking the
         other coordinate from its flag or else the file, and is refused
-        without it. Without either flag the file's grid runs, else the one
-        cell of the file's p and eps, else ``default``.
+        without it. Without either flag the file's grid runs, and wins over
+        the file's p and eps, which the header then omits; else the one cell
+        of the file's p and eps, else ``default``.
         """
         flags = [f"--{name}" for name in ("p", "eps") if getattr(self.args, name) is not None]
         raw = self.file_values.get(key)
@@ -160,6 +164,9 @@ class Settings:
                 raise ConfigError(f"bad grid cell {token!r}; expected p:eps") from exc
         if not cells:
             raise ConfigError(f"grid {key} must be nonempty")
+        # the grid replaces the cell of the file's p and eps, so the header does not record them
+        for name in ("p", "eps"):
+            self.file_values.pop(name, None)
         return cells
 
     def meta(self, **extra) -> dict:
@@ -373,9 +380,7 @@ def cmd_bench(cfg: Settings) -> int:
                 cell.setdefault(rep.algorithm, []).append(rep.ber)
 
     jsonl_path = out_dir / "ber.jsonl"
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _overwrite(jsonl_path, ((json.dumps(record, sort_keys=True) + "\n").encode() for record in records))
 
     header = ["p", "eps", "bf", "gibbs", "dude_best", "dude_best_k",
               f"dude_default_k{default_k}", "bfp"]
@@ -408,7 +413,7 @@ def cmd_bench(cfg: Settings) -> int:
                                                    algorithms=",".join(algorithms),
                                                    k_list=",".join(map(str, k_list))),
                header, rows)
-    (out_dir / "ber_table.md").write_text("\n".join(md_lines) + "\n", encoding="utf-8")
+    _overwrite(out_dir / "ber_table.md", (("\n".join(md_lines) + "\n").encode(),))
     print(f"bench: wrote {jsonl_path}, {out_dir / 'ber_table.csv'}, {out_dir / 'ber_table.md'}")
     if failures:
         print(f"bench: {failures} cell(s) failed", file=sys.stderr)

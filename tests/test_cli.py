@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -286,6 +288,16 @@ class TestConfigFile:
         assert "narrows the grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_file_grid_wins_over_file_cell(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=0.1:0.2\np=0.3\neps=0.1\nsamples=8\n")
+        out = tmp_path / "decay.csv"
+        assert cli.main(["decay", "--grid-file", str(cfg), "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert [(float(r[header.index("p")]), float(r[header.index("eps")])) for r in rows] == [(0.1, 0.2)]
+        assert meta["grid"] == "0.1:0.2"
+        assert "p" not in meta and "eps" not in meta  # the file's p and eps did not run
+
     @pytest.mark.parametrize("command", ["bench", "decay"])
     def test_out_of_range_grid_cell_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.txt"
@@ -293,3 +305,92 @@ class TestConfigFile:
         code = cli.main([command, "--grid-file", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+#: A bench run small enough to repeat: one cell, one seed, exact MAP only.
+SMALL_BENCH = ["bench", "--n", "2000", "--seed", "0", "--k", "1"]
+
+
+def small_bench(tmp_path, out) -> int:
+    grid = tmp_path / "cfg.txt"
+    grid.write_text("grid=0.1:0.2\nalgorithms=bf\n")
+    return cli.main(SMALL_BENCH + ["--grid-file", str(grid), "--out", str(out)])
+
+
+def fill_longer(path, than: int) -> None:
+    path.write_bytes(b"\xff" * (than + 5000))
+
+
+class TestRewrite:
+    """Every file the command line writes holds exactly its new bytes, whatever it held before."""
+
+    def test_csv_over_a_longer_file(self, tmp_path):
+        out = tmp_path / "probs.csv"
+        args = ["probs", "--p", "0.3", "--eps", "0.25", "--n", "3", "--out", str(out)]
+        assert cli.main(args) == 0
+        want = out.read_bytes()
+        fill_longer(out, len(want))
+        assert cli.main(args) == 0
+        assert out.read_bytes() == want
+
+    def test_bench_files_over_longer_files(self, tmp_path):
+        out = tmp_path / "b"
+        assert small_bench(tmp_path, out) == 0
+        names = ("ber.jsonl", "ber_table.csv", "ber_table.md")
+        first = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            fill_longer(out / name, len(first[name]))
+        assert small_bench(tmp_path, out) == 0
+        for name in ("ber_table.csv", "ber_table.md"):
+            assert (out / name).read_bytes() == first[name]
+
+        def records(raw: bytes) -> list[dict]:
+            # runtimes differ between runs; everything else is the same
+            return [{k: v for k, v in json.loads(line).items() if k != "runtime_s"} for line in raw.splitlines()]
+
+        assert records((out / "ber.jsonl").read_bytes()) == records(first["ber.jsonl"])
+
+    def test_a_row_that_raises_leaves_no_tail(self, tmp_path):
+        out = tmp_path / "t.csv"
+        fill_longer(out, 0)
+
+        def rows():
+            yield (1, 2)
+            raise ValueError("row 2")
+
+        with pytest.raises(ValueError, match="row 2"):
+            cli._write_csv(out, {"k": "v"}, ["a", "b"], rows())
+        assert out.read_text() == f"# schema={cli.SCHEMA_VERSION}\n# k=v\na,b\n1,2\n"
+
+    def test_writers_open_without_truncation(self, tmp_path, monkeypatch):
+        opened, real_open = {}, os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        out = tmp_path / "b"
+        assert small_bench(tmp_path, out) == 0
+        assert cli.main(["probs", "--p", "0.3", "--eps", "0.25", "--n", "2", "--out", str(tmp_path / "p.csv")]) == 0
+        written = {out / name for name in ("ber.jsonl", "ber_table.csv", "ber_table.md")} | {tmp_path / "p.csv"}
+        assert set(map(str, written)) <= set(opened)
+        assert not [path for path, flags in opened.items() if flags & os.O_TRUNC]
+
+    def test_simulate_to_dev_null(self):
+        assert cli.main(["simulate", "--p", "0.2", "--eps", "0.1", "--n", "100", "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_simulate_into_a_fifo(self, tmp_path, suffix):
+        args = ["simulate", "--p", "0.2", "--eps", "0.1", "--n", "100", "--seed", "4", "--out"]
+        regular = tmp_path / f"regular{suffix}"
+        assert cli.main(args + [str(regular)]) == 0
+        fifo = tmp_path / f"fifo{suffix}"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli.main(args + [str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [regular.read_bytes()]

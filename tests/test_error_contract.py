@@ -6,6 +6,11 @@ callers that catch ``NoisyMarkovError``; the package's own classes subclass the
 builtin where one fits, so nothing is lost by raising them instead. Re-raises
 (a bare ``raise``) are allowed.
 
+One helper, ``simulate._overwrite``, writes every file the package writes:
+no other code opens a file for writing, and nothing truncates a file on open
+(``O_TRUNC``), which on ext4 makes the next rewrite wait for the writeback of
+the last one.
+
 Every import sits at module level, where the import order shows it, and the
 modules' imports of each other form no cycle. Every name a module lists in
 ``__all__`` exists once it is imported, so deleting a function cannot leave its
@@ -119,6 +124,77 @@ def test_one_decay_certificate_per_cell():
     assert {name: lines for name, lines in calls.items() if lines} == {
         "model.py": _calls_to(builder, "_decay_bound")
     }
+
+
+#: The one function that opens files for writing, by module.
+WRITER = ("simulate.py", "_overwrite")
+
+#: Characters of an ``open`` mode, and ``os.open`` flags, that let a call write.
+WRITE_MODE_CHARS = set("wax+")
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _mode_args(call: ast.Call) -> list[ast.AST]:
+    """The argument that gives an ``open`` call its mode or flags, if the call passes one.
+
+    It follows the path for ``open``, ``os.open`` and ``io.open``; ``Path.open`` takes it first.
+    """
+    on_path = isinstance(call.func, ast.Attribute) and not (
+        isinstance(call.func.value, ast.Name) and call.func.value.id in ("os", "io")
+    )
+    first = 0 if on_path else 1
+    return call.args[first : first + 1] + [kw.value for kw in call.keywords if kw.arg in ("mode", "flags")]
+
+
+def _identifier(node: ast.AST) -> str:
+    """The identifier of a name or an attribute, else the empty string."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+
+def _flag_names(node: ast.AST) -> set[str]:
+    return {name for sub in ast.walk(node) if (name := _identifier(sub)).startswith("O_")}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    name = _callee(call)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    for arg in _mode_args(call):
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            if WRITE_MODE_CHARS & set(arg.value):
+                return True
+        elif flags := _flag_names(arg):
+            if flags & WRITE_FLAGS:
+                return True
+        else:
+            return True  # a mode the source does not spell out may write
+    return False
+
+
+def _writes(node: ast.AST) -> set[int]:
+    """Lines under ``node`` that open a file for writing or name ``O_TRUNC``."""
+    return {
+        sub.lineno for sub in ast.walk(node)
+        if (isinstance(sub, ast.Call) and _opens_for_writing(sub))
+        or (isinstance(sub, (ast.Name, ast.Attribute)) and _identifier(sub) == "O_TRUNC")
+    }
+
+
+def test_one_writer_opens_files():
+    module, name = WRITER
+    helper = next(
+        (node for source in SOURCES if source.name == module for node in ast.walk(_tree(source))
+         if isinstance(node, ast.FunctionDef) and node.name == name),
+        None,
+    )
+    assert helper is not None and _writes(helper), f"{module} has no {name} that opens a file for writing"
+    offenders = {
+        f"{source.name}:{line}" for source in SOURCES
+        for line in _writes(_tree(source)) - (_writes(helper) if source.name == module else set())
+    }
+    assert not offenders, sorted(offenders)
 
 
 #: Scans that compute the shift or field of every position of a word.

@@ -1,9 +1,11 @@
 """Pinned outputs of the readers of the transfer scan's ratios.
 
 ``forward_backward`` (SHA-256 of q_minus and q_plus), exact ``bfp_denoise``
-(SHA-256 of xhat, q_minus and q_plus) and ``log_cylinder_prob`` (its float
-hex) run at four cells on two seeded words each: a walked word of 5 000
-symbols and a lane word of 200 000 symbols. The cell (1e-300, 0.2) has no
+(SHA-256 of xhat, q_minus and q_plus), ``log_cylinder_prob`` (its float hex)
+and ``backward_fields``, ``forward_fields`` and ``extended_fields`` (SHA-256
+plus the float hex of a sparse sample, which shows where and by how much a
+field moved) run at four cells on two seeded words each: a walked word of
+5 000 symbols and a lane word of 200 000 symbols. The cell (1e-300, 0.2) has no
 decay certificate, so both of its words are walked. The results are compared
 with ``tests/data/reader_digests.json``.
 
@@ -25,7 +27,7 @@ import pytest
 from noisymarkov.denoise import bfp_denoise, forward_backward
 from noisymarkov.model import validate_params
 from noisymarkov.simulate import generate_dataset
-from noisymarkov.transfer import log_cylinder_prob
+from noisymarkov.transfer import backward_fields, extended_fields, forward_fields, log_cylinder_prob
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "reader_digests.json"
 
@@ -33,6 +35,9 @@ CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-300, 0.2))
 
 #: Name of each pinned word, and its length and seed.
 WORDS = {"walked": (5_000, 3), "lanes": (200_000, 4)}
+
+#: Number of evenly spaced entries, first and last included, in a field's float-hex sample.
+SAMPLE = 9
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -45,13 +50,17 @@ def _ulps(a: float, b: float) -> int:
     return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
-def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str]:
+def _sample(a: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in a[np.linspace(0, len(a) - 1, SAMPLE).astype(np.intp)]]
+
+
+def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str | list[str]]:
     """Digests of every pinned reader on the word named ``word`` at ``cell``."""
     params = validate_params(*cell)
     y = generate_dataset(params, *WORDS[word]).y
     post = forward_backward(y, params)
     xhat, marg = bfp_denoise(y, params, mode="exact")
-    return {
+    out = {
         "forward_backward q_minus": _sha256(post.q_minus),
         "forward_backward q_plus": _sha256(post.q_plus),
         "bfp xhat": _sha256(xhat.symbols),
@@ -59,6 +68,15 @@ def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str]:
         "bfp q_plus": _sha256(marg.q_plus),
         "log_cylinder_prob": float(log_cylinder_prob(y, params)).hex(),
     }
+    fields = {
+        "backward_fields": backward_fields(y, params).values,
+        "forward_fields": forward_fields(y, params).values,
+        "extended_fields": extended_fields(y, params),
+    }
+    for name, values in fields.items():
+        out[name] = _sha256(values)
+        out[f"{name} sample"] = _sample(values)
+    return out
 
 
 def _key(cell: tuple[float, float]) -> str:

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -293,6 +295,63 @@ class TestPathFiles:
         assert loaded.generator == GENERATOR_NAME
         header = target.read_text().splitlines()[0]
         assert header.startswith("# schema=")
+
+
+#: The module's two file writers, each with what it writes of a path.
+WRITERS = {"packed": (save_spins, lambda sim: sim.y), "csv": (save_path_csv, lambda sim: sim)}
+
+
+class TestRewrite:
+    """A writer leaves exactly its new bytes in the file it writes, whatever the file held before."""
+
+    SIM = generate_dataset(P_REF, 300, seed=7)
+
+    def fresh_bytes(self, tmp_path, kind) -> tuple[bytes, int]:
+        """The bytes ``kind`` writes to a new file, and that file's mode."""
+        save, arg = WRITERS[kind]
+        fresh = tmp_path / f"fresh-{kind}"
+        save(fresh, arg(self.SIM))
+        return fresh.read_bytes(), stat.S_IMODE(fresh.stat().st_mode)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_a_longer_file_keeps_no_tail_and_its_mode(self, tmp_path, kind):
+        want, mode = self.fresh_bytes(tmp_path, kind)
+        made = tmp_path / "made"
+        made.write_bytes(b"")
+        assert mode == stat.S_IMODE(made.stat().st_mode)  # a new file gets the mode open() gives it
+        save, arg = WRITERS[kind]
+        target = tmp_path / "target"
+        target.write_bytes(b"\xff" * (len(want) + 5000))
+        target.chmod(0o640)
+        save(target, arg(self.SIM))
+        assert target.read_bytes() == want
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_links_are_written_through(self, tmp_path, kind):
+        want, _ = self.fresh_bytes(tmp_path, kind)
+        target, link, hard = tmp_path / "target", tmp_path / "link", tmp_path / "hard"
+        target.write_bytes(b"\xff" * (len(want) + 5000))
+        link.symlink_to(target)
+        os.link(target, hard)
+        save, arg = WRITERS[kind]
+        save(link, arg(self.SIM))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+        assert hard.read_bytes() == want  # one inode, rewritten in place
+
+    def test_writers_open_without_truncation(self, tmp_path, monkeypatch):
+        opened, real_open = {}, os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for kind, (save, arg) in WRITERS.items():
+            save(tmp_path / kind, arg(self.SIM))
+        assert set(opened) == {str(tmp_path / kind) for kind in WRITERS}
+        assert not [path for path, flags in opened.items() if flags & os.O_TRUNC]
 
 
 #: Bytes that move a path file between valid and malformed forms, tried more often than the rest.
