@@ -11,6 +11,7 @@ Packed binary (``save_spins``/``load_spins``): an 8-byte header
 ``magic b"SPN" | version u8 | length u32 little-endian`` (N >= 1) followed by
 ``ceil(N/8)`` bytes from ``numpy.packbits`` with the mapping +1 -> 0,
 -1 -> 1 and the first symbol in the most significant bit of the first byte.
+The loader refuses a payload of any other length.
 
 CSV (``save_path_csv``/``load_path_csv``): ASCII with LF line endings.
 ``# key=value`` lines (schema, seed, generator, n) come first and only there,
@@ -26,13 +27,7 @@ off the same layout and loads the file only if encoding them again gives its
 rows byte for byte.
 
 Every file the package writes, these two and the command line's outputs, goes
-through ``_overwrite``: it opens the file in place without truncating it,
-writes, and then cuts a regular file at the end of what it wrote. Truncating
-on open would make ext4 (``auto_da_alloc``, on by default) start the writeback
-of the new contents at close, and the next truncation of the same file would
-wait for that writeback: 0.1-0.5 s for a 16 MB path CSV on a virtio disk. A
-device or a FIFO is written and not cut. Nothing is fsynced, so a rewrite
-reaches the disk on the kernel's usual schedule.
+through ``_overwrite``, which says how and why.
 """
 
 from __future__ import annotations
@@ -127,21 +122,52 @@ def generate_dataset(params: ChannelParams, n: int, seed: int) -> SimulatedPath:
     return SimulatedPath(x=_made_word(x), z=_made_word(z), y=_made_word(y), seed=seed)
 
 
-def _overwrite(path: str | Path, chunks: Iterable) -> None:
-    """Write the bytes-like ``chunks`` over the file at ``path``, each taken from the iterable as it is written.
+#: ``O_BINARY`` keeps Windows from translating newlines; elsewhere it is 0.
+_BINARY = getattr(os, "O_BINARY", 0)
+#: How ``_overwrite`` creates a file: a new inode, never an existing one.
+_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | _BINARY
 
-    The file is created (mode 0o666 less the umask) if absent and opened
-    without ``O_TRUNC``; a symlink is followed and a hard link shares the new
-    bytes. A regular file is then truncated where the writing stopped, also
-    when a chunk raises, so that no tail of the old contents is left.
+
+def _overwrite(path: str | Path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` as a new file, each taken from the iterable as it is written.
+
+    A symlink is resolved and its target written. An existing regular file is
+    opened for writing first, so a file the caller may not write is refused as
+    ``open(path, "wb")`` would refuse it; it is then unlinked, and the new file
+    is created with ``O_EXCL`` and given the old file's permission bits (a new
+    path gets 0o666 less the umask). A device such as ``/dev/null`` or a FIFO
+    is written as it is. Nothing is fsynced.
+
+    Why not truncate on open: on ext4 (``auto_da_alloc``, on by default),
+    closing a file that was truncated to zero starts the writeback of its new
+    contents, and the next truncation of that file waits for the writeback,
+    0.1-0.5 s for a 16 MB path CSV on a virtio disk; ``os.replace`` of a
+    temporary file waits as long. Writing over the old bytes in place does not
+    wait, but a reader, or the disk after a crash, could then see new rows
+    mixed with old ones that still parse. With a new inode, a reader that has
+    the old file open keeps the old bytes, and one that opens the path while it
+    is written sees a short file, which the loaders refuse. What is lost: a
+    hard link to the old file keeps the old bytes, and the new file belongs to
+    the writer.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        try:
-            for chunk in chunks:
-                fh.write(chunk)
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    target = os.path.realpath(path)
+    keep = None
+    try:
+        fd = os.open(target, os.O_WRONLY | _BINARY)
+    except FileNotFoundError:
+        fd = os.open(target, _NEW, 0o666)
+    else:
+        mode = os.fstat(fd).st_mode
+        if stat.S_ISREG(mode):
+            keep = stat.S_IMODE(mode) & 0o777
+            os.close(fd)
+            os.unlink(target)
+            fd = os.open(target, _NEW, keep)
+    with open(fd, "wb") as fh:
+        if keep is not None:
+            os.chmod(target, keep)  # the umask cut the mode given at creation
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def save_spins(path: str | Path, y) -> None:
@@ -167,8 +193,9 @@ def load_spins(path: str | Path) -> SpinSequence:
     if n == 0:
         raise MalformedDataError(f"empty spin sequence in {path}: the header gives n=0")
     expected = (n + 7) // 8
-    if len(payload) < expected:
-        raise MalformedDataError(f"truncated payload in {path}: {len(payload)} < {expected} bytes")
+    if len(payload) != expected:
+        kind = "truncated" if len(payload) < expected else "overlong"
+        raise MalformedDataError(f"{kind} payload in {path}: {len(payload)} bytes where n={n} needs {expected}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
     return _made_word(1 - 2 * bits.view(SPIN_DTYPE))
 

@@ -8,8 +8,7 @@ builtin where one fits, so nothing is lost by raising them instead. Re-raises
 
 One helper, ``simulate._overwrite``, writes every file the package writes:
 no other code opens a file for writing, and nothing truncates a file on open
-(``O_TRUNC``), which on ext4 makes the next rewrite wait for the writeback of
-the last one.
+(``O_TRUNC``); the helper's docstring says why.
 
 Every import sits at module level, where the import order shows it, and the
 modules' imports of each other form no cycle. Every name a module lists in

@@ -16,6 +16,7 @@ from noisymarkov.sequences import SpinSequence
 from noisymarkov.simulate import (
     GENERATOR_NAME,
     SimulatedPath,
+    _overwrite,
     generate_dataset,
     load_path_csv,
     load_spins,
@@ -193,8 +194,9 @@ class TestPathFiles:
             b"SPN\x02" + bytes(4),
             b"SPN\x01" + (100).to_bytes(4, "little") + bytes(2),
             b"SPN\x01" + bytes(4),
+            b"SPN\x01" + (8).to_bytes(4, "little") + bytes(2),
         ],
-        ids=["truncated-header", "bad-magic", "bad-version", "truncated-payload", "empty"],
+        ids=["truncated-header", "bad-magic", "bad-version", "truncated-payload", "empty", "overlong-payload"],
     )
     def test_malformed_packed_file_is_package_error(self, tmp_path, raw):
         target = tmp_path / "bad.bin"
@@ -322,23 +324,53 @@ class TestRewrite:
         save, arg = WRITERS[kind]
         target = tmp_path / "target"
         target.write_bytes(b"\xff" * (len(want) + 5000))
-        target.chmod(0o640)
+        target.chmod(0o666)  # wider than the usual umask lets a new file be
         save(target, arg(self.SIM))
         assert target.read_bytes() == want
-        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
-    def test_links_are_written_through(self, tmp_path, kind):
+    def test_a_symlink_is_written_through_and_a_hard_link_kept(self, tmp_path, kind):
         want, _ = self.fresh_bytes(tmp_path, kind)
+        old = b"\xff" * (len(want) + 5000)
         target, link, hard = tmp_path / "target", tmp_path / "link", tmp_path / "hard"
-        target.write_bytes(b"\xff" * (len(want) + 5000))
+        target.write_bytes(old)
         link.symlink_to(target)
         os.link(target, hard)
         save, arg = WRITERS[kind]
         save(link, arg(self.SIM))
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == want
-        assert hard.read_bytes() == want  # one inode, rewritten in place
+        assert hard.read_bytes() == old  # the new bytes went to a new inode
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_an_open_reader_keeps_the_old_bytes(self, tmp_path, kind):
+        save, arg = WRITERS[kind]
+        path = tmp_path / kind
+        save(path, arg(generate_dataset(P_REF, 300, seed=8)))
+        old = path.read_bytes()
+        with open(path, "rb", buffering=0) as reader:
+            head = reader.read(len(old) // 2)
+            save(path, arg(self.SIM))  # the same length: rows that would still parse if mixed in
+            assert head + reader.read() == old
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, kind)[0] != old
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_a_rewrite_cut_short_is_refused_by_the_loader(self, tmp_path, kind):
+        want, _ = self.fresh_bytes(tmp_path, kind)
+        save, arg = WRITERS[kind]
+        path = tmp_path / kind
+        save(path, arg(generate_dataset(P_REF, 300, seed=8)))
+
+        def cut():
+            yield want[: len(want) // 2]
+            raise OSError("disk gone")
+
+        with pytest.raises(OSError, match="disk gone"):
+            _overwrite(path, cut())
+        assert path.read_bytes() == want[: len(want) // 2]
+        with pytest.raises(MalformedDataError):
+            (load_spins if kind == "packed" else load_path_csv)(path)
 
     def test_writers_open_without_truncation(self, tmp_path, monkeypatch):
         opened, real_open = {}, os.open
