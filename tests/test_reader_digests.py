@@ -4,10 +4,13 @@
 (SHA-256 of xhat, q_minus and q_plus), ``log_cylinder_prob`` (its float hex)
 and ``backward_fields``, ``forward_fields`` and ``extended_fields`` (SHA-256
 plus the float hex of a sparse sample, which shows where and by how much a
-field moved) run at four cells on two seeded words each: a walked word of
-5 000 symbols and a lane word of 200 000 symbols. The cell (1e-300, 0.2) has no
-decay certificate, so both of its words are walked. The results are compared
-with ``tests/data/reader_digests.json``.
+field moved) run at five cells on two seeded words each: a walked word of
+5 000 symbols and a lane word of 200 000 symbols. The one-shift readers
+``conditional_prob``, ``two_sided_conditional``, ``two_sided_limit_conditional``
+and ``thermo.limit_field`` are pinned by float hex at a few positions of each
+word, a refusal by its exception class. The cells (1e-17, 0.2) and
+(1e-300, 0.2) have no decay certificate. The results are compared with
+``tests/data/reader_digests.json``.
 
 numpy picks its ``exp`` and ``log`` kernels by CPU feature, so another host or
 numpy version may round some float differently; the data file records the
@@ -25,16 +28,29 @@ import numpy as np
 import pytest
 
 from noisymarkov.denoise import bfp_denoise, forward_backward
+from noisymarkov.errors import NoisyMarkovError
 from noisymarkov.model import validate_params
 from noisymarkov.simulate import generate_dataset
-from noisymarkov.transfer import backward_fields, extended_fields, forward_fields, log_cylinder_prob
+from noisymarkov.thermo import limit_field
+from noisymarkov.transfer import (
+    backward_fields,
+    conditional_prob,
+    extended_fields,
+    forward_fields,
+    log_cylinder_prob,
+    two_sided_conditional,
+    two_sided_limit_conditional,
+)
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "reader_digests.json"
 
-CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-300, 0.2))
+CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-17, 0.2), (1e-300, 0.2))
 
 #: Name of each pinned word, and its length and seed.
 WORDS = {"walked": (5_000, 3), "lanes": (200_000, 4)}
+
+#: Tolerance given to the limit readers.
+TOL = 1e-9
 
 #: Number of evenly spaced entries, first and last included, in a field's float-hex sample.
 SAMPLE = 9
@@ -52,6 +68,19 @@ def _ulps(a: float, b: float) -> int:
 
 def _sample(a: np.ndarray) -> list[str]:
     return [float(v).hex() for v in a[np.linspace(0, len(a) - 1, SAMPLE).astype(np.intp)]]
+
+
+def _positions(n: int) -> tuple[int, ...]:
+    """Positions of a word of n symbols at which the one-shift readers are pinned."""
+    return (0, 1, n // 2, n - 2)
+
+
+def _hex_or_refusal(query) -> str:
+    """query()'s float hex, or the class name of the package error it raised."""
+    try:
+        return float(query()).hex()
+    except NoisyMarkovError as exc:
+        return type(exc).__name__
 
 
 def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str | list[str]]:
@@ -76,6 +105,16 @@ def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str | list
     for name, values in fields.items():
         out[name] = _sha256(values)
         out[f"{name} sample"] = _sample(values)
+    s = y.symbols
+    one_shift = {
+        "conditional_prob": lambda i: conditional_prob(int(s[i]), s[i + 1 :], params),
+        "two_sided_conditional": lambda i: two_sided_conditional(int(s[i]), s[:i], s[i + 1 :], params),
+        "two_sided_limit_conditional":
+            lambda i: two_sided_limit_conditional(int(s[i]), s[:i], s[i + 1 :], TOL, params),
+        "limit_field": lambda i: limit_field(s[i:], TOL, params),
+    }
+    for name, reader in one_shift.items():
+        out[name] = [_hex_or_refusal(lambda: reader(i)) for i in _positions(len(s))]
     return out
 
 
