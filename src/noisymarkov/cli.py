@@ -37,7 +37,7 @@ from .model import ChannelParams, check_count, validate_params
 from .oracle import brute_force_cylinder, code_to_spins
 from .simulate import GENERATOR_NAME, _overwrite, generate_dataset, save_path_csv, save_spins
 from .thermo import g_continued_fraction_detail, g_function, variation_estimate
-from .transfer import cylinder_prob, decay_rate_bound, required_context, scan_burn_in
+from .transfer import cylinder_prob, decay_rate_bound, required_context
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
 
@@ -317,21 +317,19 @@ def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], alg
                       ber=bit_error_rate(xhat, path.x), runtime_s=runtime_s, extra=extra)
         )
 
-    # the certified burn-in L that lets the exact scans run in lanes and caps their rounds; None where they walk
-    burn_in = scan_burn_in(n, params)
     if "bf" in algorithms:
         xhat, elapsed = _timed(lambda: map_denoise(forward_backward(path.y, params)))
-        report("bf", xhat, elapsed, scan_burn_in=burn_in)
+        report("bf", xhat, elapsed)
     if "gibbs" in algorithms:
         (xhat, fitted), elapsed = _timed(gibbs_detail, path.y, params.epsilon)
-        report("gibbs", xhat, elapsed, p_hat=fitted.p, scan_burn_in=scan_burn_in(n, fitted))
+        report("gibbs", xhat, elapsed, p_hat=fitted.p)
     if "dude" in algorithms:
         for k in k_list:
             detail, elapsed = _timed(dude_detail, path.y, params.epsilon, k)
             report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
     if "bfp" in algorithms:
         (xhat, _), elapsed = _timed(bfp_denoise, path.y, params, mode="exact")
-        report("bfp", xhat, elapsed, mode="exact", scan_burn_in=burn_in)
+        report("bfp", xhat, elapsed, mode="exact")
     return reports
 
 

@@ -15,9 +15,8 @@ explicit sandwich constant pair, and 2*g admits the continued fraction
 
 Finite inputs are interpreted through the repeat-last-symbol extension; the
 decay certificate C * rho^L, built once per cell with its ``ChannelParams``
-(see the model module) and also the source of the transfer module's lane-scan
-burn-in, bounds the influence of the unseen tail, so every limit quantity here
-carries a guaranteed error bar. Every query reads that certificate through
+(see the model module), bounds the influence of the unseen tail, so every
+limit quantity here carries a guaranteed error bar. Every query reads that certificate through
 ``decay_rate_bound`` rather than deriving it again.
 """
 

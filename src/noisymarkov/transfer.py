@@ -40,20 +40,22 @@ sequential scan's values: the lanes equal the walk bit for bit. The lanes of
 a word and of its reverse, the two sides of every position, step together in
 place on one small block of factors copied in from the word, and their ratios
 are copied out a tile of lanes at a time. A step of the lane loop makes 5
-numpy calls where r <= 1 and 4 where r > 1, so lanes only pay on long words:
-words shorter than LANE_CUTOVER (b + L), where L is the burn-in that the
-cell's decay certificate (C, rho), derived and documented by the model
-module, gives for 2 C rho^L <= BURN_IN_TOL, and cells whose rho rounds to 1
-(no certificate), are scanned sequentially. L also bounds the rounds, past
-which the word is walked.
+numpy calls where r <= 1 and 4 where r > 1, whatever the number of lanes, so
+lanes pay only where the words scanned together hold LANE_CUTOVER lanes in
+all: 40 960 symbols for a word and its reverse, 81 920 for a word alone. The
+gate reads the length alone, and no decay certificate: a cell without one
+runs in lanes like any other, and the coupling check alone tells whether
+they met. The lanes get 2 rounds, and one more per LANE_ROUND_LANES lanes of
+a word, past which the words are walked; where lanes never meet, that keeps
+the scan under two walks.
 
 The sequential scan is one scalar walk on Python floats over the symbols'
 ``tolist()``; it keeps every ratio only for the scan, and otherwise returns
 the last. A query that needs one shift (a two-sided conditional, a limit
-field) walks to it alone and takes one log: on a word scanned in lanes, two
-walks over the first b + L symbols, from ratios 0 and inf, give the scan's
-value wherever they end equal, as the step is monotone; otherwise the whole
-word is walked. Either way the value is the scan's bit for bit.
+field) walks to it alone and takes one log: on a word long enough for lanes,
+two walks over the b symbols from the shift on, from ratios 0 and inf, give
+the scan's value wherever they end equal, as the step is monotone; otherwise
+the whole word is walked. Either way the value is the scan's bit for bit.
 
 Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 
@@ -63,10 +65,10 @@ Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
 with sigma the logistic function and P(y | x) the channel's emission column;
 the two-sided conditional adds the shifts of both sides. Cylinder
 probabilities are the product of these conditionals, summed as logarithms in
-(-inf, 0]: by ``math.fsum``, correctly rounded, where ``scan_burn_in`` gives no
-burn-in for the word, and otherwise by a cascade of vectorized TwoSum levels
-(``_cascade_sum``), also where the lanes ran out of rounds and the word was
-walked, within u |S| + d n u^2 |S| of the exact sum S of its n logs,
+(-inf, 0]: by ``math.fsum``, correctly rounded, on a word too short for lanes,
+and otherwise by a cascade of vectorized TwoSum levels (``_cascade_sum``),
+also where the lanes ran out of rounds and the word was walked, within
+u |S| + d n u^2 |S| of the exact sum S of its n logs,
 u = 2^-53 and d = ceil(log2 n): one rounding, widened by under 3e-9 of
 itself at n = 10^6. They equal the closed form
 (cJ / lam^L) * 2 cosh(w_m) * exp( sum_{i>m} B(w_i) ) for a word of length L on
@@ -81,7 +83,7 @@ import numbers
 import numpy as np
 
 from .errors import OutOfRangeError
-from .model import ChannelParams, DecayBound, channel_model, check_count, check_tolerance
+from .model import ChannelParams, DecayBound, channel_model, check_tolerance
 from .sequences import FieldTrajectory, _by_spin, _made_fields, as_spin_array, check_spin
 
 __all__ = [
@@ -100,7 +102,6 @@ __all__ = [
     "conditional_prob",
     "two_sided_conditional",
     "two_sided_limit_conditional",
-    "scan_burn_in",
     "DecayBound",
     "decay_rate_bound",
     "required_context",
@@ -112,11 +113,12 @@ LANE_WIDTH = 1024
 #: Steps of the lane loop between two checks for coupling (LANE_WIDTH is a multiple), and lanes per tile of its copies.
 LANE_BLOCK = 128
 
-#: Lanes run on words of at least LANE_CUTOVER (b + L) symbols (exact lanes break even below 20 (b + L)).
-LANE_CUTOVER = 64
+#: Lanes run where the words scanned together hold at least LANE_CUTOVER lanes of b symbols in all
+#: (lanes that meet beat the walk from about 32; from 80, lanes that never meet cost under two walks).
+LANE_CUTOVER = 80
 
-#: Bound on 2 C rho^L that sets the burn-in L, which gates the lanes.
-BURN_IN_TOL = 1e-17
+#: Lanes get 2 rounds, and one more per LANE_ROUND_LANES lanes, before the word is walked instead.
+LANE_ROUND_LANES = 128
 
 
 def check_field(w):
@@ -245,24 +247,10 @@ def _sequential_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: fl
     return np.array(ratios[::-1])
 
 
-def scan_burn_in(n: int, model) -> int | None:
-    """Burn-in L of the cell where a word of n symbols is scanned in lanes, or None where it is walked.
-
-    ``model`` is the cell, as ``decay_rate_bound`` takes it. L is the smallest
-    length with 2 C rho^L <= BURN_IN_TOL for the decay certificate (C, rho) of
-    the cell. L gates the lanes and bounds their rounds, but no longer sets
-    where they start. The sequential loop runs where the word is shorter than
-    LANE_CUTOVER (b + L), with b = max(LANE_WIDTH, L), or where the cell has no
-    certificate because rho rounds to 1.
-    """
-    check_count("n", n)
-    if n < LANE_CUTOVER * (LANE_WIDTH + 1):  # too short for any L: skip the certificate
-        return None
-    try:
-        burn_in = required_context(0.5 * BURN_IN_TOL, model)
-    except OutOfRangeError:
-        return None
-    return burn_in if n >= LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in) else None
+def _lane_rounds(n: int, words: int = 1) -> int:
+    """Rounds the lanes of ``words`` words of n symbols, stepped together, get; 0 where the words are walked."""
+    lanes = n // LANE_WIDTH
+    return 2 + lanes // LANE_ROUND_LANES if words * lanes >= LANE_CUTOVER else 0
 
 
 def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: ChannelParams, rounds: int) -> bool:
@@ -323,22 +311,22 @@ def _scan_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float = 
     position i passes to its left neighbor; entry n is exp(-2 ``shift_init``),
     for the shift of the field beyond the word.
 
-    Where ``scan_burn_in(n, model)`` gives a burn-in L, the word runs in lanes
-    (``_lane_ratios``, in at most 2 + 2L/b rounds) and the reverse's factors
+    Where ``_lane_rounds`` gives rounds, the word runs in lanes
+    (``_lane_ratios``, in at most that many rounds) and the reverse's factors
     are a view of the word's; the sequential walk is the fallback. Either way
     every entry is the walk's.
     """
     words = [symbols, symbols[::-1]] if reverse else [symbols]
     n = len(symbols)
-    burn_in = scan_burn_in(n, model)
-    if burn_in is not None:
+    rounds = _lane_rounds(n, len(words))
+    if rounds:
         head = n - n % LANE_WIDTH
         scans = [np.empty(n + 1) for _ in words]
         for scan, word in zip(scans, words):
             scan[head:] = _sequential_ratios(word[head:], model, shift_init)
         factors = _by_spin(symbols, 1.0 / model.c, model.c)
         sides = [factors, factors[::-1]] if reverse else [factors]
-        if _lane_ratios(sides, scans, model, 2 + 2 * burn_in // LANE_WIDTH):
+        if _lane_ratios(sides, scans, model, rounds):
             return scans
     return [_sequential_ratios(word, model, shift_init) for word in words]
 
@@ -352,14 +340,13 @@ def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 
 def _leading_shift(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0, i: int = 0) -> float:
     """Entry i of ``_scan_shifts(symbols, model, shift_init)``, bit for bit, alone.
 
-    On a word scanned in lanes, two walks over symbols i..b+L-1 from ratios 0
-    and inf give the entry where they end equal (see the module docstring);
-    otherwise the whole word is walked. The one log is numpy's, as on the
-    scan's array, since ``math.log`` rounds differently on some ratios.
+    On a word long enough for lanes, two walks over the b symbols from i on,
+    from ratios 0 and inf, give the entry where they end equal (see the module
+    docstring); otherwise the whole word is walked. The one log is numpy's, as
+    on the scan's array, since ``math.log`` rounds differently on some ratios.
     """
-    burn_in = scan_burn_in(len(symbols), model)
-    if burn_in is not None:
-        low, high = (_walk(symbols[i : LANE_WIDTH + burn_in], model, start) for start in (math.inf, -math.inf))
+    if _lane_rounds(len(symbols)):
+        low, high = (_walk(symbols[i : i + LANE_WIDTH], model, start) for start in (math.inf, -math.inf))
         if low == high:
             return float(_shift_from_ratio(np.float64(low), model))
     return float(_shift_from_ratio(np.float64(_walk(symbols[i:], model, shift_init)), model))
@@ -501,10 +488,8 @@ def log_cylinder_prob(y, model: ChannelParams) -> float:
     With rho the ratio of the shift the right of position i puts on it,
     Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho), formed in
     place with the emission column looked up by symbol. The logs are summed by
-    ``math.fsum`` where ``scan_burn_in`` gives no burn-in for the word (it is
-    too short for lanes, or the cell has no certificate), and by
-    ``_cascade_sum`` otherwise, also where the lanes ran out of rounds and the
-    word was walked.
+    ``math.fsum`` on words too short for lanes, and by ``_cascade_sum`` on the
+    others, also where the lanes ran out of rounds and the word was walked.
     """
     arr = as_spin_array(y)
     eps = model.epsilon
@@ -517,9 +502,7 @@ def log_cylinder_prob(y, model: ChannelParams) -> float:
     logs /= rho
     del ratios, rho
     np.log(logs, out=logs)
-    if scan_burn_in(len(arr), model) is None:
-        return math.fsum(logs.tolist())
-    return _cascade_sum(logs)
+    return _cascade_sum(logs) if _lane_rounds(len(arr)) else math.fsum(logs.tolist())
 
 
 def cylinder_prob(y, model: ChannelParams) -> float:

@@ -1,9 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from noisymarkov.transfer import _scan_shifts, _shift_from_ratio, _walk, field_shift, field_shift_deriv
+from noisymarkov import transfer
+from noisymarkov.transfer import (
+    _lane_ratios,
+    _scan_ratios,
+    _scan_shifts,
+    _shift_from_ratio,
+    _walk,
+    field_shift,
+    field_shift_deriv,
+)
 
 #: The (p, epsilon) grid used by cross-checking properties throughout the suite.
 PARAM_GRID = [(p, e) for p in (0.1, 0.2, 0.3, 0.45) for e in (0.05, 0.2, 0.35, 0.45)]
@@ -18,11 +28,34 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def lane_calls(monkeypatch) -> list[bool]:
+    """Whether the lanes met, one entry per run of the lane loop, while the test runs."""
+    calls = []
+
+    def spy(*args):
+        calls.append(_lane_ratios(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(transfer, "_lane_ratios", spy)
+    return calls
+
+
 def walked_ratios(symbols, model, shift_init: float = 0.0) -> np.ndarray:
     """The ratio exp(-2A) of every position of ``symbols``, from one sequential ``_walk``, in position order."""
     record = []
     _walk(symbols, model, shift_init, record)
     return np.array(record[::-1])
+
+
+def assert_both_sides_walked(y, model, shift_init: float = 0.0) -> None:
+    """Both sides of y, scanned in one loop as neighbour_ratios scans them, with warnings as errors, each equal its own walk."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sides = _scan_ratios(y, model, shift_init, reverse=True)
+    for word, lanes in zip((y, y[::-1]), sides):
+        assert lanes.shape == (len(y) + 1,) and np.all(np.isfinite(lanes))
+        np.testing.assert_array_equal(lanes, walked_ratios(word, model, shift_init))
 
 
 def walked_shifts(symbols, model, shift_init: float = 0.0) -> np.ndarray:

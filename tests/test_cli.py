@@ -7,9 +7,8 @@ import pytest
 
 from noisymarkov import cli
 from noisymarkov.denoise import gibbs_params
-from noisymarkov.model import channel_model, validate_params
+from noisymarkov.model import validate_params
 from noisymarkov.simulate import generate_dataset, load_path_csv, load_spins
-from noisymarkov.transfer import scan_burn_in
 
 
 def read_csv(path):
@@ -169,25 +168,20 @@ class TestBench:
         rec = json.loads((out / "ber.jsonl").read_text().splitlines()[0])
         assert rec["ber"] < 0.2  # better than leaving the 20% channel noise in place
 
-    def test_records_carry_the_scan_burn_in(self, tmp_path):
+    def test_records_carry_the_fitted_p(self, tmp_path):
         grid = tmp_path / "cfg.txt"
         grid.write_text("grid=0.1:0.2\nalgorithms=bf,gibbs,dude,bfp\n")
-        for n in (4000, 80000):
-            out = tmp_path / f"b{n}"
-            assert cli.main(["bench", "--n", str(n), "--seed", "5", "--k", "1",
-                             "--grid-file", str(grid), "--out", str(out)]) == 0
-            records = {r["algorithm"]: r for r in
-                       (json.loads(l) for l in (out / "ber.jsonl").read_text().splitlines())}
-            fitted = gibbs_params(generate_dataset(validate_params(0.1, 0.2), n, 5).y, 0.2)
-            assert records["gibbs"]["extra"]["p_hat"] == fitted.p
-            expected = {"bf": scan_burn_in(n, channel_model(0.1, 0.2)),
-                        "bfp": scan_burn_in(n, channel_model(0.1, 0.2)),
-                        "gibbs": scan_burn_in(n, fitted)}
-            for algorithm, burn_in in expected.items():
-                assert records[algorithm]["extra"]["scan_burn_in"] == burn_in
-            assert "scan_burn_in" not in records["dude_k1"]["extra"]
-            # 4000 symbols are scanned sequentially, 80000 in lanes
-            assert (expected["bf"] is None) == (n == 4000)
+        n = 4000
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--n", str(n), "--seed", "5", "--k", "1",
+                         "--grid-file", str(grid), "--out", str(out)]) == 0
+        records = {r["algorithm"]: r for r in
+                   (json.loads(l) for l in (out / "ber.jsonl").read_text().splitlines())}
+        fitted = gibbs_params(generate_dataset(validate_params(0.1, 0.2), n, 5).y, 0.2)
+        assert records["gibbs"]["extra"] == {"p_hat": fitted.p}
+        assert records["bf"]["extra"] == {}
+        assert records["bfp"]["extra"] == {"mode": "exact"}
+        assert records["dude_k1"]["extra"].keys() == {"k", "n_clamped"}
 
     def test_nonpositive_k_is_config_error(self, tmp_path, capsys):
         assert cli.main(["bench", "--n", "100", "--k", "0", "--out", str(tmp_path / "b")]) == 2

@@ -29,23 +29,21 @@ from noisymarkov.oracle import brute_force_cylinder
 from noisymarkov.thermo import bowen_gibbs_certificate, g_function
 from noisymarkov.transfer import (
     _fixed_point_shift,
-    _scan_shifts,
     backward_fields,
     cylinder_prob,
     decay_rate_bound,
     forward_fields,
     log_cylinder_prob,
     required_context,
-    scan_burn_in,
     two_sided_conditional,
 )
 
-from conftest import alpha_beta_posteriors, walked_shifts
+from conftest import alpha_beta_posteriors, assert_both_sides_walked
 
 #: Below this the oracle's own terms go subnormal and lose their relative accuracy.
 ORACLE_FLOOR = 1e-290
 
-#: Long enough to be scanned in lanes at every cell below that has a decay certificate.
+#: Long enough for a word and its reverse to be scanned in lanes together.
 LANE_WORD = 70_000
 
 #: Tolerance of the thermo queries; g is asked for on windows of up to G_WINDOW symbols.
@@ -114,29 +112,22 @@ def test_tiny_couplings_stay_finite(rng):
 
 
 @pytest.mark.parametrize("p, eps", [(0.1, 1e-308), (0.45, 1e-300)])
-def test_lane_scan_where_factors_overflow(p, eps, rng):
-    # a certificate exists, but the channel factors eps/(1-eps) and its inverse
-    # underflow and overflow in a product with the ratio
+def test_lane_scan_where_factors_overflow(p, eps, rng, lane_calls):
+    # the channel factors eps/(1-eps) and its inverse underflow and overflow in a product with the ratio
     model = channel_model(p, eps)
     y = rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD)
-    assert scan_burn_in(len(y), model) is not None
     for init in (0.0, _fixed_point_shift(int(y[-1]), model)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lanes = _scan_shifts(y, model, init)
-        assert np.all(np.isfinite(lanes))
-        np.testing.assert_array_equal(lanes, walked_shifts(y, model, init))
+        assert_both_sides_walked(y, model, init)
+    assert lane_calls == [True, True]
 
 
 @pytest.mark.parametrize(
     "p, eps, n", [(0.1, 1e-308, LANE_WORD), (0.45, 1e-300, LANE_WORD), (1e-300, 1e-300, 3), (1e-300, 1e-300, 200)]
 )
-def test_ratio_readers_stay_in_range(p, eps, n, rng):
+def test_ratio_readers_stay_in_range(p, eps, n, rng, lane_calls):
     # c^{y_i} rho_l rho_r leaves the double range here; the readers must round it, not warn or give NaN
     params = validate_params(p, eps)
     words = [rng.choice(np.array([-1, 1], dtype=np.int8), size=n), np.ones(n, dtype=np.int8)]
-    if n == LANE_WORD:
-        assert scan_burn_in(n, params) is not None
     for y in words:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -147,17 +138,15 @@ def test_ratio_readers_stay_in_range(p, eps, n, rng):
             assert np.all((q >= 0.0) & (q <= 1.0))  # false for NaN
         assert math.isfinite(log_q) and log_q <= 0.0
         assert np.isin(xhat.symbols, (-1, 1)).all()
+    assert len(lane_calls) == (4 if n == LANE_WORD else 0)  # forward_backward and exact BFP, on both words
 
 
 @pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300), (1.0 - 1e-12, 0.2)])
-def test_lane_scan_falls_back_without_certificate(p, eps, rng):
+def test_lane_scan_falls_back_without_certificate(p, eps, rng, lane_calls):
+    # without a certificate the lanes run all the same; where they do not meet, the word is walked
     model = channel_model(p, eps)
-    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert scan_burn_in(len(y), model) is None
-        shifts = _scan_shifts(y, model)
-    np.testing.assert_array_equal(shifts, walked_shifts(y, model, 0.0))
+    assert_both_sides_walked(rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD), model)
+    assert len(lane_calls) == 1
 
 
 def _outcome(query):

@@ -226,8 +226,6 @@ BAD_COUNT_CALLS = {
         lambda: transfer.two_sided_conditional(np.array([1, 1]), _WORD, _WORD, CELL),
     "emission_inverse-nan-epsilon": lambda: emission_inverse(math.nan),
     "emission_column-str-epsilon": lambda: emission_column("0.1", 1),
-    "scan_burn_in-str-n": lambda: transfer.scan_burn_in("5", CELL),
-    "scan_burn_in-None-n": lambda: transfer.scan_burn_in(None, CELL),
 }
 
 #: The field maps, each given a field argument that is neither a real scalar nor a float array.

@@ -18,9 +18,9 @@ from noisymarkov.transfer import (
     LANE_CUTOVER,
     LANE_WIDTH,
     _cascade_sum,
+    _lane_rounds,
     log_cylinder_prob,
     neighbour_ratios,
-    scan_burn_in,
 )
 
 from conftest import (
@@ -57,12 +57,10 @@ def ulps(a, b) -> int:
 
 @pytest.fixture(params=DRIFT_CELLS, ids=lambda cell: f"p={cell[0]},eps={cell[1]}")
 def lane_word(request, rng):
-    """A cell and a word past its lane cut-over by a length that is no multiple of b."""
+    """A cell and a word past the lane cut-over of one side by a length that is no multiple of b."""
     params = validate_params(*request.param)
-    burn_in = scan_burn_in(10**6, params)
-    cut = LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in)
-    y = random_word(rng, cut + 3 * LANE_WIDTH + 777)
-    assert scan_burn_in(len(y), params) is not None
+    y = random_word(rng, LANE_CUTOVER * LANE_WIDTH + 3 * LANE_WIDTH + 777)
+    assert _lane_rounds(len(y))
     return params, y
 
 

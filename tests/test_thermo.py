@@ -114,7 +114,7 @@ class TestDecayRateBound:
         monkeypatch.setattr(transfer, "channel_model", refuse)
         context = required_context(1e-9, model)
         assert context >= 1
-        assert transfer.scan_burn_in(10**6, model) is not None
+        assert transfer.decay_rate_bound(model) is model.decay
         assert 0.0 < g_function(np.ones(context + 1, dtype=np.int8), 1e-9, model) < 1.0
         assert 0.0 < bowen_gibbs_certificate(model).C_lower
 

@@ -18,13 +18,12 @@ from noisymarkov.sequences import FieldTrajectory, SpinSequence, as_spin_array
 from noisymarkov.simulate import generate_dataset
 from noisymarkov.thermo import decay_rate_bound
 from noisymarkov.transfer import (
-    BURN_IN_TOL,
     LANE_CUTOVER,
     LANE_WIDTH,
     _extended_field,
     _fixed_point_shift,
+    _lane_rounds,
     _leading_shift,
-    _scan_ratios,
     _scan_shifts,
     _sequential_ratios,
     _walk,
@@ -40,12 +39,19 @@ from noisymarkov.transfer import (
     log_cylinder_prob,
     log_partition_term,
     log_partition_term_deriv,
-    scan_burn_in,
+    neighbour_ratios,
+    required_context,
     two_sided_conditional,
     two_sided_limit_conditional,
 )
 
-from conftest import PARAM_GRID, alpha_beta_posteriors, random_word, walked_ratios, walked_shifts
+from conftest import (
+    PARAM_GRID,
+    alpha_beta_posteriors,
+    assert_both_sides_walked,
+    random_word,
+    walked_shifts,
+)
 
 M_REF = channel_model(0.2, 0.1)
 P_REF = validate_params(0.2, 0.1)
@@ -278,75 +284,123 @@ LANE_CELLS = [(0.05, 0.2), (0.1, 0.2), (0.15, 0.2), (0.2, 0.2), (0.02, 0.3), (0.
 #: burn-in away from their first entry differed from the walk by an ulp at 1 to 3 entries.
 LANE_MISS_WORDS = [(0.7, 72_201, 2), (0.3, 72_201, 10), (0.45, 200_000, 0)]
 
+#: Cells whose generated words couple in lanes of 45 000 and 66 000 symbols, below the
+#: cut-over of 64 (b + L) symbols that a certified burn-in L once set, or where no
+#: certificate exists at all (1e-17, 0.2).
+SHORT_LANE_CELLS = [(0.1, 0.45), (0.45, 0.45), (0.7, 0.45), (1e-17, 0.2)]
+
+
+def lane_cut(words: int = 1) -> int:
+    """The shortest length at which ``words`` words scanned together run in lanes."""
+    return -(-LANE_CUTOVER // words) * LANE_WIDTH
+
 
 class TestLaneScan:
-    @staticmethod
-    def lane_cut(model):
-        """Burn-in L of long words at the cell, and the shortest word length scanned in lanes."""
-        burn_in = scan_burn_in(10**6, model)
-        return burn_in, LANE_CUTOVER * (max(LANE_WIDTH, burn_in) + burn_in)
-
     @pytest.mark.parametrize("p, eps", LANE_CELLS)
     def test_burn_in_is_the_smallest_certified_length(self, p, eps):
+        # the certificate gives the burn-in of the limit readers; the lane gate reads the length alone
         model = channel_model(p, eps)
         bound = decay_rate_bound(model)
-        burn_in, cut = self.lane_cut(model)
-        assert 2 * bound.C * bound.rho**burn_in <= BURN_IN_TOL < 2 * bound.C * bound.rho ** (burn_in - 1)
-        assert scan_burn_in(cut - 1, model) is None
-        assert scan_burn_in(cut, model) == burn_in
+        burn_in = required_context(1e-17, model)
+        assert bound.C * bound.rho**burn_in < 1e-17 <= bound.C * bound.rho ** (burn_in - 1)
+        for words in (1, 2):
+            assert _lane_rounds(lane_cut(words) - 1, words) == 0
+            assert _lane_rounds(lane_cut(words), words) == 2
+        assert _lane_rounds(10**6, 2) == 2 + (10**6 // LANE_WIDTH) // transfer.LANE_ROUND_LANES
 
     @pytest.mark.parametrize("p, eps", LANE_CELLS)
     @pytest.mark.parametrize("start", ["zero", "fixed_point"])
-    def test_lanes_match_the_sequential_scan(self, p, eps, start, rng):
+    def test_lanes_match_the_sequential_scan(self, p, eps, start, rng, lane_calls):
         model = channel_model(p, eps)
-        _, cut = self.lane_cut(model)
-        # below the cut-over, at it, and past it by a length that is no multiple of b
-        for n in (cut - 1, cut, cut + 3 * LANE_WIDTH + 777):
+        # below the cut-over of both sides, at it, past it by a length that is no multiple of b,
+        # and past the cut-over of one side alone
+        for n in (lane_cut(2) - 1, lane_cut(2), lane_cut(2) + 3 * LANE_WIDTH + 777, lane_cut(1) + 777):
             y = random_word(rng, n)
             init = 0.0 if start == "zero" else _fixed_point_shift(int(y[-1]), model)
-            # both sides in one loop, as neighbour_ratios scans them: each equals its own walk
-            for word, lanes in zip((y, y[::-1]), _scan_ratios(y, model, init, reverse=True)):
-                assert lanes.shape == (n + 1,)
-                np.testing.assert_array_equal(lanes, walked_ratios(word, model, init))
+            lane_calls.clear()
+            assert_both_sides_walked(y, model, init)
+            assert lane_calls == ([True] if n >= lane_cut(2) else [])
+            lane_calls.clear()
             np.testing.assert_array_equal(_scan_shifts(y, model, init), walked_shifts(y, model, init))
+            assert lane_calls == ([True] if n >= lane_cut(1) else [])
+
+    @pytest.mark.parametrize("p, eps", SHORT_LANE_CELLS)
+    @pytest.mark.parametrize("n", [45_000, 66_000])
+    def test_lanes_below_the_certified_cut_over(self, p, eps, n, lane_calls):
+        params = validate_params(p, eps)
+        assert_both_sides_walked(generate_dataset(params, n, 1).y.symbols, params)
+        assert lane_calls == [True]
+
+    def test_lanes_that_never_meet_fall_back_to_the_walk(self, lane_calls):
+        # at rho = 1 - 4e-14 the lanes of a generated word do not meet in their rounds
+        params = validate_params(1e-10, 0.49)
+        assert_both_sides_walked(generate_dataset(params, 41_000, 1).y.symbols, params)
+        assert lane_calls == [False]
 
     @pytest.mark.parametrize("p, n, seed", LANE_MISS_WORDS)
-    def test_lanes_match_the_sequential_scan_at_high_noise(self, p, n, seed):
+    def test_lanes_match_the_sequential_scan_at_high_noise(self, p, n, seed, lane_calls):
         params = validate_params(p, 0.45)
-        y = generate_dataset(params, n, seed).y.symbols
-        assert scan_burn_in(n, params) is not None
-        for word, lanes in zip((y, y[::-1]), _scan_ratios(y, params, reverse=True)):
-            np.testing.assert_array_equal(lanes, walked_ratios(word, params))
+        assert_both_sides_walked(generate_dataset(params, n, seed).y.symbols, params)
+        assert lane_calls == [True]
 
-    def test_narrow_lanes_meet_after_rounds(self, rng, monkeypatch):
+    def test_narrow_lanes_meet_after_rounds(self, rng, monkeypatch, lane_calls):
         # lanes of 16 symbols at a cell whose lanes meet after about 250 steps take many rounds
         monkeypatch.setattr(transfer, "LANE_WIDTH", 16)
+        monkeypatch.setattr(transfer, "LANE_ROUND_LANES", 8)
         model = channel_model(0.02, 0.3)
-        y = random_word(rng, self.lane_cut(model)[1] + 777)
-        assert scan_burn_in(len(y), model) is not None
+        y = random_word(rng, 20_777)
         walked = []
         monkeypatch.setattr(transfer, "_sequential_ratios", lambda symbols, *args: walked.append(len(symbols))
                             or _sequential_ratios(symbols, *args))
-        for word, lanes in zip((y, y[::-1]), _scan_ratios(y, model, reverse=True)):
-            np.testing.assert_array_equal(lanes, walked_ratios(word, model))
+        assert_both_sides_walked(y, model)
+        assert lane_calls == [True]
         assert max(walked) < 16  # the tails alone: the lanes did not fall back to the walk
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
-    def test_forward_fields_mirror_backward_fields(self, p, eps, rng):
+    def test_forward_fields_mirror_backward_fields(self, p, eps, rng, lane_calls):
         # numpy's log rounds some ratios differently on a reversed view: every log is taken contiguous
         model = channel_model(p, eps)
-        y = random_word(rng, self.lane_cut(model)[1] + 777)
+        y = random_word(rng, lane_cut() + 777)
         mirrored = backward_fields(y[::-1], model).values[::-1]
         np.testing.assert_array_equal(forward_fields(y, model).values, mirrored)
+        assert lane_calls == [True, True]
 
-    def test_forward_backward_on_lanes_matches_alpha_beta(self, rng):
+    def test_forward_backward_on_lanes_matches_alpha_beta(self, rng, lane_calls):
         p, eps = 0.1, 0.2
         y = random_word(rng, 80_000)
-        assert scan_burn_in(len(y), channel_model(p, eps)) is not None
         post = forward_backward(y, validate_params(p, eps))
+        assert lane_calls == [True]
         oracle_minus, oracle_plus = alpha_beta_posteriors(y, p, eps)
         np.testing.assert_allclose(post.q_minus, oracle_minus, rtol=0, atol=1e-10)
         np.testing.assert_allclose(post.q_plus, oracle_plus, rtol=0, atol=1e-10)
+
+
+def test_the_scan_reads_no_certificate(rng, monkeypatch, lane_calls):
+    # the lanes are exact by coupling alone: their gate, their rounds and the sum of log Q read the length
+    model = channel_model(0.1, 0.2)
+    y = random_word(rng, 2 * lane_cut() + 777)
+    half = len(y) // 2
+    queries = {
+        "neighbour_ratios": lambda: neighbour_ratios(y, model),
+        "backward_fields": lambda: backward_fields(y, model).values,
+        "log_cylinder_prob": lambda: log_cylinder_prob(y, model),
+        "extended_fields": lambda: extended_fields(y, model),
+        "conditional_prob": lambda: conditional_prob(int(y[0]), y[1:], model),
+        "two_sided_conditional": lambda: two_sided_conditional(int(y[half]), y[:half], y[half + 1 :], model),
+        "two_sided_limit_conditional":
+            lambda: two_sided_limit_conditional(int(y[half]), y[:half], y[half + 1 :], 1e-9, model),
+    }
+    before = {name: query() for name, query in queries.items()}
+
+    def refuse(*args):
+        raise AssertionError("the scan read the decay certificate")
+
+    monkeypatch.setattr(transfer, "required_context", refuse)
+    monkeypatch.setattr(transfer, "decay_rate_bound", refuse)
+    lane_calls.clear()
+    for name, query in queries.items():
+        np.testing.assert_array_equal(query(), before[name], err_msg=name)
+    assert lane_calls == [True] * 4  # the four whole-word scans ran in lanes
 
 
 class TestLeadingShift:
@@ -369,11 +423,8 @@ class TestLeadingShift:
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (0.45, 1e-300)])
     def test_lane_length_words(self, p, eps, rng):
         model = channel_model(p, eps)
-        _, cut = TestLaneScan.lane_cut(model)
-        for n in (cut, cut + LANE_WIDTH + 5):
-            y = random_word(rng, n)
-            assert scan_burn_in(n, model) is not None
-            self.assert_leading(y, model)
+        for n in (lane_cut(), lane_cut() + LANE_WIDTH + 5):
+            self.assert_leading(random_word(rng, n), model)
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
     def test_many_short_words(self, p, eps, rng):
@@ -387,10 +438,8 @@ class TestLeadingShift:
     @pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300)])
     def test_cells_without_certificate(self, p, eps, rng):
         model = channel_model(p, eps)
-        for n in (3, 64, 70_000):
-            y = random_word(rng, n)
-            assert scan_burn_in(n, model) is None
-            self.assert_leading(y, model)
+        for n in (3, 64, lane_cut() + 777):
+            self.assert_leading(random_word(rng, n), model)
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (1e-17, 0.2), (1e-300, 1e-300)])
     @pytest.mark.parametrize("n", [0, 1, 2])

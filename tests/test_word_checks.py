@@ -24,7 +24,6 @@ from noisymarkov import denoise, oracle, sequences, simulate, thermo, transfer
 from noisymarkov.errors import MalformedDataError
 from noisymarkov.model import validate_params
 from noisymarkov.sequences import SpinSequence
-from noisymarkov.transfer import scan_burn_in
 
 M = validate_params(0.1, 0.2)
 WORD = simulate.generate_dataset(M, 64, 3).y.symbols
@@ -157,7 +156,7 @@ def test_spin_sequence_takes_a_spin_sequence_as_it_is(scans):
     assert scans[0] == 1
 
 
-#: A word long enough to be scanned in lanes at M, and one short enough for the sequential walk.
+#: A word long enough for its two sides to be scanned in lanes, and one short enough for the sequential walk.
 LENGTHS = {"short": 40, "lanes": 80_000}
 
 
@@ -184,7 +183,7 @@ def _made_words(n: int, directory) -> dict[str, SpinSequence]:
 @pytest.mark.parametrize("length", sorted(LENGTHS))
 def test_made_words_are_read_only_int8_spins(length, tmp_path):
     n = LENGTHS[length]
-    assert (scan_burn_in(n, M) is None) == (length == "short")
+    assert bool(transfer._lane_rounds(n, 2)) == (length == "lanes")
     for name, word in _made_words(n, tmp_path).items():
         symbols = word.symbols
         assert isinstance(word, SpinSequence), name
