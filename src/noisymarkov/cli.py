@@ -194,7 +194,7 @@ def cmd_probs(cfg: Settings) -> int:
         word = code_to_spins(code, length)
         q_transfer = cylinder_prob(word, params)
         q_brute = brute_force_cylinder(word, params)
-        rel_err = abs(q_transfer - q_brute) / q_brute
+        rel_err = abs(q_transfer - q_brute) / q_brute if q_brute else np.inf  # an underflowed oracle fails the check
         max_rel_err = max(max_rel_err, rel_err)
         total += q_transfer
         rows.append((_spins_to_text(word), _fmt(q_transfer), _fmt(q_brute), _fmt(rel_err)))

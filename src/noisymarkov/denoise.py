@@ -5,7 +5,7 @@ Four reconstruction rules are provided:
 * ``forward_backward`` + ``map_denoise``: exact per-position MAP with known
   (p, eps), from the two neighbour ratios rho = exp(-2A) of the transfer
   recursion, without leaving ratio form.
-* ``dude``: the channel-inverting context-count denoiser; only eps is known.
+* ``dude``: the context-count denoiser, decided from two counts; only eps is known.
 * ``bfp_denoise``: the backward-forward product surrogate for the two-sided
   conditional, in an exact (field-based) and an empirical (context-count) mode.
 * ``gibbs_denoise``: a documented surrogate for two-sided Gibbs modeling:
@@ -19,10 +19,10 @@ and 1 for +1; its inverse exists iff eps != 1/2 and equals
     P[X_n = . | all observations] propto pi_{y_n} (.) Pi^{-1} q2
 
 maps any (estimated or exact) two-sided output conditional q2 to a posterior
-over the hidden symbol. DUDE, empirical BFP and ``posterior_from_two_sided``
-all apply it through ``_channel_weights``, elementwise and without BLAS, so
-their decisions do not depend on the host; exact BFP applies it in closed
-form on the two neighbour ratios.
+over the hidden symbol. Empirical BFP and ``posterior_from_two_sided`` apply
+it through ``_channel_weights``, elementwise and without BLAS, so their
+decisions do not depend on the host; DUDE and exact BFP apply it in closed
+form, on a context's two counts and on the two neighbour ratios.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -196,7 +197,7 @@ def _channel_weights(
     ``y`` holds the observed symbols. Returns v = pi_{y_i} (.) max(Pi^{-1} q2, 0)
     as (v_minus, v_plus), with pi_y = (P(y | -1), P(y | +1)) looked up by
     symbol, whose normalization is the posterior of X_i and whose
-    argmax, ``_decide``, is the decision of DUDE and empirical BFP; and the
+    argmax, ``_decide``, is the decision of empirical BFP; and the
     mask of the entries with a component of Pi^{-1} q2 below
     NEGATIVE_FLAG_THRESHOLD before the clamp, as empirical estimates need not
     lie in the image of the channel. Pi^{-1} q2 is written out with the two
@@ -352,19 +353,23 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     """Two-pass context-count denoiser with diagnostics.
 
     Pass one codes the (2k+1)-window of every interior position once, its
-    pair code: left context low, centre at bit k, right context high. The
-    pairs are counted with one bincount (see
-    _centre_counts for the direct-address table and its sort cut-over). The
-    decision at a position depends only on its pair, so pass two runs once per
-    pair code that occurs: it estimates the two-sided conditional
-    q2 = m / (m(c, -1) + m(c, +1)) of the pair's context, inverts the channel
-    with _channel_weights against the pair's centre and decides; each position
-    then reads its decision off an int8 table at its pair code. ``n_clamped``
-    counts the positions whose pair was flagged. Interior contexts always
-    contain the position itself, so every count total is >= 1 and no
-    smoothing is needed. The first and last k positions are passed through
-    unchanged. ``q2`` is left to the result, which builds it when read.
-    k is at most MAX_CONTEXT_LENGTH = 28, or OutOfRangeError is raised.
+    pair code: left context low, centre at bit k, right context high, and
+    counts the pairs with one bincount (see _centre_counts for the
+    direct-address table and its sort cut-over). Pass two decides once per
+    pair code that occurs, from its two counts. With y the centre, e =
+    m(c, y) - m(c, -y) and T = m(c, -1) + m(c, +1), the channel inversion of
+    q2 = m / T, clamped at zero and weighted by pi_y, keeps y iff
+    (1 - 2 eps)(e + (1 - 2 eps)^2 T) > 0, and gives +1 where that is 0 (the
+    BSC rule of Weissman et al. 2005; the clamp never changes the sign). The
+    sign is read in floats, and again in exact arithmetic on the binary eps
+    where it lies within their error bound, so every decision is exact; each
+    position then reads its decision off an int8 table at its pair code.
+    ``n_clamped`` counts the positions whose pair has an entry of Pi^{-1} q2
+    below NEGATIVE_FLAG_THRESHOLD = t, which is |e| > (1 - 2t) |1 - 2 eps| T.
+    Every total T is >= 1, as an interior context contains the position
+    itself. The first and last k positions are passed through unchanged.
+    ``q2`` is left to the result, which builds it when read. k is at most
+    MAX_CONTEXT_LENGTH = 28, or OutOfRangeError is raised.
     """
     epsilon = _check_crossover(epsilon)
     arr = as_spin_array(y)
@@ -373,20 +378,20 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     pairs, table, bit = _centre_counts(_window_codes(arr == 1, 2 * k + 1), 2 * k + 1, k)
     size = len(table)
     occurring = np.flatnonzero(table != 0)  # a bool mask takes numpy's fast nonzero path
-    counts = table[occurring]
-    rows = _centre_conditionals(occurring, table, bit)
-    # the table, rows and weights are freed before the decision table is built
-    del table
-    v_minus, v_plus, flagged = _channel_weights(
-        rows[:, 0], rows[:, 1], 2 * ((occurring >> bit) & 1) - 1, epsilon
-    )
-    del rows
-    n_clamped = int(counts[flagged].sum())
-    decisions = _decide(v_minus, v_plus)
-    del v_minus, v_plus, counts, flagged
-    # entries of codes that do not occur are never read
-    decided = np.empty(size, dtype=SPIN_DTYPE)
-    decided[occurring] = decisions
+    same = table[occurring]  # m(c, y), y the pair's centre
+    excess = same - table[occurring ^ (1 << bit)]  # e = m(c, y) - m(c, -y)
+    del table  # freed before the decision table is built
+    total, contrast = 2 * same - excess, 1.0 - 2.0 * epsilon
+    n_clamped = int(same[np.abs(excess) > (1.0 - 2.0 * NEGATIVE_FLAG_THRESHOLD) * abs(contrast) * total].sum())
+    spread = total * (contrast * contrast)
+    lean = spread + excess  # e + (1 - 2 eps)^2 T, whose sign is exact where |lean| > 2^-50 spread
+    square = (1 - 2 * Fraction(epsilon)) ** 2
+    for i in np.flatnonzero(np.abs(lean) <= 2.0**-50 * spread):
+        exact = int(excess[i]) + square * int(total[i])
+        lean[i] = (exact > 0) - (exact < 0)
+    lean *= np.where((occurring >> bit) & 1, contrast, -contrast)  # the sign of v(+1) - v(-1)
+    decided = np.empty(size, dtype=SPIN_DTYPE)  # entries of codes that do not occur are never read
+    decided[occurring] = _decide(0.0, lean)
     xhat = arr.copy()
     xhat[k : n - k] = decided.take(pairs)
     return DudeResult(xhat=_made_word(xhat), k=k, n_clamped=n_clamped, y=arr)

@@ -1,12 +1,14 @@
 import json
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from noisymarkov import cli
 from noisymarkov.denoise import gibbs_params
+from noisymarkov.errors import DivisionNearZeroError, InsufficientContextError
 from noisymarkov.model import validate_params
 from noisymarkov.simulate import generate_dataset, load_path_csv, load_spins
 
@@ -68,6 +70,32 @@ class TestProbs:
         assert code == 3
 
 
+    def test_underflowed_oracle_fails_the_check(self, tmp_path, capsys):
+        # at p = eps = 1e-200 the oracle rounds some words' probability to 0.0;
+        # their relative error is recorded as infinite and the check fails
+        out = tmp_path / "probs.csv"
+        code = cli.main(["probs", "--p", "1e-200", "--eps", "1e-200", "--n", "4", "--out", str(out)])
+        assert code == 3
+        assert "numerical check FAILED" in capsys.readouterr().err
+        meta, header, rows = read_csv(out)
+        assert meta["max_rel_err"] == "inf"
+        assert [r[header.index("rel_err")] for r in rows if r[header.index("q_bruteforce")] == "0"] == ["inf"] * 4
+
+    def test_enumeration_past_the_cap_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["probs", "--p", "0.2", "--eps", "0.1", "--n", "13", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "1..12" in capsys.readouterr().err
+
+    def test_package_error_of_a_command_exits_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(y, m):
+            raise DivisionNearZeroError("refused")
+
+        monkeypatch.setattr(cli, "cylinder_prob", refuse)
+        code = cli.main(["probs", "--p", "0.2", "--eps", "0.1", "--n", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "numerical failure: refused" in capsys.readouterr().err
+
+
 class TestDecay:
     def test_small_grid(self, tmp_path):
         grid_file = tmp_path / "cfg.txt"
@@ -91,6 +119,22 @@ class TestDecay:
         _, header, rows = read_csv(out)
         assert float(rows[0][header.index("rho")]) == 0.0
         assert float(rows[0][header.index("empirical_rate")]) == 0.0
+
+    def test_rate_over_the_bound_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_empirical_variation_rate", lambda params, samples, seed: (1.0, 2))
+        out = tmp_path / "decay.csv"
+        assert cli.main(["decay", "--p", "0.2", "--eps", "0.05", "--out", str(out)]) == 3
+        assert "exceeded the certified bound" in capsys.readouterr().err
+        _, header, rows = read_csv(out)
+        assert rows[0][header.index("ok")] == "false"
+
+    def test_fit_without_two_positive_variations(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "variation_estimate", lambda n, samples, params, seed: 0.0)
+        out = tmp_path / "decay.csv"
+        assert cli.main(["decay", "--p", "0.2", "--eps", "0.05", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert float(rows[0][header.index("empirical_rate")]) == 0.0
+        assert int(rows[0][header.index("fit_n_hi")]) >= 2
 
     def test_default_grid_every_row_ok(self, tmp_path):
         # the full 16-cell grid: empirical rate below the certified bound everywhere
@@ -120,6 +164,27 @@ class TestGfun:
     def test_nonpositive_tol_or_depth_is_config_error(self, tmp_path, flag, value):
         assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", flag, value,
                          "--out", str(tmp_path / "gfun.csv")]) == 2
+
+    def test_near_zero_denominator_is_a_flagged_row(self, tmp_path, monkeypatch):
+        def refuse(win, depth, params):
+            raise DivisionNearZeroError("denominator near zero")
+
+        monkeypatch.setattr(cli, "g_continued_fraction_detail", refuse)
+        out = tmp_path / "gfun.csv"
+        assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        assert meta["flagged"] == "3"
+        assert [r[-1] for r in rows] == ["division_near_zero"] * 3
+        assert all(r[2:5] == ["nan"] * 3 for r in rows)
+
+    def test_disagreement_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        detail = cli.g_continued_fraction_detail
+        monkeypatch.setattr(cli, "g_continued_fraction_detail",
+                            lambda win, depth, params: SimpleNamespace(value=detail(win, depth, params).value + 1e-6,
+                                                                       min_denominator=1.0))
+        out = tmp_path / "gfun.csv"
+        assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", "--out", str(out)]) == 3
+        assert "cross-validation FAILED" in capsys.readouterr().err
 
     def test_flat_channel_columns(self, tmp_path):
         out = tmp_path / "gfun.csv"
@@ -200,6 +265,29 @@ class TestBench:
                          "--out", str(tmp_path / "b")]) == 2
 
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "3"], "n >= 4"),
+        (["--n", "11", "--k", "5"], "needs n >= 12"),
+    ], ids=["n", "n-for-k"])
+    def test_too_short_is_config_error(self, tmp_path, capsys, args, message):
+        assert cli.main(["bench", *args, "--out", str(tmp_path / "b")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_cell_that_raises_is_an_error_record(self, tmp_path, capsys, monkeypatch):
+        def refuse(y, epsilon, k):
+            raise InsufficientContextError("no context")
+
+        monkeypatch.setattr(cli, "dude_detail", refuse)
+        grid = tmp_path / "cfg.txt"
+        grid.write_text("grid=0.1:0.2\n")
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--n", "2000", "--seed", "0,1", "--k", "1", "--grid-file", str(grid),
+                         "--out", str(out)]) == 3
+        assert "2 cell(s) failed" in capsys.readouterr().err
+        records = [json.loads(line) for line in (out / "ber.jsonl").read_text().splitlines()]
+        assert [(r["seed"], r["error"]) for r in records] == [(0, "no context"), (1, "no context")]
+
+
 class TestSimulate:
     def test_packed_output(self, tmp_path):
         out = tmp_path / "path.bin"
@@ -246,6 +334,32 @@ class TestConfigFile:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["probs", "--grid-file", str(tmp_path / "nope.txt")]) == 2
+
+    def test_blank_and_comment_lines(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# a run of probs\n\np=0.2  # source\n   \neps=0.1\n")
+        assert cli.load_config(cfg) == {"p": "0.2", "eps": "0.1"}
+        assert cli.main(["probs", "--n", "1", "--grid-file", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("probs", "p=abc", "is not a number"),
+        ("probs", "n=2.5", "is not an integer"),
+        ("bench", "seed=a,b", "is not a list of integers"),
+        ("bench", "seed=,", "must be a nonempty list"),
+        ("decay", "grid=0.1-0.2", "bad grid cell"),
+        ("decay", "grid=", "must be nonempty"),
+    ], ids=["number", "integer", "list", "empty-list", "grid-cell", "empty-grid"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"p=0.2\neps=0.1\n{line}\n")
+        assert cli.main([command, "--grid-file", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_required_values_without_default(self):
+        cfg = cli.Settings(cli.build_parser().parse_args(["bench"]))
+        for get in (cfg.get_float, cfg.get_int, cfg.get_int_list):
+            with pytest.raises(cli.ConfigError, match="missing required parameter: depth"):
+                get("depth")
 
     @pytest.mark.parametrize("command", ["simulate", "bench", "gfun"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, command):

@@ -47,6 +47,10 @@ from noisymarkov.transfer import neighbour_ratios, two_sided_conditional
 
 import noisymarkov.denoise as denoise_module
 from conftest import alpha_beta_posteriors, matrix_route_posteriors, random_word
+from test_denoise_digests import CELL as DIGEST_CELL
+from test_denoise_digests import DUDE_EPSILONS as DIGEST_EPSILONS
+from test_denoise_digests import DUDE_KS as DIGEST_KS
+from test_denoise_digests import WORDS as DIGEST_WORDS
 
 P_REF = validate_params(0.2, 0.1)
 M_REF = channel_model(0.2, 0.1)
@@ -141,6 +145,11 @@ class TestPosteriorFromTwoSided:
             posterior_from_two_sided(np.array([0.9, 0.9]), 1, P_REF)
         with pytest.raises(ValueError):
             posterior_from_two_sided(np.array([-0.2, 1.2]), 1, P_REF)
+
+    @pytest.mark.parametrize("q2", [[0.5, 0.25, 0.25], [[0.5, 0.5]], 1.0], ids=["three", "row", "scalar"])
+    def test_rejects_a_wrong_shape(self, q2):
+        with pytest.raises(OutOfRangeError, match=r"shape \(2,\)"):
+            posterior_from_two_sided(q2, 1, P_REF)
 
     @pytest.mark.parametrize("q2", [[math.nan, 1.0], [1.0, math.nan]], ids=["minus", "plus"])
     def test_rejects_non_finite(self, q2):
@@ -309,6 +318,32 @@ class TestDude:
             assert np.array_equal((pv_plus >= pv_minus)[decided], exact[decided])
             post, _ = matrix_route_posteriors(q2, y, eps)
             assert np.array_equal((post[:, 1] >= post[:, 0])[decided], exact[decided])
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.1, 0.2, 0.25, 0.3, 0.45, 0.7, 0.75, 1.0 - 1e-9])
+    def test_every_decision_is_exact(self, eps, monkeypatch):
+        # no near-tie is left out: every (m(c, -1), m(c, +1), y) that occurs on
+        # the pinned words of test_denoise_digests, and every count pair of the
+        # grid seen with either centre, is decided as the clamped inversion
+        # decides it in exact arithmetic on the binary eps (the float argmax that
+        # the count threshold replaced missed 8 positions of the 5 000-symbol
+        # word at eps = 0.2, k = 4, and count pairs of the grid at 0.2, 0.3, 0.45)
+        if eps in DIGEST_EPSILONS:
+            for n, seed in DIGEST_WORDS.items():
+                y = generate_dataset(DIGEST_CELL, n, seed).y.symbols
+                for k in DIGEST_KS:
+                    m_minus, m_plus = _context_counts(y, 2 * k + 1, k)
+                    want = _exact_dude_decisions(m_minus, m_plus, y[k : n - k], eps)
+                    assert np.array_equal(dude_detail(y, eps, k).xhat.symbols[k : n - k], want), (n, k)
+        # the grid is fed to DUDE as a count table of one pair code per context
+        # (context << 1 | centre), the layout of the sort path of _centre_counts
+        _, m_minus, m_plus = _count_pairs(200)
+        table = np.stack([m_minus, m_plus], axis=1).ravel()
+        pairs = np.flatnonzero(table)
+        monkeypatch.setattr(denoise_module, "_centre_counts", lambda *args: (pairs, table, 0))
+        xhat = dude_detail(np.ones(len(pairs) + 2, dtype=np.int8), eps, 1).xhat.symbols[1:-1]
+        contexts = pairs >> 1
+        want = _exact_dude_decisions(m_minus[contexts], m_plus[contexts], 2 * (pairs & 1) - 1, eps)
+        assert np.array_equal(xhat, want)
 
     def test_count_paths_agree(self, rng, monkeypatch):
         # the sort renumbers the pair codes, but not the counts read at them,
@@ -589,6 +624,29 @@ def _count_pairs(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.stack([m_minus / tot, m_plus / tot], axis=1), m_minus, m_plus
 
 
+def _exact_dude_decisions(m_minus, m_plus, y, eps: float) -> np.ndarray:
+    """DUDE's decision at counts (m(c, -1), m(c, +1)) and centre y, in exact arithmetic on the binary eps.
+
+    With Fraction(eps) = a / d and T = m(c, -1) + m(c, +1), the channel
+    inversion u = Pi^{-1} q2 of q2 = m / T, scaled by the positive |d - 2a| T,
+    has the integer entries sign(d - 2a) ((d - a) m(c, -+1) - a m(c, +-1)).
+    They are clamped at zero, weighted by d P(y | x) and compared exactly,
+    exact ties toward +1. Distinct triples, coded in one int64 each, are
+    decided once and gathered.
+    """
+    m_minus, m_plus = (np.asarray(m, dtype=np.int64) for m in (m_minus, m_plus))
+    triples, at = np.unique((m_minus << 32 | m_plus) << 1 | (np.asarray(y) == 1), return_inverse=True)
+    m_minus, m_plus = (triples >> 33).astype(object), (triples >> 1 & 0xFFFFFFFF).astype(object)
+    a, d = Fraction(eps).as_integer_ratio()
+    sign = 1 if d > 2 * a else -1
+    u_minus = np.maximum(sign * ((d - a) * m_minus - a * m_plus), 0)
+    u_plus = np.maximum(sign * ((d - a) * m_plus - a * m_minus), 0)
+    plus = (triples & 1) == 1  # d P(y | x) is d - a where y = x and a where it differs
+    v_minus = np.where(plus, a * u_minus, (d - a) * u_minus)
+    v_plus = np.where(plus, (d - a) * u_plus, a * u_plus)
+    return np.where(v_plus >= v_minus, 1, -1).astype(np.int8)[at]
+
+
 def _default_k(n: int) -> int:
     return min(12, max(1, math.ceil(0.5 * math.log2(n))))
 
@@ -678,6 +736,10 @@ class TestGibbsDenoise:
 
 
 class TestMapDenoise:
+    def test_posteriors_of_unequal_shapes_are_refused(self):
+        with pytest.raises(LengthMismatchError):
+            PosteriorMarginals(q_minus=np.array([0.5, 0.5]), q_plus=np.array([0.5]))
+
     def test_argmax(self):
         post = PosteriorMarginals(q_minus=np.array([0.9, 0.2]), q_plus=np.array([0.1, 0.8]))
         assert np.array_equal(map_denoise(post).symbols, [-1, 1])

@@ -8,7 +8,11 @@ digests of DUDE's ``xhat`` and ``q2`` and of BFP's ``xhat``, ``q_minus`` and
 ``COUNT_TABLE_MAX``, so the sort path of the counts is pinned as well.
 
 These outputs are counts, quotients and products of counts, and the
-elementwise channel inversion; numpy's ``exp`` and ``log`` do not enter them.
+elementwise channel inversion of BFP; numpy's ``exp`` and ``log`` do not
+enter them. DUDE's ``xhat`` is its count threshold, exact on the binary eps
+(``tests/test_denoise.py::TestDude::test_every_decision_is_exact`` holds
+every decision on these words to exact arithmetic), so it moves only if the
+rule does; ``n_clamped`` is its flag in counts, and ``q2`` the quotients.
 A change that moves an output writes the file again, by running this module
 as a script (``PYTHONPATH=src python tests/test_denoise_digests.py``), and
 states the drift in its change notes.

@@ -111,10 +111,22 @@ class TestSpinSequence:
         assert again == seq
         assert again.symbols is seq.symbols
 
+    def test_equality_with_a_non_word(self):
+        seq = SpinSequence([1, -1])
+        assert seq.__eq__(3) is NotImplemented
+        assert not seq == 3
+        assert seq != [1, -1]
+
 
 class TestFieldFunctions:
     def test_odd_at_zero(self):
         assert field_shift(0.0, M_REF) == 0.0
+
+    def test_non_float_reals_are_fields(self):
+        # an int or a numpy integer passes check_field as it is, and reads as its float
+        for w in (1, np.int64(1)):
+            assert field_shift(w, M_REF) == field_shift(1.0, M_REF)
+            assert log_partition_term(w, M_REF) == log_partition_term(1.0, M_REF)
 
     def test_saturates_at_coupling(self):
         assert float(field_shift(10.0, M_REF)) == pytest.approx(M_REF.J, abs=1e-8)
@@ -260,6 +272,14 @@ class TestFieldScans:
         traj = backward_fields(seq, M_REF)
         assert isinstance(traj, FieldTrajectory)
         assert len(traj) == 3
+
+    def test_user_built_trajectory(self):
+        values = [0.5, -1]
+        traj = FieldTrajectory(values)
+        assert len(traj) == 2
+        assert traj.values.dtype == np.float64 and not traj.values.flags.writeable
+        values[0] = 9.0  # the trajectory holds its own copy
+        assert np.array_equal(traj.values, [0.5, -1.0])
 
     def test_extended_fields_match_long_scan(self, rng):
         y = random_word(rng, 15)
