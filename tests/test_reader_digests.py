@@ -4,13 +4,22 @@
 (SHA-256 of xhat, q_minus and q_plus), ``log_cylinder_prob`` (its float hex)
 and ``backward_fields``, ``forward_fields`` and ``extended_fields`` (SHA-256
 plus the float hex of a sparse sample, which shows where and by how much a
-field moved) run at five cells on two seeded words each: a walked word of
+field moved) run at seven cells on two seeded words each: a walked word of
 5 000 symbols and a lane word of 200 000 symbols. The one-shift readers
 ``conditional_prob``, ``two_sided_conditional``, ``two_sided_limit_conditional``
 and ``thermo.limit_field`` are pinned by float hex at a few positions of each
-word, a refusal by its exception class. The cells (1e-17, 0.2) and
-(1e-300, 0.2) have no decay certificate. The results are compared with
-``tests/data/reader_digests.json``.
+word, a refusal by its exception class; so are the readers of the limit of a
+tail, ``g_function``, ``gibbs_potential``, ``coboundary`` and
+``g_continued_fraction_detail``, ``cylinder_prob`` on short words from those
+positions, and ``bowen_gibbs_ratio`` on the short words and on the whole word.
+The readers that depend on the cell alone, ``fixed_point_field``,
+``bowen_gibbs_certificate``, ``decay_rate_bound``, ``required_context`` and
+``variation_estimate``, are pinned once per cell. The cells (1e-17, 0.2),
+(1e-300, 0.2) and (1e-300, 1e-300) have no decay certificate; the last two
+cells put the channel factor eps/(1-eps) at the edge of the double range. The
+results are compared with ``tests/data/reader_digests.json``, and a failure
+names each reader that moved with the largest distance, in units in the last
+place, of its pinned floats.
 
 numpy picks its ``exp`` and ``log`` kernels by CPU feature, so another host or
 numpy version may round some float differently; the data file records the
@@ -20,6 +29,7 @@ writes the file again, by running this module as a script
 drift in its change notes.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -31,26 +41,48 @@ from noisymarkov.denoise import bfp_denoise, forward_backward
 from noisymarkov.errors import NoisyMarkovError
 from noisymarkov.model import validate_params
 from noisymarkov.simulate import generate_dataset
-from noisymarkov.thermo import limit_field
+from noisymarkov.thermo import (
+    bowen_gibbs_certificate,
+    bowen_gibbs_ratio,
+    coboundary,
+    g_continued_fraction_detail,
+    g_function,
+    gibbs_potential,
+    limit_field,
+    variation_estimate,
+)
 from noisymarkov.transfer import (
     backward_fields,
     conditional_prob,
+    cylinder_prob,
+    decay_rate_bound,
     extended_fields,
+    fixed_point_field,
     forward_fields,
     log_cylinder_prob,
+    required_context,
     two_sided_conditional,
     two_sided_limit_conditional,
 )
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "reader_digests.json"
 
-CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-17, 0.2), (1e-300, 0.2))
+CELLS = ((0.1, 0.2), (0.02, 0.3), (0.1, 0.45), (1e-17, 0.2), (1e-300, 0.2), (1e-300, 1e-300), (0.45, 1e-300))
 
 #: Name of each pinned word, and its length and seed.
 WORDS = {"walked": (5_000, 3), "lanes": (200_000, 4)}
 
 #: Tolerance given to the limit readers.
 TOL = 1e-9
+
+#: Lengths of the short words, from each pinned position on, read by ``cylinder_prob``.
+SHORT = (1, 2, 7, 20)
+
+#: Depth of the pinned continued fractions of g.
+CF_DEPTH = 30
+
+#: Prefix lengths, number of samples and seed of the pinned ``variation_estimate`` calls.
+VARIATION = ((1, 4, 12), 6, 5)
 
 #: Number of evenly spaced entries, first and last included, in a field's float-hex sample.
 SAMPLE = 9
@@ -62,8 +94,33 @@ def _sha256(a: np.ndarray) -> str:
 
 
 def _ulps(a: float, b: float) -> int:
-    """Distance between two doubles of one sign in units in the last place."""
-    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+    """Distance between two doubles in units in the last place: the number of doubles between them, plus one."""
+    def ordered(x: float) -> int:
+        i = int(np.float64(x).view(np.int64))
+        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordered(a) - ordered(b))
+
+
+def _flat(entry) -> list:
+    return [x for item in entry for x in _flat(item)] if isinstance(entry, list) else [entry]
+
+
+def _as_float(entry) -> float | None:
+    """A float-hex entry's float; None for a SHA-256 digest, a name or a count."""
+    try:
+        return float.fromhex(entry)
+    except (TypeError, ValueError):
+        return None
+
+
+def _drift(got, want) -> str:
+    """How far a moved entry moved: the largest ulp distance of its floats, unless something other than a float moved."""
+    a, b = _flat(got), _flat(want)
+    floats = [(_as_float(x), _as_float(y)) for x, y in zip(a, b)]
+    if len(a) != len(b) or any(x != y and None in pair for x, y, pair in zip(a, b, floats)):
+        return "moved"
+    return f"{max(_ulps(*pair) for pair in floats if None not in pair)} ulp"
 
 
 def _sample(a: np.ndarray) -> list[str]:
@@ -75,10 +132,19 @@ def _positions(n: int) -> tuple[int, ...]:
     return (0, 1, n // 2, n - 2)
 
 
-def _hex_or_refusal(query) -> str:
-    """query()'s float hex, or the class name of the package error it raised."""
+def _plain(value):
+    """A reader's value as JSON: a float by its hex, a dataclass or a sequence entry by entry."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def _hex_or_refusal(query):
+    """query()'s value by ``_plain``, or the class name of the package error it raised."""
     try:
-        return float(query()).hex()
+        return _plain(query())
     except NoisyMarkovError as exc:
         return type(exc).__name__
 
@@ -112,35 +178,69 @@ def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str | list
         "two_sided_limit_conditional":
             lambda i: two_sided_limit_conditional(int(s[i]), s[:i], s[i + 1 :], TOL, params),
         "limit_field": lambda i: limit_field(s[i:], TOL, params),
+        "g_function": lambda i: g_function(s[i:], TOL, params),
+        "gibbs_potential": lambda i: gibbs_potential(s[i:], TOL, params),
+        "coboundary": lambda i: coboundary(s[i:], TOL, params),
+        "g_continued_fraction_detail": lambda i: g_continued_fraction_detail(s[i:], CF_DEPTH, params),
+        "cylinder_prob": lambda i: [cylinder_prob(s[i : i + n], params) for n in SHORT],
+        "bowen_gibbs_ratio": lambda i: bowen_gibbs_ratio(s[i : i + SHORT[-1]], params),
     }
     for name, reader in one_shift.items():
         out[name] = [_hex_or_refusal(lambda: reader(i)) for i in _positions(len(s))]
+    out["bowen_gibbs_ratio whole word"] = _hex_or_refusal(lambda: bowen_gibbs_ratio(y, params))
     return out
+
+
+def cell_digests(cell: tuple[float, float]) -> dict[str, str | list]:
+    """Digests of the readers that depend on ``cell`` alone."""
+    params = validate_params(*cell)
+    lengths, samples, seed = VARIATION
+    return {
+        "fixed_point_field": [_hex_or_refusal(lambda: fixed_point_field(s, params)) for s in (1, -1)],
+        "bowen_gibbs_certificate": _hex_or_refusal(lambda: bowen_gibbs_certificate(params)),
+        "decay_rate_bound": _hex_or_refusal(lambda: decay_rate_bound(params)),
+        "required_context": [_hex_or_refusal(lambda: required_context(tol, params)) for tol in (TOL, 1e-17)],
+        "variation_estimate":
+            [_hex_or_refusal(lambda: variation_estimate(n, samples, params, seed)) for n in lengths],
+    }
 
 
 def _key(cell: tuple[float, float]) -> str:
     return f"{cell[0]!r}:{cell[1]!r}"
 
 
+def _assert_pinned(got: dict, want: dict, where: str, note: str = "") -> None:
+    """Fail, naming each reader that moved with its drift, unless ``got`` equals ``want``."""
+    assert got.keys() == want.keys()
+    moved = {name: _drift(got[name], want[name]) for name in want if got[name] != want[name]}
+    numpy = json.loads(DIGESTS.read_text(encoding="utf-8"))["numpy"]
+    assert not moved, (
+        f"outputs moved {where}{note} (digests written with numpy {numpy}, running numpy {np.__version__}): {moved}"
+    )
+
+
 @pytest.mark.parametrize("word", sorted(WORDS))
 @pytest.mark.parametrize("cell", CELLS, ids=_key)
 def test_reader_outputs_are_pinned(cell, word):
-    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    want = pinned["cells"][_key(cell)][word]
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["cells"][_key(cell)][word]
     got = reader_digests(cell, word)
-    assert got.keys() == want.keys()
-    moved = sorted(name for name in want if got[name] != want[name])
     log_q = "log_cylinder_prob"
     drift = _ulps(float.fromhex(got[log_q]), float.fromhex(want[log_q]))
-    assert not moved, (
-        f"outputs moved on the {word} word at {cell} (log Q by {drift} ulp; "
-        f"digests written with numpy {pinned['numpy']}, running numpy {np.__version__}): {moved}"
-    )
+    _assert_pinned(got, want, f"on the {word} word at {cell}", f" (log Q by {drift} ulp)")
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=_key)
+def test_cell_readers_are_pinned(cell):
+    _assert_pinned(cell_digests(cell), json.loads(DIGESTS.read_text(encoding="utf-8"))["cells"][_key(cell)]["cell"],
+                   f"at {cell}")
 
 
 def write_digests() -> None:
     """Write ``DIGESTS`` from the current code."""
-    cells = {_key(cell): {word: reader_digests(cell, word) for word in sorted(WORDS)} for cell in CELLS}
+    cells = {
+        _key(cell): {"cell": cell_digests(cell), **{word: reader_digests(cell, word) for word in sorted(WORDS)}}
+        for cell in CELLS
+    }
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "cells": cells}, indent=2) + "\n", encoding="utf-8")
 
