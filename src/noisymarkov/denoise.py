@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -385,9 +384,9 @@ def dude_detail(y, epsilon: float, k: int | None = None) -> DudeResult:
     n_clamped = int(same[np.abs(excess) > (1.0 - 2.0 * NEGATIVE_FLAG_THRESHOLD) * abs(contrast) * total].sum())
     spread = total * (contrast * contrast)
     lean = spread + excess  # e + (1 - 2 eps)^2 T, whose sign is exact where |lean| > 2^-50 spread
-    square = (1 - 2 * Fraction(epsilon)) ** 2
+    num, den = epsilon.as_integer_ratio()  # eps = num/den, so the sign is that of e den^2 + (den - 2 num)^2 T
     for i in np.flatnonzero(np.abs(lean) <= 2.0**-50 * spread):
-        exact = int(excess[i]) + square * int(total[i])
+        exact = int(excess[i]) * den * den + (den - 2 * num) ** 2 * int(total[i])
         lean[i] = (exact > 0) - (exact < 0)
     lean *= np.where((occurring >> bit) & 1, contrast, -contrast)  # the sign of v(+1) - v(-1)
     decided = np.empty(size, dtype=SPIN_DTYPE)  # entries of codes that do not occur are never read

@@ -11,7 +11,9 @@ no other code opens a file for writing, and nothing truncates a file on open
 (``O_TRUNC``); the helper's docstring says why.
 
 Every import sits at module level, where the import order shows it, and the
-modules' imports of each other form no cycle. Every name a module lists in
+modules' imports of each other form no cycle. ``import noisymarkov`` loads
+neither ``fractions`` nor ``decimal``, which cost milliseconds of every command
+start. Every name a module lists in
 ``__all__`` exists once it is imported, so deleting a function cannot leave its
 export behind.
 """
@@ -19,6 +21,9 @@ export behind.
 import ast
 import builtins
 import importlib
+import os
+import subprocess
+import sys
 from functools import cache
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -90,6 +95,16 @@ def test_package_imports_form_no_cycle():
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert "thermo" not in graph["transfer"]  # the scan kernel sits under the Gibbs layer
+
+
+def test_import_loads_no_rational_arithmetic():
+    # DUDE decides its near-ties in Python integers, on the binary eps's integer ratio
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCES[0].parent.parent),
+                                                                    os.environ.get("PYTHONPATH")])))
+    probe = "import sys, noisymarkov; print(*sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -201,7 +216,7 @@ WHOLE_SCANS = {"_scan_shifts", "_sequential_ratios", "extended_fields"}
 
 
 def test_one_field_per_limit():
-    # a query that needs one entry walks to it alone (transfer._leading_shift)
+    # a query that needs one entry walks to it alone (transfer._leading_ratio)
     defined = {node.name for source in SOURCES for node in ast.walk(_tree(source)) if isinstance(node, ast.FunctionDef)}
     assert WHOLE_SCANS <= defined, WHOLE_SCANS - defined
     offenders = [
