@@ -213,7 +213,8 @@ def _empirical_variation_rate(params: ChannelParams, samples: int, seed: int) ->
     The fit runs over n = 2..n_hi with n_hi chosen so the certified bound
     C * rho^n stays above the double-precision measurement floor; a plain
     two-point ratio would carry an O(1/gap) prefactor bias, a regression over
-    the whole window averages it out.
+    the whole window averages it out. Without two positive variations to fit
+    the rate is nan, unless rho = 0.
     """
     bound = decay_rate_bound(params)
     if bound.rho == 0.0:
@@ -225,7 +226,7 @@ def _empirical_variation_rate(params: ChannelParams, samples: int, seed: int) ->
     values = np.array([variation_estimate(int(n), samples, params, seed) for n in ns])
     mask = values > 0.0
     if int(mask.sum()) < 2:
-        return 0.0, int(ns[-1])
+        return float("nan"), int(ns[-1])
     slope = np.polyfit(ns[mask], np.log(values[mask]), 1)[0]
     return float(np.exp(slope)), int(ns[-1])
 
@@ -237,13 +238,14 @@ def cmd_decay(cfg: Settings) -> int:
     samples = cfg.get_int("samples", 48)
     out = Path(cfg.get("out", "decay.csv"))
     rows = []
-    all_ok = True
+    over = unfit = 0
     for p, eps in grid:
         params = validate_params(p, eps)
         bound = decay_rate_bound(params)
         rate, n_hi = _empirical_variation_rate(params, samples, seed)
-        ok = rate <= bound.rho + 1e-12
-        all_ok = all_ok and ok
+        ok = rate <= bound.rho + 1e-12  # false where there was no fit
+        over += rate > bound.rho + 1e-12
+        unfit += bool(np.isnan(rate))
         rows.append(
             (
                 _fmt(p), _fmt(eps), _fmt(abs(1.0 - 2.0 * p)), _fmt(bound.rho), bound.regime,
@@ -254,8 +256,9 @@ def cmd_decay(cfg: Settings) -> int:
                ["p", "eps", "naive", "rho", "regime", "C", "empirical_rate", "fit_n_hi", "ok"],
                rows)
     print(f"decay: wrote {out} ({len(rows)} cells)")
-    if not all_ok:
-        print("decay: empirical rate exceeded the certified bound", file=sys.stderr)
+    if over or unfit:
+        print(f"decay: empirical rate exceeded the certified bound at {over} cell(s), and had no fit "
+              f"(fewer than two positive variations) at {unfit}", file=sys.stderr)
         return 3
     return 0
 
@@ -273,26 +276,27 @@ def cmd_gfun(cfg: Settings) -> int:
     rng = np.random.default_rng(seed)
     windows = [np.ones(length, dtype=np.int8)]
     windows += [rng.choice(np.array([-1, 1], dtype=np.int8), size=length) for _ in range(count)]
-    rows = []
-    max_diff = 0.0
-    flagged = 0
+    rows, diffs = [], []
     for win in windows:
         g_rec = g_function(win, tol, params)
         try:
             detail = g_continued_fraction_detail(win, depth, params)
-            diff = abs(g_rec - detail.value)
-            max_diff = max(max_diff, diff)
+            diffs.append(abs(g_rec - detail.value))
             rows.append((_spins_to_text(win[:24]), _fmt(g_rec), _fmt(detail.value),
-                         _fmt(diff), _fmt(detail.min_denominator), "ok"))
+                         _fmt(diffs[-1]), _fmt(detail.min_denominator), "ok"))
         except DivisionNearZeroError:
-            flagged += 1
             rows.append((_spins_to_text(win[:24]), _fmt(g_rec), "nan", "nan", "nan",
                          "division_near_zero"))
+    max_diff = max(diffs, default=float("nan"))
+    flagged = len(rows) - len(diffs)
     _write_csv(out, cfg.meta(depth=depth, tol=_fmt(tol), window_length=length,
                              max_diff=_fmt(max_diff), flagged=flagged),
                ["window_prefix", "g_recursion", "g_contfrac", "abs_diff", "min_denominator",
                 "status"], rows)
     print(f"gfun: wrote {out} ({len(rows)} windows, max |diff|={max_diff:.3e}, flagged={flagged})")
+    if not diffs:
+        print("gfun: cross-validation FAILED: every window was flagged, so none was compared", file=sys.stderr)
+        return 3
     if depth >= 200 and max_diff >= 1e-10:
         print("gfun: cross-validation FAILED at depth >= 200", file=sys.stderr)
         return 3

@@ -128,13 +128,25 @@ class TestDecay:
         _, header, rows = read_csv(out)
         assert rows[0][header.index("ok")] == "false"
 
-    def test_fit_without_two_positive_variations(self, tmp_path, monkeypatch):
+    def test_fit_without_two_positive_variations(self, tmp_path, capsys, monkeypatch):
+        # at rho > 0 a rate without a fit is no evidence: it is recorded as nan, and the check fails
         monkeypatch.setattr(cli, "variation_estimate", lambda n, samples, params, seed: 0.0)
         out = tmp_path / "decay.csv"
-        assert cli.main(["decay", "--p", "0.2", "--eps", "0.05", "--out", str(out)]) == 0
+        assert cli.main(["decay", "--p", "0.2", "--eps", "0.05", "--out", str(out)]) == 3
+        assert "fewer than two positive variations" in capsys.readouterr().err
+        _, header, rows = read_csv(out)
+        assert rows[0][header.index("empirical_rate")] == "nan"
+        assert rows[0][header.index("ok")] == "false"
+        assert int(rows[0][header.index("fit_n_hi")]) >= 2
+
+    def test_cell_without_memory_needs_no_fit(self, tmp_path, monkeypatch):
+        # at p = 1/2, rho = 0: the rate is 0.0 by the certificate, and no variation is estimated
+        monkeypatch.setattr(cli, "variation_estimate", lambda n, samples, params, seed: 0.0)
+        out = tmp_path / "decay.csv"
+        assert cli.main(["decay", "--p", "0.5", "--eps", "0.2", "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         assert float(rows[0][header.index("empirical_rate")]) == 0.0
-        assert int(rows[0][header.index("fit_n_hi")]) >= 2
+        assert rows[0][header.index("ok")] == "true"
 
     def test_default_grid_every_row_ok(self, tmp_path):
         # the full 16-cell grid: empirical rate below the certified bound everywhere
@@ -165,15 +177,18 @@ class TestGfun:
         assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", flag, value,
                          "--out", str(tmp_path / "gfun.csv")]) == 2
 
-    def test_near_zero_denominator_is_a_flagged_row(self, tmp_path, monkeypatch):
+    def test_near_zero_denominator_is_a_flagged_row(self, tmp_path, capsys, monkeypatch):
+        # with every window flagged nothing was compared, so the cross-validation fails
         def refuse(win, depth, params):
             raise DivisionNearZeroError("denominator near zero")
 
         monkeypatch.setattr(cli, "g_continued_fraction_detail", refuse)
         out = tmp_path / "gfun.csv"
-        assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", "--out", str(out)]) == 0
+        assert cli.main(["gfun", "--p", "0.2", "--eps", "0.1", "--n", "2", "--out", str(out)]) == 3
+        assert "none was compared" in capsys.readouterr().err
         meta, _, rows = read_csv(out)
         assert meta["flagged"] == "3"
+        assert meta["max_diff"] == "nan"
         assert [r[-1] for r in rows] == ["division_near_zero"] * 3
         assert all(r[2:5] == ["nan"] * 3 for r in rows)
 
