@@ -4,11 +4,14 @@ The one-sided conditional probabilities of the output process converge
 uniformly, so the process is a g-measure with
 
     g(y) = cosh(w_0) exp(B(w_1)) / (lam cosh(w_1))
-         = 1/2 + (1/2)(1-2p)(1-2eps) y_0 tanh(w_1),
+         = (P(y_0 | +1) + P(y_0 | -1) t) / (1 + t),   t = exp(-2 A(w_1)),
 
-where w_i are the limit fields of the infinite tail. It is also a Bowen-Gibbs
-measure for the potential phi(y) = B(w_0(y)) at pressure P = log(lam), with an
-explicit sandwich constant pair, and 2*g admits the continued fraction
+where w_i are the limit fields of the infinite tail and t the odds
+P(X_0 = -1) / P(X_0 = +1) it puts on the hidden spin: g is computed as the
+one-sided conditional, by the transfer module's one formula for every
+Q(y | context). It is also a Bowen-Gibbs measure for the potential
+phi(y) = B(w_0(y)) at pressure P = log(lam), with an explicit sandwich
+constant pair, and 2*g admits the continued fraction
 
     2g = a_1 - b_1/(a_2 - b_2/(a_3 - ...)),
     q_i = (1-2p) y_{i-1} y_i,  a_i = 1 + q_i,  b_i = 4 eps (1-eps) q_i.
@@ -16,8 +19,8 @@ explicit sandwich constant pair, and 2*g admits the continued fraction
 Finite inputs are interpreted through the repeat-last-symbol extension; the
 decay certificate C * rho^L, built once per cell with its ``ChannelParams``
 (see the model module), bounds the influence of the unseen tail, so every
-limit quantity here carries a guaranteed error bar. Every query reads that certificate through
-``decay_rate_bound`` rather than deriving it again.
+limit quantity here carries a guaranteed error bar. Every query reads that
+certificate through ``decay_rate_bound`` rather than deriving it again.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .sequences import SpinSequence, as_spin_array
 from .transfer import (
     DecayBound,
     _extended_field,
+    _extended_ratio,
+    _symbol_prob,
     decay_rate_bound,
     extended_fields,
     log2cosh,
@@ -93,16 +98,14 @@ class ContinuedFractionResult:
     tail_sensitivity: float
 
 
-def _certified_field(arr: np.ndarray, tol: float, model: ChannelParams) -> float:
-    """limit_field of a word and a tolerance that are already checked."""
+def _check_context(n: int, tol: float, model: ChannelParams) -> None:
+    """Refuse a context of n symbols whose unseen tail the decay certificate does not bound below ``tol``."""
     bound = decay_rate_bound(model)
-    if bound.rho > 0.0 and bound.C * bound.rho ** len(arr) >= tol:
+    if bound.rho > 0.0 and bound.C * bound.rho**n >= tol:
         raise InsufficientContextError(
-            f"context of length {len(arr)} certifies only "
-            f"{bound.C * bound.rho ** len(arr):.3e} > tol = {tol:.3e}; "
+            f"context of length {n} certifies only {bound.C * bound.rho**n:.3e} > tol = {tol:.3e}; "
             f"need at least {required_context(tol, model)} symbols"
         )
-    return _extended_field(arr, model)
 
 
 def limit_field(y, tol: float, model: ChannelParams) -> float:
@@ -112,24 +115,23 @@ def limit_field(y, tol: float, model: ChannelParams) -> float:
     decay certificate guarantees that any other tail changes it by less than
     C * rho^len(y), which must be below tol (InsufficientContextError otherwise).
     """
-    tol = check_tolerance(tol)
-    return _certified_field(as_spin_array(y), tol, model)
+    arr = as_spin_array(y)
+    _check_context(len(arr), check_tolerance(tol), model)
+    return _extended_field(arr, model)
 
 
 def g_function(y, tol: float, model: ChannelParams) -> float:
     """Conditional probability g(y) = Q(y_0 | y_1, y_2, ...) of the first symbol.
 
-    Evaluated as 1/2 + (1/2)(1-2p)(1-2eps) y_0 tanh(w_1) with w_1 the limit
-    field of the tail; |dg/dw_1| <= 1/2, so certifying the tail field to tol
-    certifies g to tol.
+    Bit for bit ``two_sided_limit_conditional(y_0, [], y_1^n, tol, model)``,
+    read off the repeat-last-symbol extension of the tail; as |dg/dw_1| <= 1/2,
+    certifying the tail field to tol certifies g to tol.
     """
     arr = as_spin_array(y)
     if len(arr) < 2:
         raise InsufficientContextError("g needs the leading symbol plus a nonempty tail")
-    w1 = _certified_field(arr[1:], check_tolerance(tol), model)
-    t2p = 1.0 - 2.0 * model.p
-    t2e = 1.0 - 2.0 * model.epsilon
-    return 0.5 + 0.5 * t2p * t2e * float(arr[0]) * math.tanh(w1)
+    _check_context(len(arr) - 1, check_tolerance(tol), model)
+    return _symbol_prob(int(arr[0]), _extended_ratio(arr, model, 1), model)
 
 
 def _tail_value(q_inf: float, t2e: float) -> float:
@@ -270,15 +272,12 @@ def variation_estimate(n: int, samples: int, model: ChannelParams, seed: int) ->
     check_count("n", n, 1)
     check_count("samples", samples, 1)
     check_count("seed", seed)
-    half_tt = 0.5 * (1.0 - 2.0 * model.p) * (1.0 - 2.0 * model.epsilon)
     worst = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
         prefix = (1 - 2 * rng.integers(0, 2, size=n, dtype=np.int64)).astype(np.int8)
-        g_pair = []
-        for tail in (1, -1):
-            # field at position 1 of the prefix continued by tail, tail, ...
-            w1 = _extended_field(np.append(prefix[1:], tail), model)
-            g_pair.append(0.5 + half_tt * float(prefix[0]) * math.tanh(w1))
-        worst = max(worst, abs(g_pair[0] - g_pair[1]))
+        # g of the prefix continued by tail, tail, ..., as g_function reads it
+        plus, minus = (_symbol_prob(int(prefix[0]), _extended_ratio(np.append(prefix, tail), model, 1), model)
+                       for tail in (1, -1))
+        worst = max(worst, abs(plus - minus))
     return worst

@@ -25,9 +25,9 @@ m(u) = 1/(r + (1 - r^2)/(u + r)) = s + (1 - s^2)/(u + s) with s = 1/r, it is
 with a = min(r, 1/r) and b = 1 - a^2. Every term is positive, so nothing
 cancels and no transcendental function is called, and a u overflowed to inf
 gives m(inf) = 1/r. The cell picks its form once; the walk, the lanes and
-``field_shift`` all take this one step, so they round alike. Readers of
-probabilities stay in ratio form; A = -(1/2) log rho is read off, by one log
-on a contiguous array, only where a field or a shift is returned.
+``field_shift`` all take this one step, so they round alike. Every walk
+starts from a ratio, and readers of probabilities take no log or exp;
+A = -(1/2) log rho is read off, by numpy's log, only where a field is returned.
 
 Long words are scanned in lanes of b = LANE_WIDTH symbols, made exact by
 coupling (Propp & Wilson 1996). The last n mod b symbols are walked from the
@@ -51,19 +51,19 @@ the scan under two walks.
 
 The sequential scan is one scalar walk on Python floats over the symbols'
 ``tolist()``; it keeps every ratio only for the scan, and otherwise returns
-the last. A query that needs one shift (a two-sided conditional, a limit
-field) walks to it alone and takes one log: on a word long enough for lanes,
-two walks over the b symbols from the shift on, from ratios 0 and inf, give
-the scan's value wherever they end equal, as the step is monotone; otherwise
-the whole word is walked. Either way the value is the scan's bit for bit.
+the last. A query that needs one ratio (a conditional, a limit field) walks
+to it alone: on a word long enough for lanes, two walks over the b symbols
+from it on, from ratios 0 and inf, give the scan's value wherever they end
+equal, as the step is monotone; otherwise the whole word is walked. Either
+way the value is the scan's bit for bit.
 
-Given the symbols to its right, X_i has log-odds 2 A(w_{i+1}), so
+Given the symbols to its right, X_i has the odds rho_{i+1} = P(X_i = -1) / P(X_i = +1), so
 
-    Q(y_i | y_{i+1}^n) = (1-eps) sigma(2 y_i A(w_{i+1})) + eps sigma(-2 y_i A(w_{i+1}))
-                       = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho),   rho = rho_{i+1},
+    Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho),   rho = rho_{i+1},
 
-with sigma the logistic function and P(y | x) the channel's emission column;
-the two-sided conditional adds the shifts of both sides. Cylinder
+with P(y | x) the channel's emission column. ``_symbol_prob`` computes every
+scalar Q(y | context) so; a two-sided conditional multiplies the odds of its
+two sides, and ``thermo.g_function`` reads the odds of the limit of a tail. Cylinder
 probabilities are the product of these conditionals, summed as logarithms in
 (-inf, 0]: by ``math.fsum``, correctly rounded, on a word too short for lanes,
 and otherwise by a cascade of vectorized TwoSum levels (``_cascade_sum``),
@@ -217,8 +217,8 @@ def required_context(tol: float, model) -> int:
     return max(1, math.floor(math.log(tol / bound.C) / math.log(bound.rho)) + 1)
 
 
-def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: list | None = None) -> float:
-    """The transfer step run one symbol at a time, right to left, from ``shift_init``, on Python floats.
+def _walk(symbols: np.ndarray, model: ChannelParams, start: float = 1.0, record: list | None = None) -> float:
+    """The transfer step run one symbol at a time, right to left, from the ratio ``start``, on Python floats.
 
     Returns the last ratio. ``record``, where given, receives every ratio from
     the start on, in the order the walk takes them. The step is written out in
@@ -227,7 +227,7 @@ def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: 
     """
     a, b, invert = _transfer_step(model)
     c, inv_c = model.c, 1.0 / model.c
-    rho = math.exp(-2.0 * shift_init)
+    rho = start
     if record is not None:
         record.append(rho)
     right_to_left = reversed(symbols.tolist())
@@ -240,10 +240,10 @@ def _walk(symbols: np.ndarray, model: ChannelParams, shift_init: float, record: 
     return rho
 
 
-def _sequential_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float) -> np.ndarray:
-    """The ratios of every position, walked one symbol at a time from ``shift_init``."""
+def _sequential_ratios(symbols: np.ndarray, model: ChannelParams, start: float) -> np.ndarray:
+    """The ratios of every position, walked one symbol at a time from the ratio ``start``."""
     ratios = []
-    _walk(symbols, model, shift_init, ratios)
+    _walk(symbols, model, start, ratios)
     return np.array(ratios[::-1])
 
 
@@ -303,13 +303,13 @@ def _lane_ratios(factors: list[np.ndarray], scans: list[np.ndarray], model: Chan
     return False
 
 
-def _scan_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0,
+def _scan_ratios(symbols: np.ndarray, model: ChannelParams, start: float = 1.0,
                  reverse: bool = False) -> list[np.ndarray]:
     """Right-to-left transfer scans, in ratio form, of a word of n symbols and, with ``reverse``, of its reverse.
 
     Entry i < n of a word's scan is rho_i = exp(-2 A(w_i)), for the shift that
-    position i passes to its left neighbor; entry n is exp(-2 ``shift_init``),
-    for the shift of the field beyond the word.
+    position i passes to its left neighbor; entry n is ``start``, the ratio of
+    the shift of the field beyond the word.
 
     Where ``_lane_rounds`` gives rounds, the word runs in lanes
     (``_lane_ratios``, in at most that many rounds) and the reverse's factors
@@ -323,47 +323,45 @@ def _scan_ratios(symbols: np.ndarray, model: ChannelParams, shift_init: float = 
         head = n - n % LANE_WIDTH
         scans = [np.empty(n + 1) for _ in words]
         for scan, word in zip(scans, words):
-            scan[head:] = _sequential_ratios(word[head:], model, shift_init)
+            scan[head:] = _sequential_ratios(word[head:], model, start)
         factors = _by_spin(symbols, 1.0 / model.c, model.c)
         sides = [factors, factors[::-1]] if reverse else [factors]
         if _lane_ratios(sides, scans, model, rounds):
             return scans
-    return [_sequential_ratios(word, model, shift_init) for word in words]
+    return [_sequential_ratios(word, model, start) for word in words]
 
 
-def _scan_shifts(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0) -> np.ndarray:
+def _scan_shifts(symbols: np.ndarray, model: ChannelParams, start: float = 1.0) -> np.ndarray:
     """The shifts A(w_i) of ``_scan_ratios`` of one word, read off its ratios by one log."""
-    (ratios,) = _scan_ratios(symbols, model, shift_init)
+    (ratios,) = _scan_ratios(symbols, model, start)
     return _shift_from_ratio(ratios, model, out=ratios)
 
 
-def _leading_shift(symbols: np.ndarray, model: ChannelParams, shift_init: float = 0.0, i: int = 0) -> float:
-    """Entry i of ``_scan_shifts(symbols, model, shift_init)``, bit for bit, alone.
+def _leading_ratio(symbols: np.ndarray, model: ChannelParams, start: float = 1.0, i: int = 0) -> float:
+    """Entry i of ``_scan_ratios(symbols, model, start)``, bit for bit, alone.
 
     On a word long enough for lanes, two walks over the b symbols from i on,
     from ratios 0 and inf, give the entry where they end equal (see the module
-    docstring); otherwise the whole word is walked. The one log is numpy's, as
-    on the scan's array, since ``math.log`` rounds differently on some ratios.
+    docstring); otherwise the whole word is walked.
     """
     if _lane_rounds(len(symbols)):
-        low, high = (_walk(symbols[i : i + LANE_WIDTH], model, start) for start in (math.inf, -math.inf))
+        low, high = (_walk(symbols[i : i + LANE_WIDTH], model, bracket) for bracket in (0.0, math.inf))
         if low == high:
-            return float(_shift_from_ratio(np.float64(low), model))
-    return float(_shift_from_ratio(np.float64(_walk(symbols[i:], model, shift_init)), model))
+            return low
+    return _walk(symbols[i:], model, start)
 
 
-def _fixed_point_shift(symbol: int, model: ChannelParams) -> float:
-    """A(w) at the limit field w = K*symbol + A(w) of the constant sequence of ``symbol``.
+def _fixed_point_ratio(symbol: int, model: ChannelParams) -> float:
+    """The ratio exp(-2A(w)) at the limit field w = K*symbol + A(w) of the constant sequence of ``symbol``.
 
-    Its ratio rho is the attracting fixed point of rho -> m(f rho), f = c^symbol:
-    the positive root of r f rho^2 + (1 - f) rho - r = 0, taken for f <= 1 in a
-    form free of cancellation; f > 1 follows from A being odd.
+    It is the attracting fixed point of rho -> m(f rho), f = c^symbol: the
+    positive root of r f rho^2 + (1 - f) rho - r = 0, taken for f <= 1 in a form
+    free of cancellation; f > 1 gives its reciprocal, as A is odd.
     """
     f = model.c if symbol == 1 else 1.0 / model.c
     g = min(f, 1.0 / f)
     rho = 2.0 * model.r / ((1.0 - g) + math.hypot(1.0 - g, 2.0 * model.r * math.sqrt(g)))
-    shift = float(_shift_from_ratio(rho, model))
-    return shift if f <= 1.0 else -shift
+    return rho if f <= 1.0 else 1.0 / rho
 
 
 def _plus_fields(shifts: np.ndarray, arr: np.ndarray, model: ChannelParams) -> np.ndarray:
@@ -409,12 +407,12 @@ def neighbour_ratios(y, model: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
 def fixed_point_field(symbol: int, model: ChannelParams) -> float:
     """Limit field of the constant sequence of ``symbol``: solves w = K*symbol + A(w)."""
     symbol = check_spin("symbol", symbol)
-    return model.K * symbol + _fixed_point_shift(symbol, model)
+    return model.K * symbol + float(_shift_from_ratio(_fixed_point_ratio(symbol, model), model))
 
 
-def _extended_shift(arr: np.ndarray, model: ChannelParams, i: int = 0) -> float:
-    """Entry i of the scan of arr extended to the right by repeating its last symbol."""
-    return _leading_shift(arr, model, _fixed_point_shift(int(arr[-1]), model), i)
+def _extended_ratio(arr: np.ndarray, model: ChannelParams, i: int = 0) -> float:
+    """Entry i of the ratio scan of arr extended to the right by repeating its last symbol."""
+    return _leading_ratio(arr, model, _fixed_point_ratio(int(arr[-1]), model), i)
 
 
 def extended_fields(y, model: ChannelParams) -> np.ndarray:
@@ -426,24 +424,25 @@ def extended_fields(y, model: ChannelParams) -> np.ndarray:
     the declared extension.
     """
     arr = as_spin_array(y)
-    return _plus_fields(_scan_shifts(arr, model, _fixed_point_shift(int(arr[-1]), model))[1:], arr, model)
+    return _plus_fields(_scan_shifts(arr, model, _fixed_point_ratio(int(arr[-1]), model))[1:], arr, model)
 
 
 def _extended_field(arr: np.ndarray, model: ChannelParams) -> float:
-    """``extended_fields(arr, model)[0]`` of a checked word, bit for bit, from one walk."""
-    return model.K * float(arr[0]) + _extended_shift(arr, model, 1)
+    """``extended_fields(arr, model)[0]`` of a checked word, bit for bit: one walk, then numpy's log (not math's)."""
+    return model.K * float(arr[0]) + float(_shift_from_ratio(np.float64(_extended_ratio(arr, model, 1)), model))
 
 
-def _symbol_prob(y: float, shift: float, model: ChannelParams) -> float:
-    """Q(y | rest) when the rest of the word puts the field ``shift`` on the hidden spin of y.
+def _symbol_prob(y: float, odds: float, model: ChannelParams) -> float:
+    """Q(y | rest) when the rest of the word gives the hidden spin of y the odds t = P(X = -1) / P(X = +1).
 
-    On Python floats, with the one exp numpy's, taken on an ``np.float64``.
+    Q = (P(y | +1) + P(y | -1) t) / (1 + t), divided through by t past t = 1,
+    so that t = inf gives P(y | -1).
     """
-    x = 2.0 * y * shift
-    e = float(np.exp(np.float64(-abs(x))))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
-    high, low = (big, small) if x >= 0 else (small, big)
-    return (1.0 - model.epsilon) * high + model.epsilon * low
+    eps = model.epsilon
+    plus, minus = (1.0 - eps, eps) if y == 1 else (eps, 1.0 - eps)
+    if odds > 1.0:
+        plus, minus, odds = minus, plus, 1.0 / odds
+    return (plus + minus * odds) / (1.0 + odds)
 
 
 def _cascade_sum(terms: np.ndarray) -> float:
@@ -511,41 +510,37 @@ def cylinder_prob(y, model: ChannelParams) -> float:
 
 
 def conditional_prob(y0: int, future, model: ChannelParams) -> float:
-    """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context, of shift 0."""
+    """One-sided conditional Q(y0 | y_1^n): the two-sided one with an empty left context, of ratio 1."""
     arr = as_spin_array(future)
-    return _symbol_prob(check_spin("y0", y0), _leading_shift(arr, model), model)
+    return _symbol_prob(check_spin("y0", y0), _leading_ratio(arr, model), model)
 
 
 def two_sided_conditional(y0: int, left, right, model: ChannelParams) -> float:
-    """Two-sided conditional Q(y0 | left context, right context).
+    """Two-sided conditional Q(y0 | left context, right context), from the product of the odds of its sides.
 
-    Either context may be empty; an absent side contributes field zero, which
-    reduces the formula to the one-sided conditional (or to the marginal 1/2
-    when both sides are empty).
+    An empty context has odds 1, which reduces the formula to the one-sided
+    conditional (or to the marginal 1/2 when both sides are empty).
     """
     y0 = check_spin("y0", y0)
     left_arr = as_spin_array(left, allow_empty=True)
     right_arr = as_spin_array(right, allow_empty=True)
     # the left recursion equals the right recursion run on the reversed context
-    shift = _leading_shift(left_arr[::-1], model) + _leading_shift(right_arr, model)
-    return _symbol_prob(y0, shift, model)
+    return _symbol_prob(y0, _leading_ratio(left_arr[::-1], model) * _leading_ratio(right_arr, model), model)
 
 
 def two_sided_limit_conditional(y0: int, left, right, tol: float, model: ChannelParams) -> float:
-    """Two-sided conditional with both contexts extended to their limits.
+    """Two-sided conditional with each nonempty context extended to its limit by repeating its last symbol.
 
-    Each nonempty context is treated as the visible part of an infinite context
-    obtained by repeating its last symbol; the fields of that extension are
-    computed to machine accuracy through the attracting fixed point, so the
-    value is exact for that extension. Empty sides keep the field-zero
-    convention. The decay certificate bounds the influence of any other unseen
-    tail by C * rho^len for each side, but no certificate is consulted here:
-    ``tol`` is only checked to be positive, and short contexts are not refused.
+    The odds of that extension start from the attracting fixed point, so the
+    value is exact for it; an empty side has odds 1. The decay certificate
+    bounds the influence of any other unseen tail by C * rho^len for each side,
+    but none is consulted here: ``tol`` is only checked to be positive, and
+    short contexts are not refused.
     """
     y0 = check_spin("y0", y0)
     check_tolerance(tol)
-    shift = 0.0
+    odds = 1.0
     for context in (as_spin_array(left, allow_empty=True)[::-1], as_spin_array(right, allow_empty=True)):
         if len(context):
-            shift += _extended_shift(context, model)
-    return _symbol_prob(y0, shift, model)
+            odds *= _extended_ratio(context, model)
+    return _symbol_prob(y0, odds, model)

@@ -41,26 +41,26 @@ def lane_calls(monkeypatch) -> list[bool]:
     return calls
 
 
-def walked_ratios(symbols, model, shift_init: float = 0.0) -> np.ndarray:
+def walked_ratios(symbols, model, start: float = 1.0) -> np.ndarray:
     """The ratio exp(-2A) of every position of ``symbols``, from one sequential ``_walk``, in position order."""
     record = []
-    _walk(symbols, model, shift_init, record)
+    _walk(symbols, model, start, record)
     return np.array(record[::-1])
 
 
-def assert_both_sides_walked(y, model, shift_init: float = 0.0) -> None:
+def assert_both_sides_walked(y, model, start: float = 1.0) -> None:
     """Both sides of y, scanned in one loop as neighbour_ratios scans them, with warnings as errors, each equal its own walk."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sides = _scan_ratios(y, model, shift_init, reverse=True)
+        sides = _scan_ratios(y, model, start, reverse=True)
     for word, lanes in zip((y, y[::-1]), sides):
         assert lanes.shape == (len(y) + 1,) and np.all(np.isfinite(lanes))
-        np.testing.assert_array_equal(lanes, walked_ratios(word, model, shift_init))
+        np.testing.assert_array_equal(lanes, walked_ratios(word, model, start))
 
 
-def walked_shifts(symbols, model, shift_init: float = 0.0) -> np.ndarray:
+def walked_shifts(symbols, model, start: float = 1.0) -> np.ndarray:
     """The shifts of ``walked_ratios``, read off by the package's one log on a contiguous array."""
-    return _shift_from_ratio(walked_ratios(symbols, model, shift_init), model)
+    return _shift_from_ratio(walked_ratios(symbols, model, start), model)
 
 
 def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from noisymarkov.model import channel_model, validate_params
 from noisymarkov.oracle import brute_force_cylinder
 from noisymarkov.thermo import bowen_gibbs_certificate, g_function
 from noisymarkov.transfer import (
-    _fixed_point_shift,
+    _fixed_point_ratio,
     backward_fields,
     cylinder_prob,
     decay_rate_bound,
@@ -116,8 +116,8 @@ def test_lane_scan_where_factors_overflow(p, eps, rng, lane_calls):
     # the channel factors eps/(1-eps) and its inverse underflow and overflow in a product with the ratio
     model = channel_model(p, eps)
     y = rng.choice(np.array([-1, 1], dtype=np.int8), size=LANE_WORD)
-    for init in (0.0, _fixed_point_shift(int(y[-1]), model)):
-        assert_both_sides_walked(y, model, init)
+    for start in (1.0, _fixed_point_ratio(int(y[-1]), model)):
+        assert_both_sides_walked(y, model, start)
     assert lane_calls == [True, True]
 
 

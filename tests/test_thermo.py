@@ -12,6 +12,7 @@ from noisymarkov.errors import (
     OutOfRangeError,
 )
 from noisymarkov.model import channel_model, validate_params
+from noisymarkov.simulate import generate_dataset
 from noisymarkov.thermo import (
     bowen_gibbs_certificate,
     bowen_gibbs_ratio,
@@ -28,13 +29,18 @@ from noisymarkov.thermo import (
 )
 from noisymarkov import thermo, transfer
 from noisymarkov.transfer import (
+    conditional_prob,
     extended_fields,
     field_shift,
     log2cosh,
     log_partition_term,
+    two_sided_conditional,
+    two_sided_limit_conditional,
 )
 
 from conftest import PARAM_GRID, random_word, second_iterate_product, second_iterate_sup
+from test_reader_digests import CELLS as DIGEST_CELLS
+from test_reader_digests import WORDS as DIGEST_WORDS
 
 M_REF = channel_model(0.2, 0.1)
 
@@ -290,6 +296,22 @@ class TestGFunction:
     def test_needs_tail(self):
         with pytest.raises(InsufficientContextError):
             g_function(np.array([1]), 1e-6, M_REF)
+
+    @pytest.mark.parametrize("cell", [*DIGEST_CELLS, (0.45, 0.45), (0.2, 0.1)], ids=str)
+    def test_one_formula_for_every_conditional(self, cell, rng):
+        # bit for bit, g is the limit conditional with no left side, and the one-sided conditional
+        # the two-sided one with no left side: one helper computes every Q(y | context)
+        params = validate_params(*cell)
+        words = [generate_dataset(params, *DIGEST_WORDS[name]).y.symbols for name in sorted(DIGEST_WORDS)]
+        words = [s[i:] for s in words for i in (0, 1, len(s) // 2, len(s) - 2)]
+        words += [random_word(rng, int(n)) for n in rng.integers(2, 40, size=300)]
+        certified = params.decay is not None
+        for y in words:
+            y0, tail = int(y[0]), y[1:]
+            assert conditional_prob(y0, tail, params).hex() == two_sided_conditional(y0, [], tail, params).hex()
+            if certified:  # a tolerance that every context meets
+                assert (g_function(y, 1e300, params).hex()
+                        == two_sided_limit_conditional(y0, [], tail, 1e300, params).hex()), (cell, len(y))
 
 
 class TestContinuedFraction:

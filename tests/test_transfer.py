@@ -21,9 +21,10 @@ from noisymarkov.transfer import (
     LANE_CUTOVER,
     LANE_WIDTH,
     _extended_field,
-    _fixed_point_shift,
+    _fixed_point_ratio,
     _lane_rounds,
-    _leading_shift,
+    _leading_ratio,
+    _scan_ratios,
     _scan_shifts,
     _sequential_ratios,
     _walk,
@@ -201,15 +202,14 @@ class TestTransferStep:
     @staticmethod
     def worst_ulps(p, us):
         """Largest distance of the walk's step from the exact m(u), in units in the last place of m(u)."""
-        # at eps = 1/2, c = 1 exactly, so the walk steps from u = rho = exp(-2 shift_init) itself
+        # at eps = 1/2, c = 1 exactly, so the walk steps from its start ratio u itself
         model = channel_model(p, 0.5)
         assert model.c == 1.0
         r = Fraction(model.r)
         symbol = np.array([1], dtype=np.int8)
         worst = Fraction(0)
-        for shift_init in -0.5 * np.log(us):
-            u = math.exp(-2.0 * shift_init)
-            got = _walk(symbol, model, shift_init)
+        for u in us.tolist():
+            got = _walk(symbol, model, u)
             exact = 1 / r if u == math.inf else (r + Fraction(u)) / (1 + r * Fraction(u))
             worst = max(worst, abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
         return worst
@@ -336,7 +336,7 @@ class TestLaneScan:
         # and past the cut-over of one side alone
         for n in (lane_cut(2) - 1, lane_cut(2), lane_cut(2) + 3 * LANE_WIDTH + 777, lane_cut(1) + 777):
             y = random_word(rng, n)
-            init = 0.0 if start == "zero" else _fixed_point_shift(int(y[-1]), model)
+            init = 1.0 if start == "zero" else _fixed_point_ratio(int(y[-1]), model)  # zero shift: ratio 1
             lane_calls.clear()
             assert_both_sides_walked(y, model, init)
             assert lane_calls == ([True] if n >= lane_cut(2) else [])
@@ -424,19 +424,19 @@ def test_the_scan_reads_no_certificate(rng, monkeypatch, lane_calls):
 
 
 class TestLeadingShift:
-    """_leading_shift(y, model, init, i) is entry i of _scan_shifts(y, model, init), bit for bit."""
+    """_leading_ratio(y, model, start, i) is entry i of _scan_ratios(y, model, start), bit for bit."""
 
     @staticmethod
     def starts(model, y):
-        """Every shift_init the package uses or the scan admits: 0, +-|J| and the fixed points."""
-        fixed = {_fixed_point_shift(s, model) for s in ((int(y[-1]),) if len(y) else (1, -1))}
-        return [0.0, abs(model.J), -abs(model.J), *sorted(fixed)]
+        """Every start ratio the package uses or the scan admits: 1, r, 1/r and the fixed points."""
+        fixed = {_fixed_point_ratio(s, model) for s in ((int(y[-1]),) if len(y) else (1, -1))}
+        return [1.0, model.r, 1.0 / model.r, *sorted(fixed)]
 
     def assert_leading(self, y, model):
-        for init in self.starts(model, y):
-            shifts = _scan_shifts(y, model, init)
+        for start in self.starts(model, y):
+            (ratios,) = _scan_ratios(y, model, start)
             for i in range(min(2, len(y) + 1)):
-                assert _leading_shift(y, model, init, i).hex() == float(shifts[i]).hex(), (len(y), init, i)
+                assert _leading_ratio(y, model, start, i).hex() == float(ratios[i]).hex(), (len(y), start, i)
         if len(y):  # the limit field of thermo.limit_field and variation_estimate
             assert _extended_field(y, model).hex() == float(extended_fields(y, model)[0]).hex()
 
@@ -448,12 +448,13 @@ class TestLeadingShift:
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3)])
     def test_many_short_words(self, p, eps, rng):
-        # enough ratios that a log rounding differently from numpy's shows
+        # enough ratios that a log rounding differently from numpy's shows in the limit field
         model = channel_model(p, eps)
         for n in rng.integers(1, 17, size=1500):
             y = random_word(rng, int(n))
-            init = _fixed_point_shift(int(y[-1]), model)
-            assert _leading_shift(y, model, init).hex() == float(_scan_shifts(y, model, init)[0]).hex()
+            start = _fixed_point_ratio(int(y[-1]), model)
+            assert _leading_ratio(y, model, start).hex() == float(_scan_ratios(y, model, start)[0][0]).hex()
+            assert _extended_field(y, model).hex() == float(extended_fields(y, model)[0]).hex()
 
     @pytest.mark.parametrize("p, eps", [(1e-17, 0.2), (1e-300, 1e-300)])
     def test_cells_without_certificate(self, p, eps, rng):
