@@ -98,7 +98,7 @@ class ContinuedFractionResult:
     tail_sensitivity: float
 
 
-def _check_context(n: int, tol: float, model: ChannelParams) -> None:
+def _check_certified(n: int, tol: float, model: ChannelParams) -> None:
     """Refuse a context of n symbols whose unseen tail the decay certificate does not bound below ``tol``."""
     bound = decay_rate_bound(model)
     if bound.rho > 0.0 and bound.C * bound.rho**n >= tol:
@@ -116,7 +116,7 @@ def limit_field(y, tol: float, model: ChannelParams) -> float:
     C * rho^len(y), which must be below tol (InsufficientContextError otherwise).
     """
     arr = as_spin_array(y)
-    _check_context(len(arr), check_tolerance(tol), model)
+    _check_certified(len(arr), check_tolerance(tol), model)
     return _extended_field(arr, model)
 
 
@@ -130,7 +130,7 @@ def g_function(y, tol: float, model: ChannelParams) -> float:
     arr = as_spin_array(y)
     if len(arr) < 2:
         raise InsufficientContextError("g needs the leading symbol plus a nonempty tail")
-    _check_context(len(arr) - 1, check_tolerance(tol), model)
+    _check_certified(len(arr) - 1, check_tolerance(tol), model)
     return _symbol_prob(int(arr[0]), _extended_ratio(arr, model, 1), model)
 
 

@@ -26,7 +26,7 @@ with a = min(r, 1/r) and b = 1 - a^2. Every term is positive, so nothing
 cancels and no transcendental function is called, and a u overflowed to inf
 gives m(inf) = 1/r. The cell picks its form once; the walk, the lanes and
 ``field_shift`` all take this one step, so they round alike. Every walk
-starts from a ratio, and readers of probabilities take no log or exp;
+starts from a ratio, and readers of probabilities stay in ratio form;
 A = -(1/2) log rho is read off, by numpy's log, only where a field is returned.
 
 Long words are scanned in lanes of b = LANE_WIDTH symbols, made exact by
@@ -62,8 +62,8 @@ Given the symbols to its right, X_i has the odds rho_{i+1} = P(X_i = -1) / P(X_i
     Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho),   rho = rho_{i+1},
 
 with P(y | x) the channel's emission column. ``_symbol_prob`` computes every
-scalar Q(y | context) so; a two-sided conditional multiplies the odds of its
-two sides, and ``thermo.g_function`` reads the odds of the limit of a tail. Cylinder
+scalar Q(y | context) so: a two-sided conditional multiplies the odds of its
+sides, and ``thermo.g_function`` reads those of the limit of a tail. Cylinder
 probabilities are the product of these conditionals, summed as logarithms in
 (-inf, 0]: by ``math.fsum``, correctly rounded, on a word too short for lanes,
 and otherwise by a cascade of vectorized TwoSum levels (``_cascade_sum``),
