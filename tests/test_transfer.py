@@ -437,7 +437,7 @@ class TestLeadingShift:
             (ratios,) = _scan_ratios(y, model, start)
             for i in range(min(2, len(y) + 1)):
                 assert _leading_ratio(y, model, start, i).hex() == float(ratios[i]).hex(), (len(y), start, i)
-        if len(y):  # the limit field of thermo.limit_field and variation_estimate
+        if len(y):  # the limit field of thermo.limit_field
             assert _extended_field(y, model).hex() == float(extended_fields(y, model)[0]).hex()
 
     @pytest.mark.parametrize("p, eps", [(0.1, 0.2), (0.02, 0.3), (0.45, 1e-300)])
