@@ -12,6 +12,9 @@ word, a refusal by its exception class; so are the readers of the limit of a
 tail, ``g_function``, ``gibbs_potential``, ``coboundary`` and
 ``g_continued_fraction_detail``, ``cylinder_prob`` on short words from those
 positions, and ``bowen_gibbs_ratio`` on the short words and on the whole word.
+The field maps ``field_shift``, ``field_shift_deriv``, ``log2cosh``,
+``log_partition_term`` and ``log_partition_term_deriv`` are pinned at the
+backward fields of those positions.
 The readers that depend on the cell alone, ``fixed_point_field``,
 ``bowen_gibbs_certificate``, ``decay_rate_bound``, ``required_context`` and
 ``variation_estimate``, are pinned once per cell. The cells (1e-17, 0.2),
@@ -57,9 +60,14 @@ from noisymarkov.transfer import (
     cylinder_prob,
     decay_rate_bound,
     extended_fields,
+    field_shift,
+    field_shift_deriv,
     fixed_point_field,
     forward_fields,
+    log2cosh,
     log_cylinder_prob,
+    log_partition_term,
+    log_partition_term_deriv,
     required_context,
     two_sided_conditional,
     two_sided_limit_conditional,
@@ -188,6 +196,16 @@ def reader_digests(cell: tuple[float, float], word: str) -> dict[str, str | list
     for name, reader in one_shift.items():
         out[name] = [_hex_or_refusal(lambda: reader(i)) for i in _positions(len(s))]
     out["bowen_gibbs_ratio whole word"] = _hex_or_refusal(lambda: bowen_gibbs_ratio(y, params))
+    w = fields["backward_fields"][list(_positions(len(s)))]
+    field_maps = {
+        "field_shift": lambda: field_shift(w, params),
+        "field_shift_deriv": lambda: field_shift_deriv(w, params),
+        "log2cosh": lambda: log2cosh(w),
+        "log_partition_term": lambda: log_partition_term(w, params),
+        "log_partition_term_deriv": lambda: log_partition_term_deriv(w, params),
+    }
+    for name, field_map in field_maps.items():
+        out[name] = _hex_or_refusal(lambda: field_map().tolist())
     return out
 
 
