@@ -1,11 +1,12 @@
 """Command-line entry point: probs, decay, gfun, bench, simulate.
 
 Configuration comes from an optional plain-text key=value file (``--grid-file``)
-with command-line flags taking precedence. Every emitted file starts with
-``# key=value`` comment lines carrying the full effective configuration, so a
-run can be reproduced from its output alone. Data sections are deterministic
-for a fixed configuration; wall-clock runtimes appear only in the JSON-lines
-benchmark records.
+with command-line flags taking precedence; ``Settings.get`` reads and parses
+every value. Every emitted CSV starts with ``# key=value`` lines carrying each
+value the command read from a flag or the file, and what it ran with besides,
+so a run can be reproduced from its output alone; a flag or key the command
+did not read is not recorded. Data sections are deterministic for a fixed
+configuration; wall-clock runtimes appear only in the JSON-lines records.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
 """
@@ -92,100 +93,92 @@ def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
     _overwrite(path, (line.encode() for line in _csv_lines(meta, header, rows)))
 
 
+def _int_list(raw: str) -> list[int]:
+    """Integers separated by commas or spaces, such as a seed list."""
+    items = [int(tok) for tok in raw.replace(" ", ",").split(",") if tok]
+    if not items:
+        raise ConfigError("must be a nonempty list")
+    return items
+
+
+def _grid(raw: str) -> list[tuple[float, float]]:
+    """(p, eps) cells written p:eps and separated by spaces."""
+    cells = []
+    for token in raw.split():
+        p, _, eps = token.partition(":")
+        try:
+            cells.append((float(p), float(eps)))
+        except ValueError:
+            raise ConfigError(f"has a bad grid cell {token!r}; expected p:eps") from None
+    if not cells:
+        raise ConfigError("must be nonempty")
+    return cells
+
+
 class Settings:
-    """Merged configuration: file values overridden by explicit flags."""
+    """The settings of one command: each from its flag, else the configuration file, else a default.
+
+    ``get`` reads and parses every setting, and records each value it took
+    from a flag or the file; ``meta`` writes those values into the output's
+    header, so a flag or key the command did not read is not recorded.
+    """
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.file_values = load_config(args.grid_file) if args.grid_file else {}
         self.args = args
+        self.read: dict[str, str] = {}
 
-    def get(self, key: str, default=None) -> str | None:
+    def get(self, key: str, default=None, parse=str):
+        """``key`` from its flag, else the file, parsed by ``parse``; else ``default``, unparsed; required without one."""
         flag = getattr(self.args, key, None)
-        if flag is not None:
-            return str(flag)
-        return self.file_values.get(key, default)
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.get(key, None if default is None else str(default))
+        raw = self.file_values.get(key) if flag is None else str(flag)
         if raw is None:
-            raise ConfigError(f"missing required parameter: {key}")
+            if default is None:
+                raise ConfigError(f"missing required parameter: {key}")
+            return default
         try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key}={raw!r} is not a number") from exc
+            value = parse(raw)
+        except ValueError as exc:  # float, int and _int_list refuse by ValueError
+            reason = {float: "is not a number", int: "is not an integer", _int_list: "is not a list of integers"}
+            raise ConfigError(f"parameter {key}={raw!r} {reason[parse]}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"parameter {key}={raw!r} {exc}") from exc
+        self.read[key] = raw
+        return value
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self.get(key, None if default is None else str(default))
-        if raw is None:
-            raise ConfigError(f"missing required parameter: {key}")
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key}={raw!r} is not an integer") from exc
+    def cell(self) -> tuple[float, float]:
+        return self.get("p", parse=float), self.get("eps", parse=float)
 
-    def get_int_list(self, key: str, default: str | None = None) -> list[int]:
-        raw = self.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required parameter: {key}")
-        try:
-            items = [int(tok) for tok in str(raw).replace(" ", ",").split(",") if tok]
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key}={raw!r} is not a list of integers") from exc
-        if not items:
-            raise ConfigError(f"parameter {key} must be a nonempty list")
-        return items
-
-    def get_grid(self, key: str, default: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    def grid(self, default: list[tuple[float, float]]) -> list[tuple[float, float]]:
         """The (p, eps) cells to run.
 
         --p or --eps narrows the grid to the one cell (p, eps), taking the
         other coordinate from its flag or else the file, and is refused
         without it. Without either flag the file's grid runs, and wins over
-        the file's p and eps, which the header then omits; else the one cell
-        of the file's p and eps, else ``default``.
+        the file's p and eps; else the one cell of the file's p and eps, else
+        ``default``.
         """
-        flags = [f"--{name}" for name in ("p", "eps") if getattr(self.args, name) is not None]
-        raw = self.file_values.get(key)
-        if flags or raw is None:
-            if self.get("p") is not None and self.get("eps") is not None:
-                # the cell replaces the file's grid, so the header does not record that grid
-                self.file_values.pop(key, None)
-                return [(self.get_float("p"), self.get_float("eps"))]
-            if flags:
-                other = "--eps" if flags == ["--p"] else "--p"
-                raise ConfigError(f"{flags[0]} narrows the grid to one cell and needs {other} as well")
-            return default
-        cells: list[tuple[float, float]] = []
-        for token in raw.split():
-            try:
-                p_str, _, e_str = token.partition(":")
-                cells.append((float(p_str), float(e_str)))
-            except ValueError as exc:
-                raise ConfigError(f"bad grid cell {token!r}; expected p:eps") from exc
-        if not cells:
-            raise ConfigError(f"grid {key} must be nonempty")
-        # the grid replaces the cell of the file's p and eps, so the header does not record them
-        for name in ("p", "eps"):
-            self.file_values.pop(name, None)
-        return cells
+        flags = [name for name in ("p", "eps") if getattr(self.args, name) is not None]
+        if not flags and "grid" in self.file_values:
+            return self.get("grid", parse=_grid)
+        if {"p", "eps"} <= {*flags, *self.file_values}:
+            return [self.cell()]
+        if flags:
+            other = "eps" if flags == ["p"] else "p"
+            raise ConfigError(f"--{flags[0]} narrows the grid to one cell and needs --{other} as well")
+        return default
 
     def meta(self, **extra) -> dict:
-        out = {"version": __version__, "generator": GENERATOR_NAME}
-        out.update(self.file_values)
-        for key, value in vars(self.args).items():
-            if key in ("command", "grid_file") or value is None:
-                continue
-            out[key] = value
-        out.update(extra)
-        return out
+        """An output's header: version, generator, each value read from a flag or the file, and ``extra``."""
+        return {"version": __version__, "generator": GENERATOR_NAME, **self.read, **extra}
 
 
 def cmd_probs(cfg: Settings) -> int:
     """Enumerate all words of a given length; cross-check the two probability routes."""
-    length = cfg.get_int("n", 2)
+    length = cfg.get("n", 2, int)
     if not 1 <= length <= MAX_ENUMERATION_LENGTH:
         raise ConfigError(f"enumeration length must be in 1..{MAX_ENUMERATION_LENGTH}, got {length}")
-    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
+    params = validate_params(*cfg.cell())
     out = Path(cfg.get("out", "probs.csv"))
     rows = []
     total = 0.0
@@ -233,9 +226,9 @@ def _empirical_variation_rate(params: ChannelParams, samples: int, seed: int) ->
 
 def cmd_decay(cfg: Settings) -> int:
     """Tabulate naive and improved decay bounds plus an empirical variation rate."""
-    grid = cfg.get_grid("grid", DEFAULT_DECAY_GRID)
-    seed = cfg.get_int("seed", 0)
-    samples = cfg.get_int("samples", 48)
+    grid = cfg.grid(DEFAULT_DECAY_GRID)
+    seed = cfg.get("seed", 0, int)
+    samples = cfg.get("samples", 48, int)
     out = Path(cfg.get("out", "decay.csv"))
     rows = []
     over = unfit = 0
@@ -265,11 +258,11 @@ def cmd_decay(cfg: Settings) -> int:
 
 def cmd_gfun(cfg: Settings) -> int:
     """Cross-validate the recursion and continued-fraction forms of g."""
-    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
-    count = cfg.get_int("n", 50)
-    depth = cfg.get_int("depth", 200)
-    tol = cfg.get_float("tol", 1e-12)
-    seed = cfg.get_int("seed", 0)
+    params = validate_params(*cfg.cell())
+    count = cfg.get("n", 50, int)
+    depth = cfg.get("depth", 200, int)
+    tol = cfg.get("tol", 1e-12, float)
+    seed = cfg.get("seed", 0, int)
     check_count("seed", seed)
     out = Path(cfg.get("out", "gfun.csv"))
     length = max(depth + 1, required_context(tol, params) + 1)
@@ -339,20 +332,20 @@ def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], alg
 
 def cmd_bench(cfg: Settings) -> int:
     """Simulate, denoise and score every (p, eps, seed) cell; emit JSONL and tables."""
-    grid = cfg.get_grid("grid", DEFAULT_BENCH_GRID)
-    n = cfg.get_int("n", 1_000_000)
+    grid = cfg.grid(DEFAULT_BENCH_GRID)
+    n = cfg.get("n", 1_000_000, int)
     if n < 4:
         raise ConfigError(f"bench needs n >= 4, got {n}")
-    seeds = cfg.get_int_list("seed", "0,1,2")
+    seeds = cfg.get("seed", [0, 1, 2], _int_list)
     for seed in seeds:
         check_count("seed", seed)
-    algorithms = [a.strip() for a in str(cfg.get("algorithms", "bf,gibbs,dude")).split(",") if a.strip()]
+    algorithms = cfg.get("algorithms", ["bf", "gibbs", "dude"],
+                         lambda raw: [a.strip() for a in raw.split(",") if a.strip()])
     for algo in algorithms:
         if algo not in ("bf", "gibbs", "dude", "bfp"):
             raise ConfigError(f"unknown algorithm {algo!r}")
     default_k = default_context_length(n)
-    k_default_list = sorted(set(list(range(1, 9)) + [default_k]))
-    k_list = cfg.get_int_list("k", ",".join(map(str, k_default_list)))
+    k_list = cfg.get("k", sorted({*range(1, 9), default_k}), _int_list)
     if min(k_list) < 1:
         raise ConfigError(f"dude context lengths must be >= 1, got k={min(k_list)}")
     max_k = max(k_list)
@@ -386,30 +379,18 @@ def cmd_bench(cfg: Settings) -> int:
 
     header = ["p", "eps", "bf", "gibbs", "dude_best", "dude_best_k",
               f"dude_default_k{default_k}", "bfp"]
+    columns = ("bf", "gibbs", "dude_best", "dude_best_k", f"dude_k{default_k}", "bfp")  # header[2:]'s keys in means
     rows = []
     md_lines = ["| p | Gibbs | DUDE |", "|---|-------|------|"]
-    for (p, eps), algos in by_cell.items():
-        def mean_of(name: str) -> float | None:
-            vals = algos.get(name)
-            return float(np.mean(vals)) if vals else None
-
-        dude_means = {k: mean_of(f"dude_k{k}") for k in k_list}
-        dude_means = {k: v for k, v in dude_means.items() if v is not None}
-        best_k = min(dude_means, key=dude_means.get) if dude_means else None
-        row = {
-            "bf": mean_of("bf"),
-            "gibbs": mean_of("gibbs"),
-            "dude_best": dude_means.get(best_k) if best_k is not None else None,
-            "dude_best_k": best_k,
-            f"dude_default_k{default_k}": dude_means.get(default_k),
-            "bfp": mean_of("bfp"),
-        }
-        rows.append((_fmt(p), _fmt(eps)) + tuple(
-            "" if row[name] is None else (_fmt(row[name]) if name != "dude_best_k" else str(row[name]))
-            for name in header[2:]
-        ))
-        if row["gibbs"] is not None and row["dude_best"] is not None:
-            md_lines.append(f"| {p:g} | {100 * row['gibbs']:.2f}% | {100 * row['dude_best']:.2f}% |")
+    for (p, eps), bers in by_cell.items():
+        means = {name: float(np.mean(values)) for name, values in bers.items()}
+        dude_ks = [k for k in k_list if f"dude_k{k}" in means]
+        if dude_ks:
+            means["dude_best_k"] = min(dude_ks, key=lambda k: means[f"dude_k{k}"])
+            means["dude_best"] = means[f"dude_k{means['dude_best_k']}"]
+        rows.append((_fmt(p), _fmt(eps), *(_fmt(means[name]) if name in means else "" for name in columns)))
+        if "gibbs" in means and "dude_best" in means:
+            md_lines.append(f"| {p:g} | {100 * means['gibbs']:.2f}% | {100 * means['dude_best']:.2f}% |")
 
     _write_csv(out_dir / "ber_table.csv", cfg.meta(n=n, seeds=",".join(map(str, seeds)),
                                                    algorithms=",".join(algorithms),
@@ -425,9 +406,9 @@ def cmd_bench(cfg: Settings) -> int:
 
 def cmd_simulate(cfg: Settings) -> int:
     """Generate a seeded dataset and export it (packed .bin for y, or full .csv path)."""
-    params = validate_params(cfg.get_float("p"), cfg.get_float("eps"))
-    n = cfg.get_int("n", 1000)
-    seed = cfg.get_int("seed", 0)
+    params = validate_params(*cfg.cell())
+    n = cfg.get("n", 1000, int)
+    seed = cfg.get("seed", 0, int)
     out = Path(cfg.get("out", "path.bin"))
     sim = generate_dataset(params, n, seed)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -485,8 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = Settings(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](Settings(args))
     except (ConfigError, OutOfRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

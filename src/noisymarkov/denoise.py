@@ -413,13 +413,13 @@ def bfp_denoise(
 
     ``exact`` mode evaluates the one-sided conditionals from the neighbour
     ratios of the full observed word (valid in both directions because the
-    symmetric chain is reversible); ``empirical`` mode estimates them with
-    order-k context counts and passes the first/last k positions through. It
-    counts the (k+1)-windows of ``dude_detail``'s encoder once, reads the left
-    conditional with the centre at bit k and the right one at bit 0, and
-    gathers both rows per position; k <= 28. The surrogate is then pushed through
-    the channel inversion and a per-position argmax, in blocks of 2^16
-    positions so that the temporaries stay small; exact mode does both in
+    symmetric chain is reversible) and refuses a ``k``; ``empirical`` mode
+    estimates them with order-k context counts and passes the first/last k
+    positions through. It counts the (k+1)-windows of ``dude_detail``'s encoder
+    once, reads the left conditional with the centre at bit k and the right one
+    at bit 0, and gathers both rows per position; k <= 28. The surrogate is then
+    pushed through the channel inversion and a per-position argmax, in blocks of
+    2^16 positions so that the temporaries stay small; exact mode does both in
     closed form on the two ratios, in place on the arrays of the scan, so its
     memory peak is the scan's. It deliberately does not equal the exact
     two-sided conditional in general.
@@ -429,6 +429,8 @@ def bfp_denoise(
     arr = word.symbols
     n = len(arr)
     if mode == "exact":
+        if k is not None:
+            raise OutOfRangeError(f"exact mode reads no context length, got k={k!r}")
         left, right = neighbour_ratios(word, params)
         # Each side's conditional of Y_i is (1 + s y tanh A)/2 with s = 1 - 2 eps.
         # Inverting their normalized product through the channel gives entries

@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -372,9 +374,37 @@ class TestConfigFile:
 
     def test_required_values_without_default(self):
         cfg = cli.Settings(cli.build_parser().parse_args(["bench"]))
-        for get in (cfg.get_float, cfg.get_int, cfg.get_int_list):
+        for parse in (str, float, int, cli._int_list):
             with pytest.raises(cli.ConfigError, match="missing required parameter: depth"):
-                get("depth")
+                cfg.get("depth", parse=parse)
+
+    @pytest.mark.parametrize("flags, config, read", [
+        (["--p", "0.2", "--eps", "0.1", "--n", "2", "--k", "3", "--depth", "9"], None,
+         {"p": "0.2", "eps": "0.1", "n": "2"}),
+        ([], "grid=0.1:0.2 0.2:0.2\np=0.3\neps=0.1\nsamples=8\nalgorithms=bf\n", {"p": "0.3", "eps": "0.1"}),
+    ], ids=["unread-flags", "unread-keys"])
+    def test_header_records_what_the_command_read(self, tmp_path, flags, config, read):
+        # a key is in the header if and only if the command read it from a flag or the file
+        out = tmp_path / "probs.csv"
+        args = ["probs", *flags, "--out", str(out)]
+        if config is not None:
+            (tmp_path / "cfg.txt").write_text(config)
+            args += ["--grid-file", str(tmp_path / "cfg.txt")]
+        assert cli.main(args) == 0
+        meta, _, _ = read_csv(out)
+        written = {"schema", "version", "generator", "sum", "max_rel_err"}
+        assert {key: value for key, value in meta.items() if key not in written} == {**read, "out": str(out)}
+
+    def test_only_settings_reads_the_flags_and_the_file(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        settings = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Settings")
+        inside = {id(node) for node in ast.walk(settings)}
+        outside = [node for node in ast.walk(tree) if id(node) not in inside]
+        calls = [node.func.id for node in outside if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert "getattr" not in calls and "vars" not in calls
+        attributes = [(node.value, node.attr) for node in outside if isinstance(node, ast.Attribute)]
+        assert "file_values" not in [attr for _, attr in attributes]
+        assert {attr for value, attr in attributes if isinstance(value, ast.Name) and value.id == "args"} == {"command"}
 
     @pytest.mark.parametrize("command", ["simulate", "bench", "gfun"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, command):

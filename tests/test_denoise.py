@@ -523,6 +523,10 @@ class TestBfp:
         with pytest.raises(NoisyMarkovError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="typo")
 
+    def test_context_length_in_exact_mode_is_refused(self):
+        with pytest.raises(OutOfRangeError, match="k=5"):
+            bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="exact", k=5)
+
     def test_nonpositive_context_is_package_error(self):
         with pytest.raises(NoisyMarkovError):
             bfp_denoise(np.ones(10, dtype=np.int8), P_REF, mode="empirical", k=0)
