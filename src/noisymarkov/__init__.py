@@ -9,7 +9,6 @@ simulation, and the standard denoisers with a bit-error-rate benchmark.
 __version__ = "0.1.0"
 
 from .denoise import (
-    BerReport,
     PosteriorMarginals,
     bfp_denoise,
     bit_error_rate,

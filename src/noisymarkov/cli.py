@@ -5,7 +5,8 @@ with command-line flags taking precedence; ``Settings.get`` reads and parses
 every value. Every emitted CSV starts with ``# key=value`` lines carrying each
 value the command read from a flag or the file, and what it ran with besides,
 so a run can be reproduced from its output alone; a flag or key the command
-did not read is not recorded. Data sections are deterministic for a fixed
+did not read is not recorded (``bench`` reads ``k`` only where DUDE runs), and
+a list names each value once. Data sections are deterministic for a fixed
 configuration; wall-clock runtimes appear only in the JSON-lines records.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-check failure.
@@ -24,7 +25,6 @@ import numpy as np
 from . import __version__
 from .denoise import (
     MAX_CONTEXT_LENGTH,
-    BerReport,
     bfp_denoise,
     bit_error_rate,
     default_context_length,
@@ -41,6 +41,7 @@ from .thermo import g_continued_fraction_detail, g_function, variation_estimate
 from .transfer import cylinder_prob, decay_rate_bound, required_context
 
 SCHEMA_VERSION = "noisymarkov-cli-v1"
+BER_SCHEMA_VERSION = "noisymarkov-ber-v1"  # each record of bench's ber.jsonl
 
 DEFAULT_DECAY_GRID = [(p, e) for p in (0.1, 0.2, 0.3, 0.45) for e in (0.05, 0.2, 0.35, 0.45)]
 DEFAULT_BENCH_GRID = [(0.05, 0.2), (0.10, 0.2), (0.15, 0.2), (0.20, 0.2)]
@@ -93,12 +94,18 @@ def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
     _overwrite(path, (line.encode() for line in _csv_lines(meta, header, rows)))
 
 
-def _int_list(raw: str) -> list[int]:
-    """Integers separated by commas or spaces, such as a seed list."""
-    items = [int(tok) for tok in raw.replace(" ", ",").split(",") if tok]
+def _list(raw: str, item=str) -> list:
+    """Values separated by commas or spaces, each read by ``item`` and named once."""
+    items = [item(tok) for tok in raw.replace(" ", ",").split(",") if tok]
     if not items:
         raise ConfigError("must be a nonempty list")
+    if len(set(items)) < len(items):
+        raise ConfigError("must name each value once")
     return items
+
+
+def _int_list(raw: str) -> list[int]:
+    return _list(raw, int)
 
 
 def _grid(raw: str) -> list[tuple[float, float]]:
@@ -304,15 +311,12 @@ def _timed(fn, *args, **kwargs):
 
 
 def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], algorithms: list[str]):
-    """All requested denoisers on one simulated path of the cell; one BerReport per algorithm."""
+    """All requested denoisers on one simulated path of the cell; one (algorithm, ber, runtime_s, extra) per run."""
     path = generate_dataset(params, n, seed)
-    reports: list[BerReport] = []
+    runs: list[tuple[str, float, float, dict]] = []
 
     def report(algorithm: str, xhat, runtime_s: float, **extra) -> None:
-        reports.append(
-            BerReport(algorithm=algorithm, p=params.p, epsilon=params.epsilon, n=n, seed=seed,
-                      ber=bit_error_rate(xhat, path.x), runtime_s=runtime_s, extra=extra)
-        )
+        runs.append((algorithm, bit_error_rate(xhat, path.x), runtime_s, extra))
 
     if "bf" in algorithms:
         xhat, elapsed = _timed(lambda: map_denoise(forward_backward(path.y, params)))
@@ -320,14 +324,13 @@ def _bench_cell(params: ChannelParams, n: int, seed: int, k_list: list[int], alg
     if "gibbs" in algorithms:
         (xhat, fitted), elapsed = _timed(gibbs_detail, path.y, params.epsilon)
         report("gibbs", xhat, elapsed, p_hat=fitted.p)
-    if "dude" in algorithms:
-        for k in k_list:
-            detail, elapsed = _timed(dude_detail, path.y, params.epsilon, k)
-            report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
+    for k in k_list:  # empty unless DUDE runs
+        detail, elapsed = _timed(dude_detail, path.y, params.epsilon, k)
+        report(f"dude_k{k}", detail.xhat, elapsed, k=k, n_clamped=detail.n_clamped)
     if "bfp" in algorithms:
         (xhat, _), elapsed = _timed(bfp_denoise, path.y, params, mode="exact")
         report("bfp", xhat, elapsed, mode="exact")
-    return reports
+    return runs
 
 
 def cmd_bench(cfg: Settings) -> int:
@@ -339,20 +342,23 @@ def cmd_bench(cfg: Settings) -> int:
     seeds = cfg.get("seed", [0, 1, 2], _int_list)
     for seed in seeds:
         check_count("seed", seed)
-    algorithms = cfg.get("algorithms", ["bf", "gibbs", "dude"],
-                         lambda raw: [a.strip() for a in raw.split(",") if a.strip()])
+    algorithms = cfg.get("algorithms", ["bf", "gibbs", "dude"], _list)
     for algo in algorithms:
         if algo not in ("bf", "gibbs", "dude", "bfp"):
             raise ConfigError(f"unknown algorithm {algo!r}")
     default_k = default_context_length(n)
-    k_list = cfg.get("k", sorted({*range(1, 9), default_k}), _int_list)
-    if min(k_list) < 1:
-        raise ConfigError(f"dude context lengths must be >= 1, got k={min(k_list)}")
-    max_k = max(k_list)
-    if max_k > MAX_CONTEXT_LENGTH:
-        raise ConfigError(f"dude context lengths must be <= {MAX_CONTEXT_LENGTH}, got k={max_k}")
-    if "dude" in algorithms and n <= 2 * max_k + 1:
-        raise ConfigError(f"bench with dude contexts up to k={max_k} needs n >= {2 * max_k + 2}")
+    ran_with = {"n": n, "seeds": ",".join(map(str, seeds)), "algorithms": ",".join(algorithms)}
+    k_list: list[int] = []
+    if "dude" in algorithms:
+        k_list = cfg.get("k", sorted({*range(1, 9), default_k}), _int_list)
+        if min(k_list) < 1:
+            raise ConfigError(f"dude context lengths must be >= 1, got k={min(k_list)}")
+        max_k = max(k_list)
+        if max_k > MAX_CONTEXT_LENGTH:
+            raise ConfigError(f"dude context lengths must be <= {MAX_CONTEXT_LENGTH}, got k={max_k}")
+        if n <= 2 * max_k + 1:
+            raise ConfigError(f"bench with dude contexts up to k={max_k} needs n >= {2 * max_k + 2}")
+        ran_with["k_list"] = ",".join(map(str, k_list))
     out_dir = Path(cfg.get("out", "bench-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -363,16 +369,17 @@ def cmd_bench(cfg: Settings) -> int:
         params = validate_params(p, eps)
         cell = by_cell.setdefault((p, eps), {})
         for seed in seeds:
+            fields = {"schema": BER_SCHEMA_VERSION, "p": p, "epsilon": eps, "n": n, "seed": seed}
             try:
-                reports = _bench_cell(params, n, seed, k_list, algorithms)
+                runs = _bench_cell(params, n, seed, k_list, algorithms)
             except NoisyMarkovError as exc:
                 failures += 1
-                records.append({"schema": "noisymarkov-ber-v1", "p": p, "epsilon": eps,
-                                "n": n, "seed": seed, "error": str(exc)})
+                records.append({**fields, "error": str(exc)})
                 continue
-            for rep in reports:
-                records.append(rep.to_dict())
-                cell.setdefault(rep.algorithm, []).append(rep.ber)
+            for algorithm, ber, runtime_s, extra in runs:
+                records.append({**fields, "algorithm": algorithm, "ber": ber, "runtime_s": runtime_s,
+                                "generator": GENERATOR_NAME, "extra": extra})
+                cell.setdefault(algorithm, []).append(ber)
 
     jsonl_path = out_dir / "ber.jsonl"
     _overwrite(jsonl_path, ((json.dumps(record, sort_keys=True) + "\n").encode() for record in records))
@@ -392,10 +399,7 @@ def cmd_bench(cfg: Settings) -> int:
         if "gibbs" in means and "dude_best" in means:
             md_lines.append(f"| {p:g} | {100 * means['gibbs']:.2f}% | {100 * means['dude_best']:.2f}% |")
 
-    _write_csv(out_dir / "ber_table.csv", cfg.meta(n=n, seeds=",".join(map(str, seeds)),
-                                                   algorithms=",".join(algorithms),
-                                                   k_list=",".join(map(str, k_list))),
-               header, rows)
+    _write_csv(out_dir / "ber_table.csv", cfg.meta(**ran_with), header, rows)
     _overwrite(out_dir / "ber_table.md", (("\n".join(md_lines) + "\n").encode(),))
     print(f"bench: wrote {jsonl_path}, {out_dir / 'ber_table.csv'}, {out_dir / 'ber_table.md'}")
     if failures:

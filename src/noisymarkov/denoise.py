@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ from .transfer import neighbour_ratios
 
 __all__ = [
     "PosteriorMarginals",
-    "BerReport",
     "emission_matrix",
     "emission_inverse",
     "emission_column",
@@ -97,24 +96,6 @@ class PosteriorMarginals:
 
     def __len__(self) -> int:
         return len(self.q_plus)
-
-
-@dataclass
-class BerReport:
-    """One benchmark measurement: algorithm, cell parameters and achieved loss."""
-
-    algorithm: str
-    p: float
-    epsilon: float
-    n: int
-    seed: int
-    ber: float
-    runtime_s: float
-    generator: str = "philox4x64"
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"schema": "noisymarkov-ber-v1", **asdict(self)}
 
 
 def _check_crossover(epsilon) -> float:

@@ -303,6 +303,21 @@ class TestBench:
         assert "2 cell(s) failed" in capsys.readouterr().err
         records = [json.loads(line) for line in (out / "ber.jsonl").read_text().splitlines()]
         assert [(r["seed"], r["error"]) for r in records] == [(0, "no context"), (1, "no context")]
+        assert all(r.keys() == {"schema", "p", "epsilon", "n", "seed", "error"} for r in records)
+
+    def test_record_schema_and_generator_are_named_once(self):
+        # every ber.jsonl record is built in cmd_bench, and the generator is named where it is made
+        sources = {path.name: path.read_text(encoding="utf-8") for path in Path(cli.__file__).parent.glob("*.py")}
+        assert sum(text.count(cli.BER_SCHEMA_VERSION) for text in sources.values()) == 1
+        assert [name for name, text in sources.items() if '"philox4x64"' in text] == ["simulate.py"]
+
+    def test_algorithms_separated_by_spaces(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=0.1:0.2\nalgorithms=bf gibbs\n")
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--n", "2000", "--seed", "0", "--grid-file", str(cfg), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "ber.jsonl").read_text().splitlines()]
+        assert [r["algorithm"] for r in records] == ["bf", "gibbs"]
 
 
 class TestSimulate:
@@ -365,7 +380,13 @@ class TestConfigFile:
         ("bench", "seed=,", "must be a nonempty list"),
         ("decay", "grid=0.1-0.2", "bad grid cell"),
         ("decay", "grid=", "must be nonempty"),
-    ], ids=["number", "integer", "list", "empty-list", "grid-cell", "empty-grid"])
+        ("bench", "algorithms=", "parameter algorithms='' must be a nonempty list"),
+        ("bench", "seed=1,1", "parameter seed='1,1' must name each value once"),
+        ("bench", "k=1,1", "parameter k='1,1' must name each value once"),
+        ("bench", "k=1,01", "parameter k='1,01' must name each value once"),
+        ("bench", "algorithms=bf,dude,bf", "parameter algorithms='bf,dude,bf' must name each value once"),
+    ], ids=["number", "integer", "list", "empty-list", "grid-cell", "empty-grid", "empty-algorithms",
+            "seed-twice", "k-twice", "k-twice-as-integers", "algorithms-twice"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, line, message):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"p=0.2\neps=0.1\n{line}\n")
@@ -378,21 +399,25 @@ class TestConfigFile:
             with pytest.raises(cli.ConfigError, match="missing required parameter: depth"):
                 cfg.get("depth", parse=parse)
 
-    @pytest.mark.parametrize("flags, config, read", [
-        (["--p", "0.2", "--eps", "0.1", "--n", "2", "--k", "3", "--depth", "9"], None,
+    @pytest.mark.parametrize("command, flags, config, read", [
+        ("probs", ["--p", "0.2", "--eps", "0.1", "--n", "2", "--k", "3", "--depth", "9"], None,
          {"p": "0.2", "eps": "0.1", "n": "2"}),
-        ([], "grid=0.1:0.2 0.2:0.2\np=0.3\neps=0.1\nsamples=8\nalgorithms=bf\n", {"p": "0.3", "eps": "0.1"}),
-    ], ids=["unread-flags", "unread-keys"])
-    def test_header_records_what_the_command_read(self, tmp_path, flags, config, read):
-        # a key is in the header if and only if the command read it from a flag or the file
-        out = tmp_path / "probs.csv"
-        args = ["probs", *flags, "--out", str(out)]
+        ("probs", [], "grid=0.1:0.2 0.2:0.2\np=0.3\neps=0.1\nsamples=8\nalgorithms=bf\n",
+         {"p": "0.3", "eps": "0.1"}),
+        ("bench", ["--n", "4000", "--seed", "3", "--k", "29"], "grid=0.1:0.2\nalgorithms=bf\n",
+         {"n": "4000", "seed": "3", "grid": "0.1:0.2", "algorithms": "bf"}),
+    ], ids=["unread-flags", "unread-keys", "k-without-dude"])
+    def test_header_records_what_the_command_read(self, tmp_path, command, flags, config, read):
+        # a key is in the header if and only if the command read it from a flag or the file;
+        # bench reads k only where DUDE runs, so a k no DUDE call would take is neither checked nor recorded
+        out = tmp_path / "out"
+        args = [command, *flags, "--out", str(out)]
         if config is not None:
             (tmp_path / "cfg.txt").write_text(config)
             args += ["--grid-file", str(tmp_path / "cfg.txt")]
         assert cli.main(args) == 0
-        meta, _, _ = read_csv(out)
-        written = {"schema", "version", "generator", "sum", "max_rel_err"}
+        meta, _, _ = read_csv(out / "ber_table.csv" if command == "bench" else out)
+        written = {"schema", "version", "generator", "sum", "max_rel_err", "seeds"}
         assert {key: value for key, value in meta.items() if key not in written} == {**read, "out": str(out)}
 
     def test_only_settings_reads_the_flags_and_the_file(self):
