@@ -94,14 +94,19 @@ def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
     _overwrite(path, (line.encode() for line in _csv_lines(meta, header, rows)))
 
 
+def _named_once(items: list) -> list:
+    """``items``, refused if it names a value twice."""
+    if len(set(items)) < len(items):
+        raise ConfigError("must name each value once")
+    return items
+
+
 def _list(raw: str, item=str) -> list:
     """Values separated by commas or spaces, each read by ``item`` and named once."""
     items = [item(tok) for tok in raw.replace(" ", ",").split(",") if tok]
     if not items:
         raise ConfigError("must be a nonempty list")
-    if len(set(items)) < len(items):
-        raise ConfigError("must name each value once")
-    return items
+    return _named_once(items)
 
 
 def _int_list(raw: str) -> list[int]:
@@ -109,7 +114,7 @@ def _int_list(raw: str) -> list[int]:
 
 
 def _grid(raw: str) -> list[tuple[float, float]]:
-    """(p, eps) cells written p:eps and separated by spaces."""
+    """(p, eps) cells written p:eps, separated by spaces and each named once."""
     cells = []
     for token in raw.split():
         p, _, eps = token.partition(":")
@@ -119,7 +124,7 @@ def _grid(raw: str) -> list[tuple[float, float]]:
             raise ConfigError(f"has a bad grid cell {token!r}; expected p:eps") from None
     if not cells:
         raise ConfigError("must be nonempty")
-    return cells
+    return _named_once(cells)
 
 
 class Settings:

@@ -8,7 +8,10 @@ hidden configurations,
 and are kept independent of the transfer recursion so the two routes can be
 checked against each other. Words and hidden configurations are encoded as
 integers with bit i = 1 iff the symbol at offset i is -1 (offset 0 = lowest
-bit), which turns mismatch counting into a popcount of an XOR.
+bit), which turns mismatch counting into a popcount of an XOR. A weight
+depends on a configuration only through such a count, of flips or of
+mismatches, so its powers x^m (1-x)^(L-m) are taken once per count, m = 0..L,
+and looked up by it (``_powers_by_count``).
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ MAX_TABLE_LENGTH = 12
 
 def spin_word_code(y) -> int:
     """Integer code of a spin word: bit i set iff symbol i is -1."""
-    arr = as_spin_array(y)
-    bits = (arr == -1).astype(np.uint64)
-    return int(np.sum(bits << np.arange(len(arr), dtype=np.uint64)))
+    return int.from_bytes(np.packbits(as_spin_array(y) == -1, bitorder="little"), "little")
 
 
 def code_to_spins(code: int, length: int) -> np.ndarray:
@@ -43,15 +44,17 @@ def code_to_spins(code: int, length: int) -> np.ndarray:
     return np.where(bits == 1, -1, 1).astype(np.int8)
 
 
-def _config_weights(length: int, p: float) -> np.ndarray:
-    """(1/2) * prod of transition probabilities for every hidden configuration."""
-    configs = np.arange(1 << length, dtype=np.uint32)
-    if length == 1:
-        flips = np.zeros(1 << length, dtype=np.uint32)
-    else:
-        mask = np.uint32((1 << (length - 1)) - 1)
-        flips = np.bitwise_count((configs ^ (configs >> np.uint32(1))) & mask)
-    return 0.5 * np.power(p, flips, dtype=np.float64) * np.power(1.0 - p, length - 1 - flips)
+def _powers_by_count(x: float, length: int, scale: float = 1.0) -> np.ndarray:
+    """``scale * x^m * (1-x)^(length-m)`` for m = 0..length, multiplied in that order, indexed by m."""
+    counts = np.arange(length + 1, dtype=np.float64)
+    return scale * np.power(x, counts) * np.power(1.0 - x, length - counts)
+
+
+def _config_weights(configs: np.ndarray, length: int, p: float) -> np.ndarray:
+    """(1/2) * prod of transition probabilities for each of the hidden configurations ``configs``, looked up by its flips."""
+    mask = np.uint32((1 << (length - 1)) - 1)
+    flips = np.bitwise_count((configs ^ (configs >> np.uint32(1))) & mask)
+    return _powers_by_count(p, length - 1, 0.5).take(flips)
 
 
 def brute_force_cylinder(y, params: ChannelParams) -> float:
@@ -62,11 +65,10 @@ def brute_force_cylinder(y, params: ChannelParams) -> float:
         raise TooLongError(
             f"word of length {length} exceeds the enumeration budget of {MAX_BRUTE_FORCE_LENGTH}"
         )
-    p, eps = params.p, params.epsilon
     configs = np.arange(1 << length, dtype=np.uint32)
     mismatches = np.bitwise_count(configs ^ np.uint32(spin_word_code(word)))
-    emission = np.power(eps, mismatches, dtype=np.float64) * np.power(1.0 - eps, length - mismatches)
-    return float(np.sum(_config_weights(length, p) * emission))
+    emission = _powers_by_count(params.epsilon, length).take(mismatches)
+    return float(np.sum(_config_weights(configs, length, params.p) * emission))
 
 
 def enumerate_cylinder_table(length: int, params: ChannelParams) -> np.ndarray:
@@ -78,12 +80,7 @@ def enumerate_cylinder_table(length: int, params: ChannelParams) -> np.ndarray:
     check_count("length", length, 1)
     if length > MAX_TABLE_LENGTH:
         raise TooLongError(f"table length must be in 1..{MAX_TABLE_LENGTH}, got {length}")
-    p, eps = params.p, params.epsilon
     configs = np.arange(1 << length, dtype=np.uint32)
     mismatches = np.bitwise_count(configs[:, None] ^ configs[None, :])
-    # emission weight depends only on the mismatch count m: eps^m (1-eps)^(L-m)
-    weight_by_count = np.power(eps, np.arange(length + 1), dtype=np.float64) * np.power(
-        1.0 - eps, length - np.arange(length + 1)
-    )
-    emission = weight_by_count[mismatches]
-    return _config_weights(length, p) @ emission
+    emission = _powers_by_count(params.epsilon, length).take(mismatches)
+    return _config_weights(configs, length, params.p) @ emission

@@ -33,16 +33,15 @@ import numpy as np
 
 from .errors import CertificateOverflowError, DivisionNearZeroError, InsufficientContextError
 from .model import ChannelParams, check_count, check_tolerance
-from .sequences import SpinSequence, as_spin_array
+from .sequences import as_spin_array
 from .transfer import (
     DecayBound,
     _extended_field,
     _extended_ratio,
+    _log_prob_and_extended_fields,
     _symbol_prob,
     decay_rate_bound,
-    extended_fields,
     log2cosh,
-    log_cylinder_prob,
     log_partition_term,
     log_partition_term_deriv,
     required_context,
@@ -251,13 +250,14 @@ def bowen_gibbs_ratio(y, model: ChannelParams) -> float:
 
     Both the cylinder probability and the Birkhoff sum are assembled in log
     space, so the ratio stays well-defined for words far longer than the
-    underflow threshold of a raw probability.
+    underflow threshold of a raw probability. Q and the fields come from one
+    scan of the word and a walk of its extension that stops where it meets
+    that scan.
     """
-    word = SpinSequence(y)
-    fields = extended_fields(word, model)
-    birkhoff = math.fsum(log_partition_term(fields, model))
-    log_ratio = log_cylinder_prob(word, model) - (birkhoff - len(word) * math.log(model.lam))
-    return math.exp(log_ratio)
+    arr = as_spin_array(y)
+    log_q, fields = _log_prob_and_extended_fields(arr, model)
+    birkhoff = math.fsum(log_partition_term(fields, model).tolist())
+    return math.exp(log_q - (birkhoff - len(arr) * math.log(model.lam)))
 
 
 def variation_estimate(n: int, samples: int, model: ChannelParams, seed: int) -> float:

@@ -55,7 +55,11 @@ the last. A query that needs one ratio (a conditional, a limit field) walks
 to it alone: on a word long enough for lanes, two walks over the b symbols
 from it on, from ratios 0 and inf, give the scan's value wherever they end
 equal, as the step is monotone; otherwise the whole word is walked. Either
-way the value is the scan's bit for bit.
+way the value is the scan's bit for bit. The scan of a word from a second
+start, such as the fixed point of its extension beside ratio 1, is walked
+only until it holds the first scan's value at the end of a chunk
+(``_rejoined_ratios``): the step is deterministic, so the two agree from
+there on.
 
 Given the symbols to its right, X_i has the odds rho_{i+1} = P(X_i = -1) / P(X_i = +1), so
 
@@ -65,7 +69,11 @@ with P(y | x) the channel's emission column. ``_symbol_prob`` computes every
 scalar Q(y | context) so: a two-sided conditional multiplies the odds of its
 sides, and ``thermo.g_function`` reads those of the limit of a tail. Cylinder
 probabilities are the product of these conditionals, summed as logarithms in
-(-inf, 0]: by ``math.fsum``, correctly rounded, on a word too short for lanes,
+(-inf, 0]. They are formed on Python floats from the walk on a word of fewer
+than SHORT_WORD_CUTOVER symbols, and in place in the scan array otherwise, in
+the same operations, and logged by numpy's log either way, which rounds
+apart from ``math.log`` on some inputs. They are summed by ``math.fsum``,
+correctly rounded, on a word too short for lanes,
 and otherwise by a cascade of vectorized TwoSum levels (``_cascade_sum``),
 also where the lanes ran out of rounds and the word was walked, within
 u |S| + d n u^2 |S| of the exact sum S of its n logs,
@@ -119,6 +127,10 @@ LANE_CUTOVER = 80
 
 #: Lanes get 2 rounds, and one more per LANE_ROUND_LANES lanes, before the word is walked instead.
 LANE_ROUND_LANES = 128
+
+#: ``log_cylinder_prob`` forms the Q of a word of fewer symbols on Python floats, of more in numpy arrays
+#: (the two take the same time at 72 to 88 symbols; at 12 symbols the floats take half).
+SHORT_WORD_CUTOVER = 80
 
 
 def check_field(w):
@@ -424,7 +436,42 @@ def extended_fields(y, model: ChannelParams) -> np.ndarray:
     the declared extension.
     """
     arr = as_spin_array(y)
-    return _plus_fields(_scan_shifts(arr, model, _fixed_point_ratio(int(arr[-1]), model))[1:], arr, model)
+    return _fields_of_ratios(arr, _scan_ratios(arr, model, _fixed_point_ratio(int(arr[-1]), model))[0], model)
+
+
+def _fields_of_ratios(arr: np.ndarray, ratios: np.ndarray, model: ChannelParams) -> np.ndarray:
+    """The fields K*y_i + A_i of the checked word arr from a ratio scan of it, logged in place on the scan."""
+    return _plus_fields(_shift_from_ratio(ratios, model, out=ratios)[1:], arr, model)
+
+
+def _rejoined_ratios(arr: np.ndarray, model: ChannelParams, start: float, scan: np.ndarray) -> np.ndarray:
+    """``_scan_ratios(arr, model, start)[0]``, bit for bit, from ``scan``, the scan of arr from another start.
+
+    The step is deterministic, so once the two scans hold the same ratio at a
+    position they hold the same ratios left of it. The word is walked from
+    ``start`` leftward in chunks of 16, 32, 64, ... symbols until the
+    walk ends a chunk on the value ``scan`` holds there; ``scan``'s entries
+    are taken from there on. Where the two never meet, the whole word is
+    walked.
+    """
+    hi, width = len(arr), 16
+    walked = [start]  # the ratios of positions n, n-1, ..., hi
+    while hi and walked[-1] != scan[hi]:
+        lo = max(hi - width, 0)
+        _walk(arr[lo:hi], model, walked.pop(), walked)
+        hi, width = lo, 2 * width
+    return np.concatenate((scan[:hi], walked[::-1]))
+
+
+def _log_prob_and_extended_fields(arr: np.ndarray, model: ChannelParams) -> tuple[float, np.ndarray]:
+    """``log_cylinder_prob`` and ``extended_fields`` of a checked word, bit for bit, from one scan.
+
+    The word is scanned from ratio 1 for log Q, and the scan of its extension,
+    from the fixed point, is walked only until it rejoins that scan.
+    """
+    (ratios,) = _scan_ratios(arr, model)
+    extended = _rejoined_ratios(arr, model, _fixed_point_ratio(int(arr[-1]), model), ratios)
+    return _log_prob_of_ratios(arr, ratios, model), _fields_of_ratios(arr, extended, model)
 
 
 def _extended_field(arr: np.ndarray, model: ChannelParams) -> float:
@@ -481,18 +528,30 @@ def _cascade_sum(terms: np.ndarray) -> float:
     return math.fsum([*terms.tolist(), *parts])
 
 
-def log_cylinder_prob(y, model: ChannelParams) -> float:
-    """log Q(y_m^n), assembled in log space so long words do not underflow.
+def _short_log_prob(arr: np.ndarray, model: ChannelParams) -> float:
+    """``log_cylinder_prob`` of a checked word shorter than SHORT_WORD_CUTOVER, bit for bit, on Python floats.
 
-    With rho the ratio of the shift the right of position i puts on it,
-    Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho), formed in
-    place with the emission column looked up by symbol. The logs are summed by
-    ``math.fsum`` on words too short for lanes, and by ``_cascade_sum`` on the
-    others, also where the lanes ran out of rounds and the word was walked.
+    The word is walked once, and each Q is formed from its ratio with the
+    operations of ``_log_prob_of_ratios`` in their order. One numpy log is
+    taken over the list: ``math.log`` rounds apart from it on some inputs.
     """
-    arr = as_spin_array(y)
     eps = model.epsilon
-    (ratios,) = _scan_ratios(arr, model)
+    keep = 1.0 - eps
+    record = []
+    _walk(arr, model, 1.0, record)
+    # record[k] is the ratio right of symbol n-1-k; P(y | -1) rho + P(y | +1), over rho + 1
+    qs = [((eps * rho + keep) if y == 1 else (keep * rho + eps)) / (rho + 1.0)
+          for y, rho in zip(reversed(arr.tolist()), record)]
+    return math.fsum(np.log(qs).tolist())
+
+
+def _log_prob_of_ratios(arr: np.ndarray, ratios: np.ndarray, model: ChannelParams) -> float:
+    """log Q of the checked word arr from its ratio scan from ratio 1, which it consumes.
+
+    ``ratios`` is released before the logs are taken and summed, so a caller
+    that keeps no name for it, as ``log_cylinder_prob``, holds no scan then.
+    """
+    eps = model.epsilon
     rho = ratios[1:]
     logs = _by_spin(arr, 1.0 - eps, eps)
     logs *= rho
@@ -502,6 +561,24 @@ def log_cylinder_prob(y, model: ChannelParams) -> float:
     del ratios, rho
     np.log(logs, out=logs)
     return _cascade_sum(logs) if _lane_rounds(len(arr)) else math.fsum(logs.tolist())
+
+
+def log_cylinder_prob(y, model: ChannelParams) -> float:
+    """log Q(y_m^n), assembled in log space so long words do not underflow.
+
+    With rho the ratio of the shift the right of position i puts on it,
+    Q(y_i | y_{i+1}^n) = (P(y_i | +1) + P(y_i | -1) rho) / (1 + rho). A word
+    shorter than SHORT_WORD_CUTOVER is walked and its Q formed on Python
+    floats (``_short_log_prob``); a longer one is scanned and its Q formed in
+    place with the emission column looked up by symbol. Either way the logs
+    are numpy's, and they are summed by ``math.fsum`` on words too short for
+    lanes, and by ``_cascade_sum`` on the others, also where the lanes ran out
+    of rounds and the word was walked.
+    """
+    arr = as_spin_array(y)
+    if len(arr) < SHORT_WORD_CUTOVER:
+        return _short_log_prob(arr, model)
+    return _log_prob_of_ratios(arr, _scan_ratios(arr, model)[0], model)
 
 
 def cylinder_prob(y, model: ChannelParams) -> float:

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from noisymarkov import transfer
+from noisymarkov.sequences import _by_spin, as_spin_array
 from noisymarkov.transfer import (
+    _cascade_sum,
     _lane_ratios,
+    _lane_rounds,
     _scan_ratios,
     _scan_shifts,
     _shift_from_ratio,
     _walk,
+    extended_fields,
     field_shift,
     field_shift_deriv,
+    log_partition_term,
 )
 
 #: The (p, epsilon) grid used by cross-checking properties throughout the suite.
@@ -61,6 +66,52 @@ def assert_both_sides_walked(y, model, start: float = 1.0) -> None:
 def walked_shifts(symbols, model, start: float = 1.0) -> np.ndarray:
     """The shifts of ``walked_ratios``, read off by the package's one log on a contiguous array."""
     return _shift_from_ratio(walked_ratios(symbols, model, start), model)
+
+
+def power_brute_force_cylinder(y, p: float, eps: float) -> float:
+    """Q(y) summed over every hidden configuration, its powers taken per configuration by ``np.power``.
+
+    The oracle that ``oracle.brute_force_cylinder`` replaced by powers looked
+    up by count, kept as the reference it must equal bit for bit.
+    """
+    arr = np.asarray(y)
+    length = len(arr)
+    code = int(np.sum((arr == -1).astype(np.uint64) << np.arange(length, dtype=np.uint64)))
+    configs = np.arange(1 << length, dtype=np.uint32)
+    mask = np.uint32((1 << (length - 1)) - 1)
+    flips = np.bitwise_count((configs ^ (configs >> np.uint32(1))) & mask)
+    weights = 0.5 * np.power(p, flips, dtype=np.float64) * np.power(1.0 - p, length - 1 - flips)
+    mismatches = np.bitwise_count(configs ^ np.uint32(code))
+    emission = np.power(eps, mismatches, dtype=np.float64) * np.power(1.0 - eps, length - mismatches)
+    return float(np.sum(weights * emission))
+
+
+def array_log_cylinder_prob(y, model) -> float:
+    """log Q(y) with every Q formed in numpy arrays on the scan from ratio 1, as ``log_cylinder_prob`` formed it on every word.
+
+    The reference the short-word path on Python floats must equal bit for bit.
+    """
+    arr = as_spin_array(y)
+    eps = model.epsilon
+    rho = _scan_ratios(arr, model)[0][1:]
+    logs = _by_spin(arr, 1.0 - eps, eps)
+    logs *= rho
+    logs += _by_spin(arr, eps, 1.0 - eps)
+    rho += 1.0
+    logs /= rho
+    np.log(logs, out=logs)
+    return _cascade_sum(logs) if _lane_rounds(len(arr)) else math.fsum(logs.tolist())
+
+
+def two_scan_bowen_gibbs_ratio(y, model) -> float:
+    """Q(y) / exp(S phi - n P) with the extension scanned whole by ``extended_fields`` and Q by ``array_log_cylinder_prob``.
+
+    The two scans ``bowen_gibbs_ratio`` took before it shared one; kept as
+    the reference it must equal bit for bit.
+    """
+    arr = as_spin_array(y)
+    birkhoff = math.fsum(log_partition_term(extended_fields(arr, model), model))
+    return math.exp(array_log_cylinder_prob(arr, model) - (birkhoff - len(arr) * math.log(model.lam)))
 
 
 def alpha_beta_posteriors(y, p: float, eps: float) -> tuple[np.ndarray, np.ndarray]:

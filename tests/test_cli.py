@@ -477,6 +477,17 @@ class TestConfigFile:
         assert "p" not in meta and "eps" not in meta  # the file's p and eps did not run
 
     @pytest.mark.parametrize("command", ["bench", "decay"])
+    @pytest.mark.parametrize("grid", ["0.1:0.2 0.1:0.2", "0.1:0.2 0.3:0.1 0.10:0.2"], ids=["same", "same-value"])
+    def test_grid_cell_named_twice_is_config_error(self, tmp_path, capsys, command, grid):
+        # a cell named twice would run twice, and bench would average its seeds twice
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"grid={grid}\nalgorithms=bf\nsamples=8\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--grid-file", str(cfg), "--n", "2000", "--out", str(out)]) == 2
+        assert f"parameter grid={grid!r} must name each value once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "decay"])
     def test_out_of_range_grid_cell_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid=1.5:0.2 0.1:0.2\n")

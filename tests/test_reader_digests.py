@@ -115,11 +115,14 @@ def _flat(entry) -> list:
 
 
 def _as_float(entry) -> float | None:
-    """A float-hex entry's float; None for a SHA-256 digest, a name or a count."""
-    try:
-        return float.fromhex(entry)
-    except (TypeError, ValueError):
+    """A float-hex entry's float; None for a SHA-256 digest, a name or a count.
+
+    Only ``0x...``, ``inf`` and ``nan`` entries, signed or not, are floats:
+    ``float.fromhex`` would also read the 64 hex digits of a SHA-256 digest.
+    """
+    if not isinstance(entry, str) or not entry.lstrip("-").startswith(("0x", "inf", "nan")):
         return None
+    return float.fromhex(entry)
 
 
 def _drift(got, want) -> str:
@@ -251,6 +254,13 @@ def test_reader_outputs_are_pinned(cell, word):
 def test_cell_readers_are_pinned(cell):
     _assert_pinned(cell_digests(cell), json.loads(DIGESTS.read_text(encoding="utf-8"))["cells"][_key(cell)]["cell"],
                    f"at {cell}")
+
+
+def test_drift_names_a_moved_digest_moved_and_a_moved_float_by_its_ulps():
+    a, b = (hashlib.sha256(word).hexdigest() for word in (b"one", b"two"))
+    assert _drift(a, b) == "moved"
+    assert _drift([a, "0x1.0000000000000p+0"], [a, "0x1.0000000000004p+0"]) == "4 ulp"
+    assert _drift(["-inf", "nan", "-0x1.8p-3"], ["-inf", "nan", "-0x1.8000000000001p-3"]) == "1 ulp"
 
 
 def write_digests() -> None:

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,6 +238,32 @@ class TestPathFiles:
         assert lines[6].startswith(b"1,")  # the second data row, line 7 of the file
         target.write_bytes(b"\n".join(edit(lines)) + b"\n")
         with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line {line}:")):
+            load_path_csv(target)
+
+    @pytest.mark.parametrize("n", [3, 5, 10**12])
+    def test_lying_n_on_a_short_file_names_its_line(self, tmp_path, n):
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 4, seed=1))
+        lines = target.read_bytes().splitlines()
+        assert lines[3] == b"# n=4"
+        lines[3] = b"# n=%d" % n
+        target.write_bytes(b"\n".join(lines) + b"\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 4: n={n}, but the file holds 4 rows")):
+                load_path_csv(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # the rows the header claims are never allocated
+
+    def test_body_of_n_rows_length_in_other_rows_names_its_line(self, tmp_path):
+        # 22 bytes, the length of two rows, in three lines: the rows are counted by their newlines
+        target = tmp_path / "path.csv"
+        save_path_csv(target, generate_dataset(P_REF, 2, seed=1))
+        head = target.read_bytes().splitlines()[:5]
+        target.write_bytes(b"\n".join([*head, b"0,+1,+1,+1", b"1,+1", b"-1,+1"]) + b"\n")
+        with pytest.raises(MalformedDataError, match=re.escape(f"{target}, line 7: expected the row '1,x,z,y'")):
             load_path_csv(target)
 
     def test_truncated_csv_names_its_last_line(self, tmp_path):
