@@ -45,10 +45,8 @@ def as_spin_array(y, *, allow_empty: bool = False) -> np.ndarray:
         raise MalformedDataError("spin sequence must contain at least one symbol")
     if arr.dtype.kind not in NUMERIC_KINDS:
         raise MalformedDataError(f"spin symbols must be numeric, got dtype {arr.dtype}")
-    # checked before the cast, which warns on values int8 cannot hold; |y| = 1 only at -1 and +1 but for
-    # complex numbers (the absolute value of the most negative integer wraps to itself)
-    off = (arr != 1) & (arr != -1) if arr.dtype.kind == "c" else np.abs(arr) != 1
-    if np.count_nonzero(off):
+    # checked before the cast, which warns on values int8 cannot hold
+    if not ((arr == 1) | (arr == -1)).all():
         raise MalformedDataError("spin symbols must all be -1 or +1")
     out = arr.astype(SPIN_DTYPE)
     out.setflags(write=False)

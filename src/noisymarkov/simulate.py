@@ -278,8 +278,8 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
 
     The rows are checked by encoding the signs read off them again: the file
     loads only if that reproduces its body byte for byte. A body of the
-    length of the header's n rows is read as n rows; any other body, or one
-    that does not re-encode, has its rows counted by its newlines.
+    length of the header's n rows is read as n rows; any other body has its
+    rows counted by its newlines.
     """
     data = Path(path).read_bytes()
     meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
@@ -306,16 +306,14 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
     seed = _meta_int(path, meta, "seed") if "seed" in meta else 0
 
     body = np.frombuffer(data, dtype=np.uint8)[pos:]
-    generator = meta.get("generator", (GENERATOR_NAME, 0))[0]
-    if len(body) == _rows_length(n):  # the length of n rows, so most likely n well-formed ones: no newline counted
-        x_plus, z_plus = _row_signs(body, n)
-        # named, so it is freed after the path is built, as below: freed before, it left the heap laid out
-        # differently, and perfbench's universal_dude read 1 MiB more peak RSS
-        expected = _encode_rows(x_plus, z_plus)
-        if expected == memoryview(data)[pos:]:
-            return _path_of_signs(x_plus, z_plus, seed, generator)
-    m = data.count(b"\n", pos)
-    x_plus, z_plus = _row_signs(body, m)
+    # a body of the length of n rows is read as n rows, uncounted; if it holds some other number, its
+    # re-encoding differs first at the byte where that of its counted rows would, so the message is the same
+    m = n if len(body) == _rows_length(n) else data.count(b"\n", pos)
+    # read the signs where m well-formed rows hold them; on a malformed row the comparison below refuses what it reads
+    x_plus, z_plus = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    for lo, d, rows in _row_views(body, m):
+        np.equal(rows[:, d + 1], 43, out=x_plus[lo : lo + len(rows)])
+        np.equal(rows[:, d + 4], 43, out=z_plus[lo : lo + len(rows)])
     expected = _encode_rows(x_plus, z_plus)
     if expected != memoryview(data)[pos:]:
         # the rows before the first differing byte are well formed, so counting them gives its row
@@ -331,18 +329,6 @@ def load_path_csv(path: str | Path) -> SimulatedPath:
         )
     if m != n:
         raise MalformedDataError(f"{path}, line {meta['n'][1]}: n={n}, but the file holds {m} rows")
-    return _path_of_signs(x_plus, z_plus, seed, generator)
-
-
-def _row_signs(body: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whether x and z are +1, read where m well-formed rows hold them; a malformed row is refused by the caller's re-encoding."""
-    x_plus, z_plus = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    for lo, d, rows in _row_views(body, m):
-        np.equal(rows[:, d + 1], 43, out=x_plus[lo : lo + len(rows)])
-        np.equal(rows[:, d + 4], 43, out=z_plus[lo : lo + len(rows)])
-    return x_plus, z_plus
-
-
-def _path_of_signs(x_plus: np.ndarray, z_plus: np.ndarray, seed: int, generator: str) -> SimulatedPath:
     x, z = 2 * x_plus.view(SPIN_DTYPE) - 1, 2 * z_plus.view(SPIN_DTYPE) - 1
+    generator = meta.get("generator", (GENERATOR_NAME, 0))[0]
     return SimulatedPath(x=_made_word(x), z=_made_word(z), y=_made_word(x * z), seed=seed, generator=generator)

@@ -258,7 +258,7 @@ class TestPathFiles:
         assert peak < 1 << 16  # the rows the header claims are never allocated
 
     def test_body_of_n_rows_length_in_other_rows_names_its_line(self, tmp_path):
-        # 22 bytes, the length of two rows, in three lines: the rows are counted by their newlines
+        # 22 bytes, the length of two rows, in three lines: read as two rows, refused at the line a newline count names
         target = tmp_path / "path.csv"
         save_path_csv(target, generate_dataset(P_REF, 2, seed=1))
         head = target.read_bytes().splitlines()[:5]

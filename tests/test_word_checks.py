@@ -199,19 +199,3 @@ def test_input_keeps_its_full_check():
         SpinSequence([1, 0])
     with pytest.raises(MalformedDataError):
         denoise.map_denoise(denoise.PosteriorMarginals(q_minus=np.array([]), q_plus=np.array([])))
-
-
-@pytest.mark.parametrize("values, dtype", [
-    ([1, -128], np.int8), ([np.iinfo(np.int64).min], np.int64), ([1, 255], np.uint8), ([1, 1j], complex),
-    ([-1.0, np.nan], float), ([-0.0], float), ([1, 2], "m8[s]"), ([1, "NaT"], "m8[s]"),
-], ids=["int8-min", "int64-min", "uint8-max", "unit-complex", "nan", "negative-zero", "timedelta", "not-a-time"])
-def test_words_off_the_spins_are_refused(values, dtype):
-    # the absolute value of the most negative integer is itself, and 1j has absolute value 1
-    with pytest.raises(MalformedDataError):
-        sequences.as_spin_array(np.array(values, dtype=dtype))
-
-
-@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.float16, float, "m8[s]"])
-def test_spins_of_every_numeric_dtype_are_taken(dtype):
-    values = [1] if dtype == np.uint8 else [1, -1, -1]
-    np.testing.assert_array_equal(sequences.as_spin_array(np.array(values, dtype=dtype)), values)
